@@ -23,7 +23,6 @@ from .realform import (
     HermitianData,
     grade_roots,
     hermitian_data,
-    identify_real_form,
 )
 from .rootsystem import (
     RootSystem,
@@ -76,7 +75,6 @@ __all__ = [
     "enumerate_weyl",
     "grade_roots",
     "hermitian_data",
-    "identify_real_form",
     "max_length_mapping",
     "max_weyl_length_bruteforce",
     "max_weyl_length_fast",

@@ -3,8 +3,9 @@ pseudoconcave of a computed degree.
 
 The verdict itself is the test a(E) = dim C.  An independent structural
 test (k has a center and the parabolic's noncompact part sits inside one
-xi-half) must agree; disagreement is reported, never repaired, since the
-two tests are provably equivalent and a mismatch means a bug.
+xi-half) must agree.  A disagreement is recorded in cross_check, never
+repaired, and the pipeline turns it into an InternalInconsistencyError,
+since the two tests are provably equivalent and a mismatch means a bug.
 """
 
 from __future__ import annotations

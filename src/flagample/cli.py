@@ -61,6 +61,16 @@ class _Parser(argparse.ArgumentParser):
         return 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="flagample", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -82,10 +92,10 @@ def _build_parser() -> _Parser:
         sp.add_argument("--format", choices=_FORMATS, default="text")
         sp.add_argument(
             "--max-weyl",
-            type=int,
+            type=_positive_int,
             default=DEFAULT_CAP,
             metavar="N",
-            help="Weyl enumeration cap (default 10^7)",
+            help="Weyl enumeration cap, at least 1 (default 10^7)",
         )
         if table:
             sp.add_argument(
@@ -95,7 +105,7 @@ def _build_parser() -> _Parser:
             )
             sp.add_argument(
                 "--jobs",
-                type=int,
+                type=_positive_int,
                 default=1,
                 metavar="N",
                 help="evaluate cases in N parallel processes",
@@ -134,6 +144,22 @@ def _parse_nodes(text: str | None) -> tuple[int, ...] | None:
         raise BadInputError(f"cannot parse node list {text!r}") from None
 
 
+# config key -> (JSON type, description); node lists hold integers
+_CONFIG_SCHEMA = {
+    "series": (str, "a string"),
+    "rank": (int, "an integer"),
+    "noncompact": (list, "a list of integers"),
+    "levi": (list, "a list of integers"),
+    "method": (str, "a string"),
+    "verify": (bool, "true or false"),
+}
+
+
+def _is(value, kind) -> bool:
+    """isinstance, except that a JSON boolean is not an integer."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -142,6 +168,14 @@ def _load_config(path: str) -> dict:
         raise BadInputError(f"cannot read config {path}: {exc}") from None
     if not isinstance(data, dict):
         raise BadInputError("config must be a JSON object")
+    for key, value in data.items():
+        if key not in _CONFIG_SCHEMA:
+            raise BadInputError(f"unknown config key {key!r}")
+        kind, desc = _CONFIG_SCHEMA[key]
+        if not _is(value, kind) or (
+            kind is list and not all(_is(x, int) for x in value)
+        ):
+            raise BadInputError(f"config key {key!r} must be {desc}")
     return data
 
 
@@ -157,7 +191,7 @@ def _case_from_args(args) -> CaseSpec:
 
     noncompact = _parse_nodes(args.noncompact)
     if noncompact is None:
-        noncompact = tuple(sorted(int(x) for x in cfg.get("noncompact", [])))
+        noncompact = tuple(sorted(set(cfg.get("noncompact", ()))))
     if not noncompact:
         raise CompactFormError(
             "empty marking selects the compact real form, which has no flag domains"
@@ -165,12 +199,12 @@ def _case_from_args(args) -> CaseSpec:
 
     levi = _parse_nodes(args.levi)
     if levi is None:
-        levi = tuple(sorted(int(x) for x in cfg.get("levi", [])))
+        levi = tuple(sorted(set(cfg.get("levi", ()))))
 
     method = args.method if args.method is not None else cfg.get("method", "auto")
     if method not in ("auto", "bruteforce", "fast"):
         raise BadInputError(f"unknown method {method!r}")
-    verify = args.verify if args.verify is not None else bool(cfg.get("verify", False))
+    verify = args.verify if args.verify is not None else cfg.get("verify", False)
 
     return CaseSpec(
         dynkin=dynkin,
@@ -319,8 +353,6 @@ def _cmd_table(args) -> int:
     dynkin = parse_type(args.type)
     method = args.method if args.method is not None else "auto"
     verify = bool(args.verify)
-    if args.jobs < 1:
-        raise BadInputError("--jobs must be at least 1")
     rows = run_table(
         dynkin,
         method=method,

@@ -1,42 +1,68 @@
-"""Kernel backend selection.
+"""Group-enumeration kernel.
 
-The compiled extension is used when it imported cleanly and the
-FLAGAMPLE_PURE environment variable is not set; otherwise the pure
-Python kernel.  Both expose enumerate_group with the same contract and
-bit-identical output order.
+Breadth-first closure of the identity under right multiplication by the
+generators, parents scanned in discovery order and generators in
+ascending index.  With that order the word read off the parent chain is
+the lexicographically least reduced word of each element.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _pykernel
-
-try:  # pragma: no cover - depends on the build environment
-    from . import _speedups  # type: ignore[attr-defined]
-except ImportError:  # pragma: no cover
-    _speedups = None
-
-
-def _active():
-    if os.environ.get("FLAGAMPLE_PURE") == "1" or _speedups is None:
-        return _pykernel
-    return _speedups
+from array import array
+from typing import Sequence
 
 
 def backend_name() -> str:
-    """Name of the kernel in use: 'c' or 'python'."""
-    return _active().BACKEND
+    """Name of the enumeration kernel; recorded with benchmark runs."""
+    return "python"
 
 
-def available_backends() -> dict:
-    """All importable kernels, keyed by backend name."""
-    out = {_pykernel.BACKEND: _pykernel}
-    if _speedups is not None:
-        out[_speedups.BACKEND] = _speedups
-    return out
+def enumerate_group(
+    gens: Sequence[Sequence[int]],
+    key_positions: Sequence[int],
+    cap: int,
+) -> tuple[array, array, array]:
+    """Enumerate the permutation group generated by `gens`.
 
+    gens: involutive permutations of range(m) (as equal-length sequences).
+    key_positions: positions whose images already determine an element
+        (for reflection groups: the indices of the simple roots).
+    cap: maximum number of elements before OverflowError is raised.
 
-def enumerate_group(gens, key_positions, cap):
-    """Dispatch to the active kernel; see _pykernel.enumerate_group."""
-    return _active().enumerate_group(gens, key_positions, cap)
+    Returns (perms, parents, genids): perms is a flat int array of length
+    N*m holding one permutation per element in canonical order (identity
+    first); element k was first reached from element parents[k] by
+    generator genids[k] (-1 for the identity).
+    """
+    if not gens:
+        raise ValueError("need at least one generator (or handle identity upstream)")
+    m = len(gens[0])
+    gens = [tuple(g) for g in gens]
+    keyp = tuple(key_positions)
+
+    identity = tuple(range(m))
+    flat = array("i", identity)
+    parents = array("i", [-1])
+    genids = array("i", [-1])
+    seen = {tuple(identity[p] for p in keyp)}
+
+    lo, hi = 0, 1
+    count = 1
+    while lo < hi:
+        for idx in range(lo, hi):
+            base = flat[idx * m : (idx + 1) * m]
+            for j, g in enumerate(gens):
+                child = tuple(base[x] for x in g)  # base o g
+                key = tuple(child[p] for p in keyp)
+                if key not in seen:
+                    count += 1
+                    if count > cap:
+                        raise OverflowError(
+                            f"group enumeration exceeded cap of {cap} elements"
+                        )
+                    seen.add(key)
+                    flat.extend(child)
+                    parents.append(idx)
+                    genids.append(j)
+        lo, hi = hi, count
+    return flat, parents, genids

@@ -4,14 +4,19 @@ the batch sweep over all cases of a type."""
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .classify import classify
+from .classify import CHECK_PASSED, classify
 from .cycle import neutral_fiber, parabolic_data
 from .dynkin import DynkinType, diagram_automorphisms
-from .errors import DegenerateGeometryError, EnumerationCapError
+from .errors import (
+    DegenerateGeometryError,
+    EnumerationCapError,
+    InternalInconsistencyError,
+)
 from .realform import grade_roots, hermitian_data
 from .rootsystem import build_root_system
 from .snow import ampleness, assemble_input
@@ -111,6 +116,10 @@ def run_case(spec: CaseSpec) -> Report:
     inp = assemble_input(rs, grading, herm, pd, fiber)
     amp = ampleness(inp, method=spec.method, verify=spec.verify, cap=spec.max_weyl)
     cls = classify(amp, pd, grading, herm)
+    if cls.cross_check != CHECK_PASSED:
+        raise InternalInconsistencyError(
+            f"verdict {cls.kind} disagrees with the structural test ({cls.notes})"
+        )
     return Report(
         series=spec.dynkin.series,
         rank=spec.dynkin.rank,
@@ -215,12 +224,14 @@ def run_table(
     jobs: int = 1,
 ) -> list[dict]:
     """Evaluate every case of a type; rows come back in case order
-    regardless of parallelism."""
+    regardless of parallelism.  The pool never exceeds the CPU count or
+    the number of cases."""
     cases = sweep_cases(dynkin, dedupe=dedupe)
     args = [
         (dynkin.series, dynkin.rank, m, l, method, verify, max_weyl)
         for m, l in cases
     ]
+    jobs = min(jobs, os.cpu_count() or 1, len(args))
     if jobs <= 1:
         return [_table_worker(a) for a in args]
     with ProcessPoolExecutor(max_workers=jobs) as pool:

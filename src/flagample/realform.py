@@ -39,8 +39,9 @@ class CompactnessGrading:
 
 @dataclass(frozen=True)
 class HermitianData:
-    """Center of k, the split of the noncompact roots it induces, and the
-    maximal noncompact weights."""
+    """Center of k, the split of the noncompact roots it induces, the
+    maximal noncompact weights, and the simple system and Weyl group
+    order of K."""
 
     center_dim: int  # 0 or 1
     s_plus: tuple[Weight, ...]
@@ -48,6 +49,8 @@ class HermitianData:
     lambda_max_s: tuple[Weight, ...]
     k_type: str
     kname: str
+    k_simples: tuple[Weight, ...]  # sorted simple system of K
+    k_order: int  # |W(K)|
 
     @property
     def hermitian(self) -> bool:
@@ -145,14 +148,9 @@ def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData
         lambda_max_s=lam_max,
         k_type=k_type,
         kname=kname,
+        k_simples=tuple(sorted(g for c in comps for g in c.simples)),
+        k_order=math.prod(c.order for c in comps),
     )
-
-
-def identify_real_form(
-    rs: RootSystem, grading: CompactnessGrading, hermitian: HermitianData
-) -> str:
-    """Best-effort standard name of the real form; cosmetic metadata."""
-    return hermitian.kname
 
 
 def _central_functional(rs, compact_pos):

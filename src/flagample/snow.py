@@ -26,14 +26,13 @@ from .realform import (
     HermitianData,
     compact_positive_roots,
 )
-from .rootsystem import RootSystem, Weight, simple_system
+from .rootsystem import RootSystem, Weight
 from .weyl import (
     DEFAULT_CAP,
     SubsystemContext,
     WeylElement,
     _enumerate,
     _max_length_with_witness,
-    group_order_from_simples,
     invert,
 )
 
@@ -42,15 +41,19 @@ METHODS = ("auto", "bruteforce", "fast")
 
 @dataclass(frozen=True)
 class AmplenessInput:
-    """Everything the length search needs, assembled from one pipeline run."""
+    """Everything the length search needs, assembled once per case."""
 
     rs: RootSystem
     grading: CompactnessGrading
     hermitian: HermitianData
     parabolic: ParabolicData
     fiber: NeutralFiber
-    k_simples: tuple[Weight, ...]
-    levi_correction: int
+    k_context: SubsystemContext  # reflection group of K, shared by both routes
+    max_weights: tuple[Weight, ...]  # maximal fiber weights, sorted
+
+    @property
+    def k_simples(self) -> tuple[Weight, ...]:
+        return self.hermitian.k_simples
 
 
 @dataclass(frozen=True)
@@ -69,16 +72,14 @@ def assemble_input(
     parabolic: ParabolicData,
     fiber: NeutralFiber,
 ) -> AmplenessInput:
-    k_pos = compact_positive_roots(rs, grading)
-    k_simples = simple_system(rs, k_pos)
     return AmplenessInput(
         rs=rs,
         grading=grading,
         hermitian=hermitian,
         parabolic=parabolic,
         fiber=fiber,
-        k_simples=k_simples,
-        levi_correction=parabolic.levi_correction,
+        k_context=SubsystemContext(rs, hermitian.k_simples),
+        max_weights=maximal_weights(fiber, compact_positive_roots(rs, grading)),
     )
 
 
@@ -142,12 +143,6 @@ def closed_form_maximal_weights(
     return tuple(sorted(keep))
 
 
-def _weights(inp: AmplenessInput) -> tuple[frozenset, tuple[Weight, ...]]:
-    k_pos = compact_positive_roots(inp.rs, inp.grading)
-    lam = maximal_weights(inp.fiber, k_pos)
-    return frozenset(inp.fiber.weights), lam
-
-
 def _witness_pair(
     rs: RootSystem,
     element: WeylElement,
@@ -173,9 +168,9 @@ def max_weyl_length_bruteforce(
     the maximizers.
     """
     rs = inp.rs
-    fiber_set, lam = _weights(inp)
-    ctx = SubsystemContext(rs, inp.k_simples)
-    elements = _enumerate(ctx, cap)
+    lam = inp.max_weights
+    fiber_set = frozenset(inp.fiber.weights)
+    elements = _enumerate(inp.k_context, cap)
     lam_idx = {rs.root_index[a] for a in lam}
     nu_idx = [rs.root_index[a] for a in sorted(fiber_set)]
 
@@ -205,13 +200,13 @@ def max_weyl_length_fast(
     the brute-force scan.
     """
     rs = inp.rs
-    fiber_set, lam = _weights(inp)
-    ctx = SubsystemContext(rs, inp.k_simples)
+    lam = inp.max_weights
+    fiber_set = frozenset(inp.fiber.weights)
 
     best: tuple[int, WeylElement] | None = None
     for mu in lam:
         for nu in sorted(fiber_set):
-            res = _max_length_with_witness(ctx, mu, nu)
+            res = _max_length_with_witness(inp.k_context, mu, nu)
             if res is None:
                 continue
             length, witness = res
@@ -244,8 +239,8 @@ def ampleness(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    fiber_set, lam = _weights(inp)
-    if not set(lam) <= fiber_set:
+    lam = inp.max_weights
+    if not set(lam) <= set(inp.fiber.weights):
         raise InternalInconsistencyError("maximal weights escape the fiber")
     closed = closed_form_maximal_weights(inp.grading, inp.hermitian, inp.parabolic)
     if closed != lam:
@@ -266,7 +261,7 @@ def ampleness(
         primary = results["fast"]
     else:
         results["fast"] = max_weyl_length_fast(inp)
-        if verify and group_order_from_simples(inp.rs, inp.k_simples) <= cap:
+        if verify and inp.hermitian.k_order <= cap:
             results["bruteforce"] = max_weyl_length_bruteforce(inp, cap)
         primary = results["fast"]
 
@@ -278,7 +273,7 @@ def ampleness(
             )
 
     max_length, witness, pair_ = primary
-    value = max_length - inp.levi_correction
+    value = max_length - inp.parabolic.levi_correction
     if not 0 <= value <= inp.parabolic.dim_c:
         raise InternalInconsistencyError(
             f"ampleness {value} outside 0..dim_C={inp.parabolic.dim_c}"

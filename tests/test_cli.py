@@ -1,3 +1,5 @@
+import dataclasses
+import importlib
 import json
 
 import pytest
@@ -182,3 +184,103 @@ def test_table_text_aligned(capsys):
     lines = out.splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("type")
+
+
+def _flip_verdict(classify):
+    return lambda *args: dataclasses.replace(classify(*args), cross_check="failed")
+
+
+def _lengthen(route):
+    def longer(*args):
+        length, witness, pair = route(*args)
+        return length + 1, witness, pair
+
+    return longer
+
+
+@pytest.mark.parametrize(
+    "module,name,breaker",
+    [
+        ("pipeline", "classify", _flip_verdict),
+        ("snow", "max_weyl_length_fast", _lengthen),
+        ("snow", "max_weyl_length_bruteforce", _lengthen),
+    ],
+)
+def test_route_disagreement_exits_3(capsys, monkeypatch, module, name, breaker):
+    mod = importlib.import_module(f"flagample.{module}")
+    monkeypatch.setattr(mod, name, breaker(getattr(mod, name)))
+    for argv in (
+        ["compute", "--type", "A2", "--noncompact", "1", "--verify"],
+        ["table", "--type", "A2", "--verify", "--format", "json"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("internal inconsistency: ")
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"series": "A", "rank": 2, "noncompact": ["x"]},
+        {"series": "A", "rank": 2, "noncompact": 1},
+        {"series": "A", "rank": 2, "noncompact": [True]},
+        {"series": "A", "rank": 2, "noncompact": [1], "levi": "1"},
+        {"series": "A", "rank": 2, "noncompact": [1], "verify": "false"},
+        {"series": "A", "rank": 2, "noncompact": [1], "bogus": 1},
+        {"series": "A", "rank": "2", "noncompact": [1]},
+        {"series": 1, "rank": 2, "noncompact": [1]},
+        {"series": "A", "rank": 2, "noncompact": [1], "method": 3},
+        ["A", 2],
+    ],
+)
+def test_bad_config_exits_1(tmp_path, capsys, cfg):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "compute", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--type", "B2", "--noncompact", "2", "--verify", "--max-weyl", "0"],
+        ["compute", "--type", "B2", "--noncompact", "2", "--max-weyl", "-5"],
+        ["compute", "--type", "B2", "--noncompact", "2", "--max-weyl", "x"],
+        ["table", "--type", "A2", "--max-weyl", "0"],
+        ["table", "--type", "A2", "--jobs", "0"],
+    ],
+)
+def test_resource_flags_must_be_positive(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "at least 1" in err or "invalid integer" in err
+
+
+@pytest.mark.parametrize("cpus,expected", [(4, 4), (64, 9), (None, 1)])
+def test_table_jobs_clamped(monkeypatch, cpus, expected):
+    from flagample import pipeline
+    from flagample.dynkin import parse_type
+
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cpus)
+    rows = pipeline.run_table(parse_type("A2"), jobs=1000)
+    assert len(rows) == 9
+    assert pools == ([expected] if expected > 1 else [])

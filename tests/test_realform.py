@@ -6,9 +6,14 @@ from flagample.realform import (
     compact_positive_roots,
     grade_roots,
     hermitian_data,
-    identify_real_form,
 )
-from flagample.rootsystem import build_root_system, pair, subsystem_components
+from flagample.rootsystem import (
+    build_root_system,
+    pair,
+    simple_system,
+    subsystem_components,
+)
+from flagample.weyl import group_order_from_simples
 
 
 @pytest.fixture(scope="module")
@@ -100,8 +105,7 @@ def test_names():
     for label, marked, expected in cases:
         rs = build_root_system(parse_type(label))
         g = grade_roots(rs, marked)
-        h = hermitian_data(rs, g)
-        assert identify_real_form(rs, g, h) == expected, (label, marked)
+        assert hermitian_data(rs, g).kname == expected, (label, marked)
 
 
 def test_f4_single_markings_are_the_two_forms():
@@ -172,3 +176,17 @@ def test_xi_separates_marked_simple(a2):
     assert h.center_dim == 1
     assert (1, 0) in h.s_plus
     assert (0, -1) in h.s_plus  # (xi, a2) < 0 since xi kills a1+a2
+
+
+@pytest.mark.parametrize(
+    "dt", list(all_types_up_to_rank(4)) + [parse_type("E6")], ids=str
+)
+def test_shared_k_data_matches_direct_route(dt):
+    """hermitian_data's K simple system and |W(K)|, read off the
+    component classification, equal the direct computations."""
+    rs = build_root_system(dt)
+    for marked in _all_markings(dt.rank):
+        g = grade_roots(rs, marked)
+        h = hermitian_data(rs, g)
+        assert h.k_simples == simple_system(rs, compact_positive_roots(rs, g))
+        assert h.k_order == group_order_from_simples(rs, h.k_simples)

@@ -187,7 +187,7 @@ def test_pullback_correction_route():
     pulled_pd = dataclasses.replace(
         pd, levi_correction=0, dim_c=pd.dim_c + pd.levi_correction
     )
-    pulled = dataclasses.replace(inp, parabolic=pulled_pd, levi_correction=0)
+    pulled = dataclasses.replace(inp, parabolic=pulled_pd)
     pulled_res = ampleness(pulled, verify=True)
     assert pulled_res.ampleness == res.ampleness + pd.levi_correction
     assert pulled_res.max_length == res.max_length

@@ -4,7 +4,6 @@ import pytest
 
 from flagample.dynkin import parse_type
 from flagample.errors import EnumerationCapError
-from flagample.kernels import available_backends
 from flagample.rootsystem import build_root_system
 from flagample.weyl import (
     SubsystemContext,
@@ -99,15 +98,6 @@ def test_identity_element(a2):
 def test_enumeration_cap(a2):
     with pytest.raises(EnumerationCapError):
         enumerate_weyl(a2, a2.simple_roots, cap=3)
-
-
-def test_backends_agree(a2, monkeypatch):
-    if len(available_backends()) < 2:
-        pytest.skip("compiled kernel not built")
-    fast = enumerate_weyl(a2, a2.simple_roots)
-    monkeypatch.setenv("FLAGAMPLE_PURE", "1")
-    pure = enumerate_weyl(a2, a2.simple_roots)
-    assert [(e.word, e.action) for e in fast] == [(e.word, e.action) for e in pure]
 
 
 def _all_reduced_words(ctx, perm):
