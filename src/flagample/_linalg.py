@@ -36,32 +36,6 @@ def matrix_rank(rows: Iterable[Sequence]) -> int:
     return sum(1 for row in _echelon(rows) if any(x != 0 for x in row))
 
 
-def solve_in_basis(basis: Sequence[Sequence], v: Sequence) -> Vec | None:
-    """Coordinates of v in a linearly independent basis, or None.
-
-    Solves sum_j x_j basis[j] = v exactly; basis vectors and v live in the
-    same ambient coordinate space.
-    """
-    k = len(basis)
-    n = len(v)
-    # augmented system: columns are basis vectors
-    aug = [[Fraction(basis[j][i]) for j in range(k)] + [Fraction(v[i])] for i in range(n)]
-    mat = _echelon(aug)
-    x: list[Fraction] = [Fraction(0)] * k
-    for row in mat:
-        lead = next((c for c, a in enumerate(row) if a != 0), None)
-        if lead is None:
-            continue
-        if lead == k:  # 0 = nonzero: inconsistent
-            return None
-        x[lead] = row[k]
-    # verify (basis may be assumed independent, but stay exact and safe)
-    for i in range(n):
-        if sum(x[j] * basis[j][i] for j in range(k)) != v[i]:
-            return None
-    return tuple(x)
-
-
 def nullspace_vector(rows: Sequence[Sequence]) -> Vec | None:
     """A nonzero rational vector killed by every row, if the nullspace
     is exactly one-dimensional; None otherwise."""

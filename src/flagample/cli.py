@@ -325,9 +325,20 @@ def _table_json(dynkin, rows: list[dict]) -> str:
     return _dump_json(payload)
 
 
+def _oracle_skipped(rep: Report, verify: bool) -> bool:
+    """--verify was given, but the cap kept the brute-force oracle out."""
+    return verify and "bruteforce" not in rep.routes
+
+
 def _cmd_compute(args) -> int:
     spec = _case_from_args(args)
     report = run_case(spec)
+    if _oracle_skipped(report, spec.verify):
+        print(
+            f"note: brute-force oracle skipped (|W(K)|={report.k_order}"
+            f" > --max-weyl {spec.max_weyl})",
+            file=sys.stderr,
+        )
     if args.format == "json":
         print(_dump_json(report.to_json_dict()))
     elif args.format == "tsv":
@@ -361,6 +372,15 @@ def _cmd_table(args) -> int:
         dedupe=args.dedupe,
         jobs=args.jobs,
     )
+    skipped = sum(
+        1 for r in rows if r["report"] and _oracle_skipped(r["report"], verify)
+    )
+    if skipped:
+        print(
+            f"note: brute-force oracle skipped in {skipped} cases"
+            f" (|W(K)| > --max-weyl {args.max_weyl})",
+            file=sys.stderr,
+        )
     if args.format == "json":
         print(_table_json(dynkin, rows))
     elif args.format == "tsv":

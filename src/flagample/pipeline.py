@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,10 +60,13 @@ class Report:
     concavity_degree: int
     cross_check: str
     notes: str
+    k_order: int  # |W(K)|
+    routes: tuple[str, ...]  # search routes that ran, primary first
 
     def to_json_dict(self) -> dict:
         """Stable JSON schema; lists of coordinate vectors for weights,
-        1-based generator indices for the witness word."""
+        1-based generator indices for the witness word.  k_order and
+        routes are not part of it."""
         return {
             "input": {
                 "series": self.series,
@@ -143,6 +145,8 @@ def run_case(spec: CaseSpec) -> Report:
         concavity_degree=cls.concavity_degree,
         cross_check=cls.cross_check,
         notes=cls.notes,
+        k_order=herm.k_order,
+        routes=amp.routes,
     )
 
 
@@ -234,5 +238,8 @@ def run_table(
     jobs = min(jobs, os.cpu_count() or 1, len(args))
     if jobs <= 1:
         return [_table_worker(a) for a in args]
+    # the pool machinery costs start-up time and memory: import on demand
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_table_worker, args))

@@ -20,7 +20,6 @@ from .rootsystem import (
     RootSystem,
     Weight,
     negate,
-    pair,
     subsystem_components,
 )
 
@@ -89,14 +88,16 @@ def compact_positive_roots(
 def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData:
     """Detect Hermitian type and split the noncompact roots.
 
-    center_dim is the rank deficiency of the span of the compact roots.
-    When it is 1, a rational functional xi orthogonal to every compact
-    root is solved for exactly and normalized to pair positively with the
-    lowest-index marked simple root; the xi-positive noncompact roots
-    form s_plus.
+    center_dim is the rank deficiency of the span of the compact roots,
+    which K's simple system spans.  When it is 1, a functional xi
+    orthogonal to every compact root is solved for exactly, scaled to
+    integers and normalized to pair positively with the lowest-index
+    marked simple root; the xi-positive noncompact roots form s_plus.
     """
     compact_pos = compact_positive_roots(rs, grading)
-    center_dim = rs.rank - matrix_rank(compact_pos)
+    comps = subsystem_components(rs, compact_pos)
+    k_simples = tuple(sorted(g for c in comps for g in c.simples))
+    center_dim = rs.rank - matrix_rank(k_simples)
     if center_dim not in (0, 1):
         raise DegenerateGradingError(
             f"compact span has rank deficiency {center_dim}"
@@ -114,23 +115,23 @@ def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData
         )
     )
 
-    comps = subsystem_components(rs, compact_pos)
     k_type = "×".join(c.label for c in comps) if comps else "0"
 
     s_plus: tuple[Weight, ...] = ()
     s_minus: tuple[Weight, ...] = ()
     if center_dim == 1:
-        xi = _central_functional(rs, compact_pos)
-        m0 = min(grading.marked_simples)
-        alpha0 = tuple(1 if j == m0 - 1 else 0 for j in range(rs.rank))
-        val = pair(rs, xi, alpha0)
+        xi = _central_functional(rs, k_simples)
+        # (xi, v) = sum_k v_k (B xi)_k, B symmetric
+        b = rs.pairing_matrix
+        b_xi = [sum(b[k][j] * xi[j] for j in range(rs.rank)) for k in range(rs.rank)]
+        val = b_xi[min(grading.marked_simples) - 1]
         if val == 0:
             raise DegenerateGradingError("central functional kills a marked simple")
         if val < 0:
-            xi = tuple(-x for x in xi)
+            b_xi = [-x for x in b_xi]
         plus, minus = [], []
         for a in grading.noncompact_roots:
-            p = pair(rs, xi, a)
+            p = sum(x * y for x, y in zip(a, b_xi))
             if p == 0:
                 raise DegenerateGradingError(
                     "central functional kills a noncompact root"
@@ -148,26 +149,29 @@ def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData
         lambda_max_s=lam_max,
         k_type=k_type,
         kname=kname,
-        k_simples=tuple(sorted(g for c in comps for g in c.simples)),
+        k_simples=k_simples,
         k_order=math.prod(c.order for c in comps),
     )
 
 
-def _central_functional(rs, compact_pos):
-    """Rational vector xi with (xi, gamma) = 0 for every compact root."""
-    if not compact_pos:
+def _central_functional(rs, k_simples):
+    """Integer vector xi with (xi, gamma) = 0 for every compact root,
+    that is for every simple root of K."""
+    if not k_simples:
         if rs.rank != 1:
             raise DegenerateGradingError("no compact roots at rank > 1")
         return (1,)
     b = rs.pairing_matrix
     rows = [
         tuple(sum(b[k][j] * g[j] for j in range(rs.rank)) for k in range(rs.rank))
-        for g in compact_pos
+        for g in k_simples
     ]
     xi = nullspace_vector(rows)
     if xi is None:
         raise DegenerateGradingError("central direction is not one-dimensional")
-    return xi
+    # clear denominators by their lcm, a positive scale: signs are kept
+    scale = math.lcm(*(x.denominator for x in xi))
+    return tuple(int(x * scale) for x in xi)
 
 
 def _real_form_name(rs, grading, center_dim, comps, k_type) -> str:

@@ -8,12 +8,12 @@ minimal symmetrizer d, which makes all coroot pairings exact integers.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import dynkin as dk
-from ._linalg import solve_in_basis
 from .dynkin import DynkinType
 from .errors import NotARootError, NotClosedError
 
@@ -30,7 +30,10 @@ class RootSystem:
     pairing_matrix: tuple[tuple[int, ...], ...]
     roots: tuple[Weight, ...]
     positive_roots: tuple[Weight, ...]
+    norms: tuple[int, ...]  # (v, v) for each root, aligned with roots
     root_index: dict[Weight, int] = field(repr=False)
+    # reflection rows built so far, by root index; see reflection_row
+    _rows: dict[int, array] = field(default_factory=dict, repr=False)
 
     @property
     def rank(self) -> int:
@@ -46,6 +49,31 @@ class RootSystem:
     def is_root(self, v: Weight) -> bool:
         return v in self.root_index
 
+    def reflection_row(self, g: int) -> array:
+        """Indices of s_gamma(v) for every root v, where gamma is the
+        root of index g.  Each row is built on first use and kept, as a
+        compact unsigned array."""
+        row = self._rows.get(g)
+        if row is None:
+            row = self._rows[g] = _reflection_row(self, g)
+        return row
+
+
+def _reflection_row(rs: RootSystem, g: int) -> array:
+    # <v, gamma^vee> = 2 (v, B gamma) / (gamma, gamma), an integer for roots
+    n = rs.rank
+    b = rs.pairing_matrix
+    gamma = rs.roots[g]
+    b_gamma = tuple(sum(b[k][j] * gamma[j] for j in range(n)) for k in range(n))
+    norm = rs.norms[g]
+    index = rs.root_index
+    row = []
+    for i, v in enumerate(rs.roots):
+        c, r = divmod(2 * sum(x * y for x, y in zip(v, b_gamma)), norm)
+        assert r == 0, "non-integral coroot pairing between roots"
+        row.append(index[tuple(x - c * y for x, y in zip(v, gamma))] if c else i)
+    return array("H" if len(row) <= 1 << 16 else "L", row)
+
 
 def build_root_system(dynkin: DynkinType) -> RootSystem:
     """Generate the full root system by closing the simple roots under
@@ -58,7 +86,8 @@ def build_root_system(dynkin: DynkinType) -> RootSystem:
     )
 
     simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    roots: set[Weight] = set(simples)
+    # every root with its norm, which reflections preserve: (a_i, a_i) = B_ii
+    roots: dict[Weight, int] = {v: pairing[i][i] for i, v in enumerate(simples)}
     queue = list(simples)
     while queue:
         v = queue.pop()
@@ -68,9 +97,9 @@ def build_root_system(dynkin: DynkinType) -> RootSystem:
             c = sum(cartan[i][j] * v[j] for j in range(n))
             w = tuple(v[j] - c if j == i else v[j] for j in range(n))
             if w not in roots:
-                roots.add(w)
+                roots[w] = roots[v]
                 queue.append(w)
-    roots |= {tuple(-x for x in v) for v in roots}
+    roots.update({negate(v): norm for v, norm in roots.items()})
 
     all_roots = tuple(sorted(roots))
     positives = tuple(v for v in all_roots if _sign(v) > 0)
@@ -84,6 +113,7 @@ def build_root_system(dynkin: DynkinType) -> RootSystem:
         pairing_matrix=pairing,
         roots=all_roots,
         positive_roots=positives,
+        norms=tuple(roots[v] for v in all_roots),
         root_index={v: i for i, v in enumerate(all_roots)},
     )
 
@@ -125,28 +155,34 @@ def negate(v: Weight) -> Weight:
 
 
 def simple_system(rs: RootSystem, pos: Iterable[Weight]) -> tuple[Weight, ...]:
-    """Indecomposable elements of a positive subsystem.
+    """Simple roots of a positive subsystem.
 
     `pos` must be the positive half of a reflection-closed subsystem of
-    rs.roots; the result is its canonical simple system, sorted.
+    rs.roots; the result is its canonical simple system, sorted.  A
+    positive root is simple iff its reflection has length one, that is
+    sends no other positive root to a negative one.
     """
     pos_set = frozenset(pos)
     full = pos_set | {negate(v) for v in pos_set}
     for v in full:
         if v not in rs.root_index:
             raise NotClosedError(f"{v} is not a root of {rs.dynkin}")
-    for g in full:
-        for v in full:
-            if reflect(rs, v, g) not in full:
+    idx = {rs.root_index[v] for v in full}
+    for g in idx:
+        row = rs.reflection_row(g)
+        for v in idx:
+            if row[v] not in idx:
                 raise NotClosedError(
-                    f"subset not reflection-closed: s_{g}({v}) escapes"
+                    "subset not reflection-closed: "
+                    f"s_{rs.roots[g]}({rs.roots[v]}) escapes"
                 )
-    sums = {
-        tuple(a[i] + b[i] for i in range(rs.rank))
-        for a in pos_set
-        for b in pos_set
-    }
-    return tuple(sorted(v for v in pos_set if v not in sums))
+    pos_idx = {rs.root_index[v] for v in pos_set}
+    simples = []
+    for g in pos_idx:
+        row = rs.reflection_row(g)
+        if all(row[v] in pos_idx for v in pos_idx if v != g):
+            simples.append(rs.roots[g])
+    return tuple(sorted(simples))
 
 
 @dataclass(frozen=True)
@@ -167,13 +203,16 @@ def subsystem_components(
 
     The label of each component is its abstract Dynkin type (so a D3
     component reports as A3, a C2 as B2)."""
-    pos = sorted(set(positives))
+    pos = frozenset(positives)
     if not pos:
         return ()
     simples = simple_system(rs, pos)
+    idx = [rs.root_index[g] for g in simples]
+    rows = [rs.reflection_row(i) for i in idx]
     k = len(simples)
 
-    # connected components of the simples under non-orthogonality
+    # connected components of the simples under non-orthogonality:
+    # gamma_i and gamma_j are orthogonal iff s_i fixes gamma_j
     comp_of = list(range(k))
 
     def find(i):
@@ -184,7 +223,7 @@ def subsystem_components(
 
     for i in range(k):
         for j in range(i + 1, k):
-            if pair(rs, simples[i], simples[j]) != 0:
+            if rows[i][idx[j]] != idx[j]:
                 comp_of[find(i)] = find(j)
 
     groups: dict[int, list[int]] = {}
@@ -194,13 +233,17 @@ def subsystem_components(
     comps = []
     for members in groups.values():
         comp_simples = tuple(simples[i] for i in sorted(members))
-        comp_pos = []
-        for v in pos:
-            coords = solve_in_basis(simples, v)
-            assert coords is not None, "subsystem root outside simple span"
-            support = {i for i, c in enumerate(coords) if c != 0}
-            if support <= set(members):
-                comp_pos.append(v)
+        # the component's roots are the orbit of its simples
+        orbit = {idx[i] for i in members}
+        queue = list(orbit)
+        while queue:
+            v = queue.pop()
+            for i in members:
+                w = rows[i][v]
+                if w not in orbit:
+                    orbit.add(w)
+                    queue.append(w)
+        comp_pos = [v for v in orbit if rs.roots[v] in pos]
         label = _component_label(rs, comp_simples, comp_pos)
         comps.append(
             SubsystemComponent(
@@ -211,13 +254,16 @@ def subsystem_components(
                 simples=comp_simples,
             )
         )
+    if sum(c.num_roots for c in comps) != 2 * len(pos):
+        raise NotClosedError("subsystem roots outside the orbits of its simples")
     return tuple(sorted(comps, key=lambda c: (-c.rank, c.label)))
 
 
 def _component_label(rs, simples, comp_pos) -> str:
+    """comp_pos holds the indices of the component's positive roots."""
     r = len(simples)
     n_roots = 2 * len(comp_pos)
-    norms = sorted(pair(rs, v, v) for v in comp_pos)
+    norms = sorted(rs.norms[v] for v in comp_pos)
     n_short = sum(1 for x in norms if x == norms[0])
     if r == 1:
         return "A1"

@@ -33,6 +33,7 @@ from .weyl import (
     WeylElement,
     _enumerate,
     _max_length_with_witness,
+    coset_max_lengths,
     invert,
 )
 
@@ -63,6 +64,7 @@ class AmplenessResult:
     witness: WeylElement
     witness_pair: tuple[Weight, Weight]  # (mu maximal, nu fiber weight)
     max_weights: tuple[Weight, ...]
+    routes: tuple[str, ...]  # search routes that ran, primary first
 
 
 def assemble_input(
@@ -195,33 +197,40 @@ def max_weyl_length_fast(
 
     For each pair (mu maximal, nu fiber weight) the elements mapping nu
     to mu form a single coset whose unique longest element has length
-    len(w0) - dist(nu, w0(mu)) in the orbit graph of nu; the global
-    answer is the maximum over pairs, with the same witness tie-break as
-    the brute-force scan.
+    len(w0) - dist(nu, w0(mu)) in the orbit graph; one BFS per mu gives
+    that length for every nu.  Witnesses are built only for the pairs
+    that reach the maximum, with the same tie-break as the brute-force
+    scan.
     """
     rs = inp.rs
+    ctx = inp.k_context
     lam = inp.max_weights
     fiber_set = frozenset(inp.fiber.weights)
+    nus = sorted(fiber_set)
 
-    best: tuple[int, WeylElement] | None = None
-    for mu in lam:
-        for nu in sorted(fiber_set):
-            res = _max_length_with_witness(inp.k_context, mu, nu)
-            if res is None:
-                continue
-            length, witness = res
-            if (
-                best is None
-                or length > best[0]
-                or (length == best[0] and witness.word < best[1].word)
-            ):
-                best = (length, witness)
-    if best is None:
+    # pairs in (mu, nu) order, each with its coset maximum
+    lengths = [
+        (mu, nu, length)
+        for mu in lam
+        for nu, length in coset_max_lengths(ctx, mu, nus).items()
+    ]
+    if not lengths:
         raise InternalInconsistencyError(
             "no pair admits any group element: maximal weights escape the fiber"
         )
-    length, witness = best
-    return length, witness, _witness_pair(rs, witness, lam, fiber_set)
+    top = max(length for _, _, length in lengths)
+    best: WeylElement | None = None
+    for mu, nu, length in lengths:
+        if length != top:
+            continue
+        res = _max_length_with_witness(ctx, mu, nu)
+        if res is None or res[0] != length:
+            raise InternalInconsistencyError(
+                "coset maximum differs between the orbit search and its witness"
+            )
+        if best is None or res[1].word < best.word:
+            best = res[1]
+    return top, best, _witness_pair(rs, best, lam, fiber_set)
 
 
 def ampleness(
@@ -286,4 +295,5 @@ def ampleness(
         witness=witness,
         witness_pair=pair_,
         max_weights=lam,
+        routes=tuple(results),
     )

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import kernels
-from ._linalg import solve_in_basis
-from .errors import EnumerationCapError, InternalInconsistencyError
+from .errors import EnumerationCapError, InternalInconsistencyError, NotARootError
 from .rootsystem import RootSystem, Weight, pair, reflect, subsystem_components
 
 DEFAULT_CAP = 10_000_000
@@ -67,42 +66,67 @@ class SubsystemContext:
         self.simples = tuple(sorted(simples))
         m = len(rs.roots)
         self.identity: Perm = tuple(range(m))
-        self.gen_perms: tuple[Perm, ...] = tuple(
-            tuple(rs.root_index[reflect(rs, v, g)] for v in rs.roots)
-            for g in self.simples
-        )
         self.simple_indices = tuple(rs.root_index[g] for g in self.simples)
-        self.sub_sign = self._subsystem_signs()
+        self.gen_perms: tuple[Perm, ...] = tuple(
+            tuple(rs.reflection_row(g)) for g in self.simple_indices
+        )
+        coords = self._subsystem_coords()
+        self.sub_sign = {
+            v: 1 if all(x >= 0 for x in c) else -1 for v, c in coords.items()
+        }
         self.pos_count = sum(1 for s in self.sub_sign.values() if s > 0)
         self._w0_word: tuple[int, ...] | None = None
 
-    def _subsystem_signs(self) -> dict[int, int]:
-        """Sign (+1 positive, -1 negative) of each subsystem root, by
-        its coordinates in the subsystem's simple basis."""
-        if not self.simples:
-            return {}
+    def _subsystem_coords(self) -> dict[int, tuple[int, ...]]:
+        """Coordinates of each subsystem root (by index) in the
+        subsystem's simple basis.
+
+        The coordinates ride along the orbit search of the simples: s_i
+        changes only coordinate i, by minus the pairing of the
+        coordinates with row i of the subsystem's Cartan matrix,
+        cartan[i][j] = <gamma_j, gamma_i^vee>."""
         rs = self.rs
-        seen = set(self.simple_indices)
-        queue = list(self.simple_indices)
+        simples, gens = self.simple_indices, self.gen_perms
+        k = len(simples)
+        # s_i(gamma_j) = gamma_j - cartan[i][j] gamma_i, read at a
+        # coordinate where gamma_i is nonzero
+        cartan = []
+        for i, gi in enumerate(simples):
+            gamma = rs.roots[gi]
+            t = next(t for t, x in enumerate(gamma) if x)
+            cartan.append(
+                tuple(
+                    (rs.roots[gj][t] - rs.roots[gens[i][gj]][t]) // gamma[t]
+                    for gj in simples
+                )
+            )
+        coords = {
+            g: tuple(int(i == j) for j in range(k)) for i, g in enumerate(simples)
+        }
+        queue = list(simples)
         while queue:
-            i = queue.pop()
-            for gp in self.gen_perms:
-                j = gp[i]
-                if j not in seen:
-                    seen.add(j)
-                    queue.append(j)
-        signs = {}
-        for i in seen:
-            coords = solve_in_basis(self.simples, rs.roots[i])
-            assert coords is not None, "subsystem root outside simple span"
-            signs[i] = 1 if all(c >= 0 for c in coords) else -1
-        return signs
+            v = queue.pop()
+            c = coords[v]
+            for i in range(k):
+                w = gens[i][v]
+                if w not in coords:
+                    shift = sum(a * x for a, x in zip(cartan[i], c))
+                    coords[w] = c[:i] + (c[i] - shift,) + c[i + 1 :]
+                    queue.append(w)
+        for v, c in coords.items():
+            for t, x in enumerate(rs.roots[v]):
+                if sum(a * rs.roots[g][t] for a, g in zip(c, simples)) != x:
+                    raise InternalInconsistencyError(
+                        "subsystem root outside simple span"
+                    )
+        return coords
 
     @property
     def w0_word(self) -> tuple[int, ...]:
         """A reduced word for the longest element of the subsystem group,
         found by walking the sum of the positive subsystem roots into the
-        antidominant chamber."""
+        antidominant chamber.  That sum is not a root, so the walk uses
+        coordinate pairings instead of the reflection rows."""
         if self._w0_word is None:
             rs = self.rs
             v = tuple(
@@ -131,11 +155,11 @@ class SubsystemContext:
             self._w0_word = tuple(reversed(steps))
         return self._w0_word
 
-    def apply_word(self, word: Sequence[int], v: Sequence) -> tuple:
-        """Apply s_{word[0]} o ... o s_{word[-1]} to a weight."""
+    def apply_word(self, word: Sequence[int], v: int) -> int:
+        """Apply s_{word[0]} o ... o s_{word[-1]} to the root of index v."""
         for i in reversed(word):
-            v = reflect(self.rs, v, self.simples[i])
-        return tuple(v)
+            v = self.gen_perms[i][v]
+        return v
 
     def perm_of_word(self, word: Sequence[int]) -> Perm:
         p = self.identity
@@ -201,26 +225,26 @@ def _enumerate(ctx: SubsystemContext, cap: int) -> list[WeylElement]:
 
 
 def _weight_orbit(
-    ctx: SubsystemContext, start: Sequence
-) -> dict[tuple, tuple[int, tuple | None, int]]:
-    """BFS orbit of a weight under the subsystem's simple reflections.
+    ctx: SubsystemContext, start: int
+) -> dict[int, tuple[int, int, int]]:
+    """BFS orbit of a root (by index) under the subsystem's simple
+    reflections.
 
-    Maps each orbit point to (distance, previous point, generator used);
-    the distance is the minimal length of a group element carrying
-    `start` to that point.
+    Maps each orbit point to (distance, previous point, generator used),
+    with previous point -1 at the start; the distance is the minimal
+    length of a group element carrying `start` to that point.
     """
-    start = tuple(start)
-    rs = ctx.rs
-    out: dict[tuple, tuple[int, tuple | None, int]] = {start: (0, None, -1)}
+    out = {start: (0, -1, -1)}
     frontier = [start]
+    d = 0
     while frontier:
+        d += 1
         nxt = []
         for v in frontier:
-            d = out[v][0]
-            for i, g in enumerate(ctx.simples):
-                w = tuple(reflect(rs, v, g))
+            for i, gp in enumerate(ctx.gen_perms):
+                w = gp[v]
                 if w not in out:
-                    out[w] = (d + 1, v, i)
+                    out[w] = (d, v, i)
                     nxt.append(w)
         frontier = nxt
     return out
@@ -231,6 +255,9 @@ def max_length_mapping(
 ) -> int | None:
     """Largest subsystem length of an element w with w(nu) = mu, or None
     when mu is not in the orbit of nu.
+
+    nu must be a root (NotARootError otherwise); a mu that is not a root
+    lies in no root orbit, so it gives None.
 
     Multiplying by the longest element w0 reverses lengths, so the
     maximum equals len(w0) minus the minimal length of an element taking
@@ -246,12 +273,18 @@ def _max_length_with_witness(
     ctx: SubsystemContext, mu: tuple, nu: tuple
 ) -> tuple[int, WeylElement] | None:
     rs = ctx.rs
+    nu_i = rs.root_index.get(nu)
+    if nu_i is None:
+        raise NotARootError(f"{nu} is not a root of {rs.dynkin}")
+    mu_i = rs.root_index.get(mu)
+    if mu_i is None:
+        return None
     if not ctx.simples:
-        if mu == nu:
+        if mu_i == nu_i:
             return 0, WeylElement((), ctx.identity)
         return None
-    orbit = _weight_orbit(ctx, nu)
-    target = ctx.apply_word(ctx.w0_word, mu)
+    orbit = _weight_orbit(ctx, nu_i)
+    target = ctx.apply_word(ctx.w0_word, mu_i)
     if target not in orbit:
         return None
     dist = orbit[target][0]
@@ -260,8 +293,8 @@ def _max_length_with_witness(
     path: list[int] = []
     v = target
     while True:
-        d, prev, gen = orbit[v]
-        if prev is None:
+        _, prev, gen = orbit[v]
+        if prev < 0:
             break
         path.append(gen)
         v = prev
@@ -276,9 +309,27 @@ def _max_length_with_witness(
     if len(word) != length:
         raise InternalInconsistencyError("canonical word length mismatch")
     witness = WeylElement(word, p)
-    if ctx.apply_word(word, nu) != mu:
+    if ctx.apply_word(word, nu_i) != mu_i:
         raise InternalInconsistencyError("witness does not map nu to mu")
     return length, witness
+
+
+def coset_max_lengths(
+    ctx: SubsystemContext, mu: Weight, nus: Iterable[Weight]
+) -> dict[Weight, int]:
+    """Largest length of an element mapping nu to mu, for each nu of
+    `nus` in the orbit of mu.
+
+    The generators are involutions, so the orbit graph is undirected and
+    one BFS from w0(mu) gives dist(nu, w0(mu)) for every nu at once."""
+    rs = ctx.rs
+    orbit = _weight_orbit(ctx, ctx.apply_word(ctx.w0_word, rs.root_index[mu]))
+    out = {}
+    for nu in nus:
+        hit = orbit.get(rs.root_index[nu])
+        if hit is not None:
+            out[nu] = ctx.pos_count - hit[0]
+    return out
 
 
 def group_order_from_simples(rs: RootSystem, simples: Iterable[Weight]) -> int:

@@ -261,6 +261,8 @@ def test_resource_flags_must_be_positive(capsys, argv):
 
 @pytest.mark.parametrize("cpus,expected", [(4, 4), (64, 9), (None, 1)])
 def test_table_jobs_clamped(monkeypatch, cpus, expected):
+    import concurrent.futures
+
     from flagample import pipeline
     from flagample.dynkin import parse_type
 
@@ -279,8 +281,40 @@ def test_table_jobs_clamped(monkeypatch, cpus, expected):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+    # run_table imports the pool class on demand
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cpus)
     rows = pipeline.run_table(parse_type("A2"), jobs=1000)
     assert len(rows) == 9
     assert pools == ([expected] if expected > 1 else [])
+
+
+def test_verify_says_when_the_oracle_was_skipped(capsys):
+    case = ["compute", "--type", "E7", "--noncompact", "7", "--format", "json"]
+    code, plain, err = run(capsys, *case)
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, *case, "--verify", "--max-weyl", "10")
+    assert code == 0
+    assert out == plain
+    assert err == (
+        "note: brute-force oracle skipped (|W(K)|=46080 > --max-weyl 10)\n"
+    )
+    # under the cap the oracle runs, and nothing is said
+    code, out, err = run(
+        capsys, "compute", "--type", "A2", "--noncompact", "1", "--verify"
+    )
+    assert code == 0 and err == ""
+
+
+def test_table_counts_skipped_oracles(capsys):
+    _, plain, _ = run(capsys, "table", "--type", "A2", "--format", "json")
+    code, out, err = run(
+        capsys, "table", "--type", "A2", "--format", "json", "--verify",
+        "--max-weyl", "1",
+    )
+    assert code == 0
+    assert out == plain
+    # all nine A2 cases have K = A1, |W(K)| = 2
+    assert err == (
+        "note: brute-force oracle skipped in 9 cases (|W(K)| > --max-weyl 1)\n"
+    )

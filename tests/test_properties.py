@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagample.cycle import neutral_fiber, parabolic_data
-from flagample.dynkin import DynkinType
+from flagample.dynkin import DynkinType, diagram_automorphisms
+from flagample.errors import DegenerateGeometryError
+from flagample.pipeline import CaseSpec, run_case
 from flagample.realform import grade_roots, hermitian_data
 from flagample.rootsystem import build_root_system, reflect
 from flagample.snow import (
@@ -158,3 +160,39 @@ def test_s_plus_abelian_and_orthogonality(case):
     # the two halves are swapped by negation and exhaust the noncompacts
     assert {tuple(-x for x in a) for a in h.s_plus} == set(h.s_minus)
     assert len(h.s_plus) + len(h.s_minus) == len(g.noncompact_roots)
+
+
+_AUTO_TYPES = [DynkinType("A", 5), DynkinType("D", 5), DynkinType("E", 6)]
+
+
+def _outcome(dt, marked, levi):
+    """(a(E), kind, degree) of a case, or the name of its degeneracy."""
+    spec = CaseSpec(dt, tuple(sorted(marked)), tuple(sorted(levi)))
+    try:
+        rep = run_case(spec)
+    except DegenerateGeometryError as exc:
+        return type(exc).__name__
+    return rep.ampleness, rep.kind, rep.concavity_degree
+
+
+@st.composite
+def _auto_case(draw):
+    dt = draw(st.sampled_from(_AUTO_TYPES))
+    nodes = st.sampled_from(range(1, dt.rank + 1))
+    marked = draw(st.sets(nodes, min_size=1))
+    levi = draw(st.sets(nodes, max_size=dt.rank - 1))
+    return dt, marked, levi
+
+
+@given(_auto_case())
+@settings(max_examples=100, deadline=None)
+def test_invariant_under_diagram_automorphisms(case):
+    """a(E), the verdict and the concavity degree depend on the case only
+    up to diagram automorphisms, which is what `table --dedupe` folds."""
+    dt, marked, levi = case
+    want = _outcome(dt, marked, levi)
+    for sigma in diagram_automorphisms(dt):
+        moved = _outcome(
+            dt, {sigma[i - 1] + 1 for i in marked}, {sigma[i - 1] + 1 for i in levi}
+        )
+        assert moved == want, sigma

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagample.dynkin import all_types_up_to_rank, parse_type
 from flagample.errors import NotARootError, NotClosedError
@@ -219,3 +221,64 @@ def test_subsystem_components():
     comps = subsystem_components(f4, f4.positive_roots)
     assert [c.label for c in comps] == ["F4"]
     assert comps[0].order == 1152
+
+
+def _check_rows(rs, pairs):
+    """Each reflection row agrees with coordinate reflect and is an
+    involution."""
+    for g, v in pairs:
+        row = rs.reflection_row(g)
+        assert rs.roots[row[v]] == reflect(rs, rs.roots[v], rs.roots[g])
+        assert row[row[v]] == v
+
+
+@pytest.mark.parametrize("dt", all_types_up_to_rank(4), ids=str)
+def test_reflection_rows_match_reflect(dt):
+    rs = build_root_system(dt)
+    m = len(rs.roots)
+    _check_rows(rs, ((g, v) for g in range(m) for v in range(m)))
+    assert len(rs._rows) == m
+
+
+_EXCEPTIONAL = {
+    label: build_root_system(parse_type(label)) for label in ("E6", "E7", "E8")
+}
+
+
+@given(st.sampled_from(sorted(_EXCEPTIONAL)), st.data())
+@settings(max_examples=30, deadline=None)
+def test_reflection_rows_match_reflect_exceptional(label, data):
+    rs = _EXCEPTIONAL[label]
+    index = st.integers(0, len(rs.roots) - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=20))
+    _check_rows(rs, pairs)
+
+
+def test_reflection_rows_are_lazy():
+    # a fresh root system has built no row: set-up stays O(|roots|)
+    rs = build_root_system(parse_type("E8"))
+    assert rs._rows == {}
+    row = rs.reflection_row(5)
+    assert rs._rows == {5: row}
+    assert rs.reflection_row(5) is row
+
+
+def test_norms_match_pairing():
+    for dt in all_types_up_to_rank(4):
+        rs = build_root_system(dt)
+        assert rs.norms == tuple(pair(rs, v, v) for v in rs.roots)
+
+
+@pytest.mark.parametrize("dt", all_types_up_to_rank(4), ids=str)
+def test_simple_system_is_indecomposables(dt):
+    """The simple roots of every compact positive subsystem are its
+    indecomposable elements."""
+    rs = build_root_system(dt)
+    for mask in range(1, 2**dt.rank):
+        pos = [
+            v
+            for v in rs.positive_roots
+            if sum(v[i] for i in range(dt.rank) if mask >> i & 1) % 2 == 0
+        ]
+        sums = {tuple(x + y for x, y in zip(a, b)) for a in pos for b in pos}
+        assert simple_system(rs, pos) == tuple(sorted(set(pos) - sums))

@@ -112,6 +112,21 @@ def test_ampleness_methods_agree():
         assert res.ampleness == 0
 
 
+def test_routes_that_ran():
+    *_, inp = _setup("B2", {2}, {1})
+    assert inp.hermitian.k_order == 4
+    for method, verify, cap, routes in [
+        ("auto", False, 10, ("fast",)),
+        ("auto", True, 10, ("fast", "bruteforce")),
+        ("auto", True, 3, ("fast",)),  # |W(K)| over the cap: oracle skipped
+        ("fast", True, 10, ("fast", "bruteforce")),
+        ("bruteforce", False, 10, ("bruteforce",)),
+        ("bruteforce", True, 10, ("bruteforce", "fast")),
+    ]:
+        res = ampleness(inp, method=method, verify=verify, cap=cap)
+        assert res.routes == routes, (method, verify, cap)
+
+
 def test_witness_invariant():
     rs, g, h, pd, fiber, inp = _setup("A2", {1}, set())
     res = ampleness(inp)

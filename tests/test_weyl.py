@@ -3,7 +3,7 @@
 import pytest
 
 from flagample.dynkin import parse_type
-from flagample.errors import EnumerationCapError
+from flagample.errors import EnumerationCapError, NotARootError
 from flagample.rootsystem import build_root_system
 from flagample.weyl import (
     SubsystemContext,
@@ -152,6 +152,19 @@ def test_max_length_mapping_trivial_stabilizer(a2):
 
 def test_max_length_mapping_not_in_orbit(a2):
     assert max_length_mapping(a2, [(0, 1)], (0, 1), (1, 0)) is None
+
+
+def test_max_length_mapping_mu_not_a_root(a2):
+    # a non-root lies in no root orbit
+    assert max_length_mapping(a2, a2.simple_roots, (2, 0), (1, 0)) is None
+    assert max_length_mapping(a2, [], (2, 0), (1, 0)) is None
+
+
+def test_max_length_mapping_nu_not_a_root(a2):
+    with pytest.raises(NotARootError):
+        max_length_mapping(a2, a2.simple_roots, (1, 0), (2, 0))
+    with pytest.raises(NotARootError):
+        max_length_mapping(a2, [], (0, 0), (0, 0))
 
 
 def test_max_length_mapping_nontrivial_stabilizer(b2):
