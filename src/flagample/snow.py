@@ -35,6 +35,7 @@ from .weyl import (
     _max_length_with_witness,
     coset_max_lengths,
     invert,
+    word_from_parents,
 )
 
 METHODS = ("auto", "bruteforce", "fast")
@@ -165,29 +166,41 @@ def max_weyl_length_bruteforce(
 ) -> tuple[int, WeylElement, tuple[Weight, Weight]]:
     """Scan the whole group; oracle for the fast search.
 
-    Elements arrive ordered by (length, word), so keeping the first
-    strict improvement yields the lexicographically least witness among
-    the maximizers.
+    w is in the searched set iff w^{-1}(mu) is a fiber weight for some
+    maximal mu, so the enumeration carries only w^{-1} of the maximal
+    weights.  Elements arrive ordered by (length, word), so the first
+    element of the greatest length in the set is the lexicographically
+    least witness among the maximizers; only its action is built.
     """
     rs = inp.rs
+    ctx = inp.k_context
     lam = inp.max_weights
     fiber_set = frozenset(inp.fiber.weights)
-    elements = _enumerate(inp.k_context, cap)
-    lam_idx = {rs.root_index[a] for a in lam}
-    nu_idx = [rs.root_index[a] for a in sorted(fiber_set)]
+    fiber_idx = {rs.root_index[a] for a in fiber_set}
+    lam_idx = tuple(rs.root_index[a] for a in lam)
+    images, parents, genids = _enumerate(ctx, lam_idx, cap)
+    k = len(ctx.simple_indices)
 
-    best: WeylElement | None = None
-    for el in elements:
-        if best is not None and el.length <= best.length:
-            continue
-        act = el.action
-        if any(act[i] in lam_idx for i in nu_idx):
-            best = el
-    if best is None:
+    hits = [i for i, row in enumerate(images) if not fiber_idx.isdisjoint(row[k:])]
+    if not hits:
         raise InternalInconsistencyError(
             "identity not in the search set: maximal weights escape the fiber"
         )
-    return best.length, best, _witness_pair(rs, best, lam, fiber_set)
+    length = [0] * len(parents)
+    for i in range(1, len(parents)):
+        length[i] = length[parents[i]] + 1
+    top = length[hits[-1]]
+    best = next(i for i in hits if length[i] == top)
+
+    word = word_from_parents(parents, genids, best)
+    action = ctx.perm_of_word(word)
+    inv = invert(action)
+    if tuple(inv[p] for p in ctx.simple_indices + lam_idx) != images[best]:
+        raise InternalInconsistencyError(
+            "enumerated inverse images disagree with the witness's action"
+        )
+    witness = WeylElement(word, action)
+    return top, witness, _witness_pair(rs, witness, lam, fiber_set)
 
 
 def max_weyl_length_fast(

@@ -4,6 +4,8 @@ Elements are represented by their action on the full root set (a
 permutation of root indices) together with a reduced word in the simple
 reflections of the designated subsystem.  A word (j1, ..., jk) denotes
 the composition s_{j1} o s_{j2} o ... o s_{jk} (rightmost applied first).
+The enumeration itself stores neither: it carries w^{-1} of a few roots
+per element and a parent pointer, from which the word is read off.
 
 All lengths are taken with respect to the subsystem: the length of w is
 the number of subsystem-positive roots sent to subsystem-negative roots,
@@ -12,6 +14,7 @@ which equals the length of any reduced word for w.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -201,27 +204,41 @@ def enumerate_weyl(
     system, exactly once, ordered by length with ties broken by the
     lexicographic order of the canonical reduced words."""
     ctx = SubsystemContext(rs, simples)
-    return _enumerate(ctx, cap)
+    images, parents, genids = _enumerate(ctx, ctx.identity, cap)
+    k = len(ctx.simple_indices)
+    words: list[tuple[int, ...]] = [()] * len(parents)
+    out: list[WeylElement] = []
+    for i, row in enumerate(images):
+        if i > 0:
+            words[i] = words[parents[i]] + (genids[i],)
+        out.append(WeylElement(words[i], invert(row[k:])))
+    return out
 
 
-def _enumerate(ctx: SubsystemContext, cap: int) -> list[WeylElement]:
-    if not ctx.simples:
-        return [WeylElement((), ctx.identity)]
+def _enumerate(
+    ctx: SubsystemContext, tracked: Sequence[int], cap: int
+) -> tuple[list[tuple[int, ...]], array, array]:
+    """The subsystem's group in canonical order, each element w given by
+    w^{-1} of the subsystem's simple roots followed by w^{-1} of the
+    tracked roots (all by index), plus the parent and generator of each
+    element.  The word of an element is read off its parent chain
+    (`word_from_parents`)."""
     try:
-        flat, parents, genids = kernels.enumerate_group(
-            ctx.gen_perms, ctx.simple_indices, cap
+        return kernels.enumerate_group(
+            ctx.gen_perms, ctx.simple_indices, tracked, cap
         )
     except OverflowError as exc:
         raise EnumerationCapError(str(exc)) from None
-    m = len(ctx.rs.roots)
-    n = len(parents)
-    words: list[tuple[int, ...]] = [()] * n
-    out: list[WeylElement] = []
-    for k in range(n):
-        if k > 0:
-            words[k] = words[parents[k]] + (genids[k],)
-        out.append(WeylElement(words[k], tuple(flat[k * m : (k + 1) * m])))
-    return out
+
+
+def word_from_parents(parents: array, genids: array, k: int) -> tuple[int, ...]:
+    """Word of element k of an enumeration: its parent's word followed by
+    the generator that reached it."""
+    word = []
+    while k > 0:
+        word.append(genids[k])
+        k = parents[k]
+    return tuple(reversed(word))
 
 
 def _weight_orbit(

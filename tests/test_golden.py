@@ -1,8 +1,9 @@
 """Byte-identity of the CLI output.
 
 SHA-256 digests of `table --format json`, with and without --verify, and
-of three heavy `compute --format json` reports, recorded with the
-coordinate-based implementation at commit bb4597e.  The JSON does not
+of three heavy `compute --format json` reports (E7 also with each route
+forced and verified by the other), recorded with the coordinate-based
+implementation at commit bb4597e.  The JSON does not
 say which search routes ran, so a verified table has the same digest as
 the unverified one.
 """
@@ -30,6 +31,16 @@ TABLE_DIGESTS = {
 COMPUTE_DIGESTS = {
     "E7 {7}": (
         ["--type", "E7", "--noncompact", "7"],
+        "dba1a3488aedcdebf317275d6c4f1ef2a1c56b6dd1e10855e4196994e18e2185",
+    ),
+    # the same report from each route as primary, cross-checked by the
+    # other: the oracle scans all 51,840 elements of W(E6)
+    "E7 {7} bruteforce --verify": (
+        ["--type", "E7", "--noncompact", "7", "--method", "bruteforce", "--verify"],
+        "dba1a3488aedcdebf317275d6c4f1ef2a1c56b6dd1e10855e4196994e18e2185",
+    ),
+    "E7 {7} fast --verify": (
+        ["--type", "E7", "--noncompact", "7", "--method", "fast", "--verify"],
         "dba1a3488aedcdebf317275d6c4f1ef2a1c56b6dd1e10855e4196994e18e2185",
     ),
     "E8 {1}": (

@@ -2,7 +2,7 @@
 
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flagample.cycle import neutral_fiber, parabolic_data
@@ -176,8 +176,8 @@ def _outcome(dt, marked, levi):
 
 
 @st.composite
-def _auto_case(draw):
-    dt = draw(st.sampled_from(_AUTO_TYPES))
+def _auto_case(draw, types=_AUTO_TYPES):
+    dt = draw(st.sampled_from(types))
     nodes = st.sampled_from(range(1, dt.rank + 1))
     marked = draw(st.sets(nodes, min_size=1))
     levi = draw(st.sets(nodes, max_size=dt.rank - 1))
@@ -196,3 +196,30 @@ def test_invariant_under_diagram_automorphisms(case):
             dt, {sigma[i - 1] + 1 for i in marked}, {sigma[i - 1] + 1 for i in levi}
         )
         assert moved == want, sigma
+
+
+
+@given(_auto_case([DynkinType("E", 6), DynkinType("B", 5), DynkinType("C", 5)]))
+@example((DynkinType("E", 6), {6}, {1}))  # product cases are rare in the draw
+@example((DynkinType("B", 5), {1}, {3}))
+@example((DynkinType("C", 5), {5}, {2}))
+@settings(max_examples=60, deadline=None)
+def test_verified_case_invariants(case):
+    """On verified cases, where the brute-force oracle runs every time:
+    the ampleness range, the degree, and the product verdict against the
+    structural test computed here from the grading and the parabolic."""
+    dt, marked, levi = case
+    spec = CaseSpec(dt, tuple(sorted(marked)), tuple(sorted(levi)), verify=True)
+    try:
+        rep = run_case(spec)
+    except DegenerateGeometryError:
+        return
+    assert rep.routes == ("fast", "bruteforce")
+    assert 0 <= rep.ampleness <= rep.dim_c
+    assert rep.concavity_degree == rep.dim_c - rep.ampleness
+    rs = build_root_system(dt)
+    g = grade_roots(rs, marked)
+    h = hermitian_data(rs, g)
+    q_cap_s = set(parabolic_data(rs, g, levi).q_roots) & set(g.noncompact_roots)
+    one_half = q_cap_s <= set(h.s_plus) or q_cap_s <= set(h.s_minus)
+    assert (rep.kind == "ProductOverHSS") == (h.center_dim > 0 and one_half)

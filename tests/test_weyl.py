@@ -1,10 +1,17 @@
 """Weyl enumeration and coset length maxima, with exhaustive oracles."""
 
+import itertools
+from operator import itemgetter
+
 import pytest
 
-from flagample.dynkin import parse_type
+from flagample import kernels
+from flagample.cycle import neutral_fiber, parabolic_data
+from flagample.dynkin import all_types_up_to_rank, parse_type
 from flagample.errors import EnumerationCapError, NotARootError
+from flagample.realform import grade_roots, hermitian_data
 from flagample.rootsystem import build_root_system
+from flagample.snow import assemble_input, max_weyl_length_bruteforce
 from flagample.weyl import (
     SubsystemContext,
     WeylElement,
@@ -98,6 +105,80 @@ def test_identity_element(a2):
 def test_enumeration_cap(a2):
     with pytest.raises(EnumerationCapError):
         enumerate_weyl(a2, a2.simple_roots, cap=3)
+
+
+@pytest.mark.parametrize("label", ["A2", "B3", "G2", "D4"])
+def test_enumeration_cap_boundary(label):
+    rs = build_root_system(parse_type(label))
+    order = group_order_from_simples(rs, rs.simple_roots)
+    assert len(enumerate_weyl(rs, rs.simple_roots, cap=order)) == order
+    with pytest.raises(EnumerationCapError):
+        enumerate_weyl(rs, rs.simple_roots, cap=order - 1)
+
+
+@pytest.mark.parametrize(
+    "label,marked", [("B3", (1,)), ("C4", (2,)), ("D4", (1, 3)), ("E6", (1,))]
+)
+def test_bruteforce_cap_boundary(label, marked):
+    rs = build_root_system(parse_type(label))
+    g = grade_roots(rs, marked)
+    h = hermitian_data(rs, g)
+    pd = parabolic_data(rs, g, ())
+    inp = assemble_input(rs, g, h, pd, neutral_fiber(pd, g))
+    assert h.k_order > 1
+    max_weyl_length_bruteforce(inp, cap=h.k_order)
+    with pytest.raises(EnumerationCapError):
+        max_weyl_length_bruteforce(inp, cap=h.k_order - 1)
+
+
+def _enumerate_by_actions(ctx):
+    """Reference enumeration: the same breadth-first order, but each
+    element's full action is its parent's action composed with the
+    generator, and elements are told apart by that action."""
+    actions, words = [ctx.identity], [()]
+    seen = {ctx.identity}
+    # itemgetter(*g)(base) is compose(base, g), in C
+    right = [itemgetter(*g) for g in ctx.gen_perms]
+    for idx, base in enumerate(actions):  # grows while iterating
+        for j, g in enumerate(right):
+            child = g(base)
+            if child not in seen:
+                seen.add(child)
+                actions.append(child)
+                words.append(words[idx] + (j,))
+    return words, actions
+
+
+def _all_markings(rank):
+    nodes = range(1, rank + 1)
+    for k in range(1, rank + 1):
+        yield from itertools.combinations(nodes, k)
+
+
+@pytest.mark.parametrize(
+    "dt", list(all_types_up_to_rank(4)) + [parse_type("E6")], ids=str
+)
+def test_kernel_matches_action_enumeration(dt):
+    """For K of every marking: enumerate_weyl gives the reference's order,
+    words and actions, and the kernel's carried images are the inverse
+    actions at the simple roots of K and at the tracked roots."""
+    rs = build_root_system(dt)
+    for marked in _all_markings(dt.rank):
+        h = hermitian_data(rs, grade_roots(rs, marked))
+        ctx = SubsystemContext(rs, h.k_simples)
+        words, actions = _enumerate_by_actions(ctx)
+        els = enumerate_weyl(rs, h.k_simples)
+        assert [e.word for e in els] == words, marked
+        assert [e.action for e in els] == actions, marked
+        tracked = tuple(rs.root_index[a] for a in h.lambda_max_s)
+        images, parents, genids = kernels.enumerate_group(
+            ctx.gen_perms, ctx.simple_indices, tracked, len(actions)
+        )
+        assert len(images) == len(parents) == len(genids) == len(actions)
+        positions = ctx.simple_indices + tracked
+        for row, action in zip(images, actions):
+            # row holds w^{-1}(p), so w(row) gives the positions back
+            assert tuple(action[v] for v in row) == positions, marked
 
 
 def _all_reduced_words(ctx, perm):
