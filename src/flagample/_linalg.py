@@ -1,59 +1,72 @@
-"""Tiny exact linear algebra over the rationals (Fraction arithmetic)."""
+"""Tiny exact linear algebra over the integers.
+
+Matrices are given as rows of integers.  Elimination is fraction-free:
+a pivot row r clears column c of row i by row_i <- r[c] row_i - row_i[c] r,
+and each changed row is divided by the gcd of its entries, so every entry
+stays an exact, small integer and the row space is unchanged.
+"""
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
+from operator import index
 from typing import Iterable, Sequence
 
-Vec = tuple[Fraction, ...]
+Vec = tuple[int, ...]
 
 
-def _echelon(rows: Iterable[Sequence]) -> list[list[Fraction]]:
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    pivot_row = 0
-    for col in range(ncols):
-        src = next((r for r in range(pivot_row, len(mat)) if mat[r][col] != 0), None)
+def _reduce(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _clear(row: list[int], src: list[int], col: int) -> list[int]:
+    """row with column col cleared by the pivot row src."""
+    f = row[col]
+    if not f:
+        return row
+    p = src[col]
+    return _reduce([p * a - f * b for a, b in zip(row, src)])
+
+
+def _echelon(rows: Iterable[Sequence[int]]) -> list[tuple[int, list[int]]]:
+    """Integer reduced echelon form: (pivot column, row) for each nonzero
+    row, with every other row zero at each pivot column."""
+    mat = [list(map(index, row)) for row in rows]
+    pivots: list[tuple[int, list[int]]] = []
+    for col in range(len(mat[0]) if mat else 0):
+        src = next((i for i, r in enumerate(mat) if r[col]), None)
         if src is None:
             continue
-        mat[pivot_row], mat[src] = mat[src], mat[pivot_row]
-        inv = 1 / mat[pivot_row][col]
-        mat[pivot_row] = [x * inv for x in mat[pivot_row]]
-        for r in range(len(mat)):
-            if r != pivot_row and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(mat):
-            break
-    return mat
+        src = mat.pop(src)
+        mat = [_clear(r, src, col) for r in mat]
+        pivots = [(c, _clear(r, src, col)) for c, r in pivots]
+        pivots.append((col, src))
+    return pivots
 
 
-def matrix_rank(rows: Iterable[Sequence]) -> int:
-    """Rank of an exact matrix given as an iterable of rows."""
-    return sum(1 for row in _echelon(rows) if any(x != 0 for x in row))
+def matrix_rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank of an integer matrix given as an iterable of rows."""
+    return len(_echelon(rows))
 
 
-def nullspace_vector(rows: Sequence[Sequence]) -> Vec | None:
-    """A nonzero rational vector killed by every row, if the nullspace
-    is exactly one-dimensional; None otherwise."""
+def nullspace_vector(rows: Sequence[Sequence[int]]) -> Vec | None:
+    """The primitive integer vector killed by every row, positive at the
+    one non-pivot column, if the nullspace is exactly one-dimensional;
+    None otherwise."""
     if not rows:
         return None
     n = len(rows[0])
-    mat = _echelon(rows)
-    pivots: dict[int, list[Fraction]] = {}
-    for row in mat:
-        lead = next((c for c, a in enumerate(row) if a != 0), None)
-        if lead is not None:
-            pivots[lead] = list(row)
-    free = [c for c in range(n) if c not in pivots]
+    pivots = _echelon(rows)
+    pivot_cols = {c for c, _ in pivots}
+    free = [c for c in range(n) if c not in pivot_cols]
     if len(free) != 1:
         return None
     f = free[0]
-    x = [Fraction(0)] * n
-    x[f] = Fraction(1)
-    for lead, row in pivots.items():
-        x[lead] = -row[f]
-    return tuple(x)
+    # each pivot row reads row[c] x_c + row[f] x_f = 0
+    scale = math.lcm(*(abs(row[c]) for c, row in pivots))
+    x = [0] * n
+    x[f] = scale
+    for c, row in pivots:
+        x[c] = -row[f] * scale // row[c]
+    return tuple(_reduce(x))

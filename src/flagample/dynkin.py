@@ -15,12 +15,18 @@ from .errors import InvalidTypeError
 
 SERIES = "ABCDEFG"
 
-# (min rank, max rank or None for unbounded)
+# Highest rank accepted for the classical series.  The cost of a case
+# grows steeply with the rank (an A40 case takes seconds, an A80 case
+# minutes), so a larger rank is refused up front instead of running for
+# hours.
+MAX_CLASSICAL_RANK = 64
+
+# (min rank, max rank)
 _RANK_BOUNDS = {
-    "A": (1, None),
-    "B": (2, None),
-    "C": (2, None),
-    "D": (3, None),
+    "A": (1, MAX_CLASSICAL_RANK),
+    "B": (2, MAX_CLASSICAL_RANK),
+    "C": (2, MAX_CLASSICAL_RANK),
+    "D": (3, MAX_CLASSICAL_RANK),
     "E": (6, 8),
     "F": (4, 4),
     "G": (2, 2),
@@ -40,10 +46,10 @@ class DynkinType:
         if self.series not in _RANK_BOUNDS:
             raise InvalidTypeError(f"unknown series {self.series!r}")
         lo, hi = _RANK_BOUNDS[self.series]
-        if self.rank < lo or (hi is not None and self.rank > hi):
+        if not lo <= self.rank <= hi:
             raise InvalidTypeError(
                 f"rank {self.rank} out of bounds for series {self.series} "
-                f"(allowed {lo}..{hi if hi is not None else 'inf'})"
+                f"(allowed {lo}..{hi})"
             )
 
     def __str__(self):
@@ -182,7 +188,6 @@ def all_types_up_to_rank(max_rank: int) -> list[DynkinType]:
     out = []
     for s in SERIES:
         lo, hi = _RANK_BOUNDS[s]
-        top = min(max_rank, hi) if hi is not None else max_rank
-        for r in range(lo, top + 1):
+        for r in range(lo, min(max_rank, hi) + 1):
             out.append(DynkinType(s, r))
     return sorted(out, key=lambda t: (t.series, t.rank))

@@ -23,7 +23,7 @@ def backend_name() -> str:
     return "python"
 
 
-def _reader(positions: tuple[int, ...]):
+def reader(positions: tuple[int, ...]):
     """g -> tuple(g[p] for p in positions); an itemgetter (in C) unless
     that would return a bare item instead of a tuple."""
     if len(positions) > 1:
@@ -60,7 +60,7 @@ def enumerate_group(
 
     idx = 0
     while idx < len(images):
-        read = _reader(images[idx])
+        read = reader(images[idx])
         for j, g in enumerate(gens):
             child = read(g)  # (w o g)^{-1} = g o w^{-1}
             if child not in seen:

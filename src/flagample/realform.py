@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add, mul
 from typing import Iterable
 
 from ._linalg import matrix_rank, nullspace_vector
@@ -90,9 +91,10 @@ def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData
 
     center_dim is the rank deficiency of the span of the compact roots,
     which K's simple system spans.  When it is 1, a functional xi
-    orthogonal to every compact root is solved for exactly, scaled to
-    integers and normalized to pair positively with the lowest-index
-    marked simple root; the xi-positive noncompact roots form s_plus.
+    orthogonal to every compact root is solved for exactly as a
+    primitive integer vector and normalized to pair positively with the
+    lowest-index marked simple root; the xi-positive noncompact roots
+    form s_plus.
     """
     compact_pos = compact_positive_roots(rs, grading)
     comps = subsystem_components(rs, compact_pos)
@@ -103,15 +105,15 @@ def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData
             f"compact span has rank deficiency {center_dim}"
         )
 
+    # a is a highest weight of the noncompact module iff a + gamma is no
+    # root for each simple root gamma of K: their root vectors generate
+    # n_K+, and a + gamma, when a root, is noncompact
+    noncompact = grading.noncompact_roots
     lam_max = tuple(
         sorted(
             a
-            for a in grading.noncompact_roots
-            if not any(
-                tuple(a[i] + g[i] for i in range(rs.rank))
-                in grading.noncompact_roots
-                for g in compact_pos
-            )
+            for a in noncompact
+            if all(tuple(map(add, a, g)) not in noncompact for g in k_simples)
         )
     )
 
@@ -122,16 +124,15 @@ def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData
     if center_dim == 1:
         xi = _central_functional(rs, k_simples)
         # (xi, v) = sum_k v_k (B xi)_k, B symmetric
-        b = rs.pairing_matrix
-        b_xi = [sum(b[k][j] * xi[j] for j in range(rs.rank)) for k in range(rs.rank)]
+        b_xi = [sum(map(mul, row, xi)) for row in rs.pairing_matrix]
         val = b_xi[min(grading.marked_simples) - 1]
         if val == 0:
             raise DegenerateGradingError("central functional kills a marked simple")
         if val < 0:
             b_xi = [-x for x in b_xi]
         plus, minus = [], []
-        for a in grading.noncompact_roots:
-            p = sum(x * y for x, y in zip(a, b_xi))
+        for a in noncompact:
+            p = sum(map(mul, a, b_xi))
             if p == 0:
                 raise DegenerateGradingError(
                     "central functional kills a noncompact root"
@@ -155,23 +156,20 @@ def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData
 
 
 def _central_functional(rs, k_simples):
-    """Integer vector xi with (xi, gamma) = 0 for every compact root,
-    that is for every simple root of K."""
+    """Primitive integer vector xi with (xi, gamma) = 0 for every compact
+    root, that is for every simple root of K."""
     if not k_simples:
         if rs.rank != 1:
             raise DegenerateGradingError("no compact roots at rank > 1")
         return (1,)
+    # (xi, gamma) = sum_k xi_k (B gamma)_k, B symmetric
     b = rs.pairing_matrix
-    rows = [
-        tuple(sum(b[k][j] * g[j] for j in range(rs.rank)) for k in range(rs.rank))
-        for g in k_simples
-    ]
-    xi = nullspace_vector(rows)
+    xi = nullspace_vector(
+        [[sum(map(mul, row, g)) for row in b] for g in k_simples]
+    )
     if xi is None:
         raise DegenerateGradingError("central direction is not one-dimensional")
-    # clear denominators by their lcm, a positive scale: signs are kept
-    scale = math.lcm(*(x.denominator for x in xi))
-    return tuple(int(x * scale) for x in xi)
+    return xi
 
 
 def _real_form_name(rs, grading, center_dim, comps, k_type) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import dynkin as dk
@@ -61,15 +62,13 @@ class RootSystem:
 
 def _reflection_row(rs: RootSystem, g: int) -> array:
     # <v, gamma^vee> = 2 (v, B gamma) / (gamma, gamma), an integer for roots
-    n = rs.rank
-    b = rs.pairing_matrix
     gamma = rs.roots[g]
-    b_gamma = tuple(sum(b[k][j] * gamma[j] for j in range(n)) for k in range(n))
+    b_gamma = [sum(map(mul, row, gamma)) for row in rs.pairing_matrix]
     norm = rs.norms[g]
     index = rs.root_index
     row = []
     for i, v in enumerate(rs.roots):
-        c, r = divmod(2 * sum(x * y for x, y in zip(v, b_gamma)), norm)
+        c, r = divmod(2 * sum(map(mul, v, b_gamma)), norm)
         assert r == 0, "non-integral coroot pairing between roots"
         row.append(index[tuple(x - c * y for x, y in zip(v, gamma))] if c else i)
     return array("H" if len(row) <= 1 << 16 else "L", row)
@@ -127,9 +126,7 @@ def _sign(v: Weight) -> int:
 
 def pair(rs: RootSystem, v: Sequence, w: Sequence) -> int | Fraction:
     """Symmetrized Cartan pairing (v, w); integer for lattice vectors."""
-    b = rs.pairing_matrix
-    n = rs.rank
-    return sum(v[i] * b[i][j] * w[j] for i in range(n) for j in range(n))
+    return sum(map(mul, v, [sum(map(mul, row, w)) for row in rs.pairing_matrix]))
 
 
 def coroot_pairing(rs: RootSystem, v: Sequence, gamma: Weight):

@@ -18,14 +18,11 @@ is equivalent to literally pulling back (the equality is unit-tested).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .cycle import NeutralFiber, ParabolicData
-from .errors import InternalInconsistencyError
-from .realform import (
-    CompactnessGrading,
-    HermitianData,
-    compact_positive_roots,
-)
+from .errors import EnumerationCapError, InternalInconsistencyError
+from .realform import CompactnessGrading, HermitianData
 from .rootsystem import RootSystem, Weight
 from .weyl import (
     DEFAULT_CAP,
@@ -82,30 +79,31 @@ def assemble_input(
         parabolic=parabolic,
         fiber=fiber,
         k_context=SubsystemContext(rs, hermitian.k_simples),
-        max_weights=maximal_weights(fiber, compact_positive_roots(rs, grading)),
+        max_weights=maximal_weights(fiber, hermitian.k_simples),
     )
 
 
 def maximal_weights(
-    fiber: NeutralFiber, k_positives: tuple[Weight, ...]
+    fiber: NeutralFiber, k_roots: tuple[Weight, ...]
 ) -> tuple[Weight, ...]:
-    """Fiber weights to which no positive compact root can be added
-    inside the fiber's weight set.
+    """Fiber weights to which no root of k_roots can be added inside the
+    fiber's weight set; k_roots is K's simple system or all of its
+    positive roots, with the same answer.
 
     All weight multiplicities are one, and bracketing a root vector by a
     compact root vector is nonzero whenever the target is a root, so this
     maximality is exactly membership in the top layer of the module: the
     maximal weights are the negatives of the U-invariant weights of the
-    dual fiber.
+    dual fiber.  The simple roots of K suffice because their root vectors
+    generate n_K+, and the fiber is closed under adding a positive
+    compact root whenever the sum is a root (the sum stays positive,
+    noncompact and outside the Levi span).
     """
     wset = set(fiber.weights)
-    n = len(fiber.weights[0]) if fiber.weights else 0
     out = [
         a
         for a in wset
-        if not any(
-            tuple(a[i] + g[i] for i in range(n)) in wset for g in k_positives
-        )
+        if all(tuple(map(add, a, g)) not in wset for g in k_roots)
     ]
     return tuple(sorted(out))
 
@@ -170,8 +168,15 @@ def max_weyl_length_bruteforce(
     maximal mu, so the enumeration carries only w^{-1} of the maximal
     weights.  Elements arrive ordered by (length, word), so the first
     element of the greatest length in the set is the lexicographically
-    least witness among the maximizers; only its action is built.
+    least witness among the maximizers; only its action is built.  A
+    group larger than cap is refused before the enumeration starts, by
+    the order |W(K)| that K's classification gives.
     """
+    if inp.hermitian.k_order > cap:
+        raise EnumerationCapError(
+            f"|W(K)|={inp.hermitian.k_order} exceeds the enumeration cap of "
+            f"{cap} elements"
+        )
     rs = inp.rs
     ctx = inp.k_context
     lam = inp.max_weights

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import kernels
@@ -51,7 +52,7 @@ class WeylElement:
 
 def compose(a: Perm, b: Perm) -> Perm:
     """(a o b)(x) = a(b(x))."""
-    return tuple(a[x] for x in b)
+    return kernels.reader(b)(a)
 
 
 def invert(p: Perm) -> Perm:
@@ -74,9 +75,7 @@ class SubsystemContext:
             tuple(rs.reflection_row(g)) for g in self.simple_indices
         )
         coords = self._subsystem_coords()
-        self.sub_sign = {
-            v: 1 if all(x >= 0 for x in c) else -1 for v, c in coords.items()
-        }
+        self.sub_sign = {v: 1 if min(c) >= 0 else -1 for v, c in coords.items()}
         self.pos_count = sum(1 for s in self.sub_sign.values() if s > 0)
         self._w0_word: tuple[int, ...] | None = None
 
@@ -113,15 +112,16 @@ class SubsystemContext:
             for i in range(k):
                 w = gens[i][v]
                 if w not in coords:
-                    shift = sum(a * x for a, x in zip(cartan[i], c))
+                    shift = sum(map(mul, cartan[i], c))
                     coords[w] = c[:i] + (c[i] - shift,) + c[i + 1 :]
                     queue.append(w)
+        # column t holds coordinate t of each simple root
+        cols = list(zip(*(rs.roots[g] for g in simples)))
         for v, c in coords.items():
-            for t, x in enumerate(rs.roots[v]):
-                if sum(a * rs.roots[g][t] for a, g in zip(c, simples)) != x:
-                    raise InternalInconsistencyError(
-                        "subsystem root outside simple span"
-                    )
+            if tuple([sum(map(mul, c, col)) for col in cols]) != rs.roots[v]:
+                raise InternalInconsistencyError(
+                    "subsystem root outside simple span"
+                )
         return coords
 
     @property
@@ -183,17 +183,18 @@ class SubsystemContext:
         descent: i is a left descent of w iff w^{-1}(gamma_i) is a
         subsystem-negative root."""
         word: list[int] = []
+        # p^{-1}, kept up to date as p becomes s_i o p
+        inv = invert(p)
         for _ in range(self.pos_count + 1):
-            if p == self.identity:
+            if inv == self.identity:
                 return tuple(word)
-            inv = invert(p)
             i = next(
                 k
                 for k, gi in enumerate(self.simple_indices)
                 if self.sub_sign[inv[gi]] < 0
             )
             word.append(i)
-            p = compose(self.gen_perms[i], p)
+            inv = compose(inv, self.gen_perms[i])
         raise InternalInconsistencyError("canonical word did not terminate")
 
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from flagample.cli import main
+from flagample.dynkin import MAX_CLASSICAL_RANK, parse_type
 
 
 def run(capsys, *argv):
@@ -93,6 +94,27 @@ def test_compute_a1_upper_half_plane(capsys):
 def test_exit_code_bad_type(capsys):
     assert run(capsys, "compute", "--type", "Q7", "--noncompact", "1")[0] == 1
     assert run(capsys, "compute", "--type", "B1", "--noncompact", "1")[0] == 1
+
+
+@pytest.mark.parametrize("label", ["A65", "B65", "C65", "D65", "A99999"])
+@pytest.mark.parametrize("command", ["compute", "table"])
+def test_classical_rank_above_bound_exits_1(capsys, command, label):
+    """A classical rank above the fixed bound is refused before any root
+    system is built."""
+    argv = [command, "--type", label]
+    if command == "compute":
+        argv += ["--noncompact", "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "out of bounds" in err and f"..{MAX_CLASSICAL_RANK})" in err
+
+
+def test_classical_rank_bound():
+    # A25 is a measured workload size; the bound itself is accepted
+    assert MAX_CLASSICAL_RANK >= 25
+    for series in "ABCD":
+        assert parse_type(f"{series}{MAX_CLASSICAL_RANK}").rank == MAX_CLASSICAL_RANK
 
 
 def test_exit_code_bad_nodes(capsys):

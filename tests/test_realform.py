@@ -1,8 +1,11 @@
+import math
+
 import pytest
 
 from flagample.dynkin import all_types_up_to_rank, parse_type
 from flagample.errors import BadNodeError, CompactFormError
 from flagample.realform import (
+    _central_functional,
     compact_positive_roots,
     grade_roots,
     hermitian_data,
@@ -190,3 +193,28 @@ def test_shared_k_data_matches_direct_route(dt):
         h = hermitian_data(rs, g)
         assert h.k_simples == simple_system(rs, compact_positive_roots(rs, g))
         assert h.k_order == group_order_from_simples(rs, h.k_simples)
+
+
+@pytest.mark.parametrize(
+    "dt",
+    list(all_types_up_to_rank(4)) + [parse_type("E6"), parse_type("E7")],
+    ids=str,
+)
+def test_central_functional_kills_compact_roots(dt):
+    """For every Hermitian marking, xi is a primitive integer vector
+    orthogonal to every compact root, and s_plus is the half of the
+    noncompact roots on the side of the first marked simple root."""
+    rs = build_root_system(dt)
+    for marked in _all_markings(dt.rank):
+        g = grade_roots(rs, marked)
+        h = hermitian_data(rs, g)
+        if not h.hermitian:
+            continue
+        xi = _central_functional(rs, h.k_simples)
+        assert all(type(x) is int for x in xi) and math.gcd(*xi) == 1
+        assert all(pair(rs, xi, gamma) == 0 for gamma in g.compact_roots)
+        first = rs.simple_roots[min(marked) - 1]
+        sign = 1 if pair(rs, xi, first) > 0 else -1
+        assert set(h.s_plus) == {
+            a for a in g.noncompact_roots if sign * pair(rs, xi, a) > 0
+        }, (dt, marked)

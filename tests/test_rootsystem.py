@@ -282,3 +282,30 @@ def test_simple_system_is_indecomposables(dt):
         ]
         sums = {tuple(x + y for x, y in zip(a, b)) for a in pos for b in pos}
         assert simple_system(rs, pos) == tuple(sorted(set(pos) - sums))
+
+
+_PAIR_SYSTEMS = [
+    build_root_system(parse_type(label))
+    for label in ("A1", "A3", "B3", "C4", "D4", "G2", "F4")
+] + list(_EXCEPTIONAL.values())
+
+
+@st.composite
+def _pair_args(draw):
+    rs = draw(st.sampled_from(_PAIR_SYSTEMS))
+    entry = st.one_of(
+        st.integers(-9, 9), st.fractions(-9, 9, max_denominator=7)
+    )
+    vec = st.lists(entry, min_size=rs.rank, max_size=rs.rank)
+    return rs, draw(vec), draw(vec)
+
+
+@given(_pair_args())
+@settings(max_examples=100, deadline=None)
+def test_pair_matches_double_sum(args):
+    """pair against the textbook double sum, on integer and rational
+    vectors."""
+    rs, v, w = args
+    b, n = rs.pairing_matrix, rs.rank
+    expected = sum(v[i] * b[i][j] * w[j] for i in range(n) for j in range(n))
+    assert pair(rs, v, w) == expected

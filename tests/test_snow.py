@@ -1,7 +1,13 @@
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagample.cycle import neutral_fiber, parabolic_data
-from flagample.dynkin import parse_type
+from flagample.dynkin import all_types_up_to_rank, parse_type
+from flagample.errors import DegenerateGeometryError
+from flagample.pipeline import sweep_cases
 from flagample.realform import compact_positive_roots, grade_roots, hermitian_data
 from flagample.rootsystem import build_root_system
 from flagample.snow import (
@@ -206,3 +212,74 @@ def test_pullback_correction_route():
     pulled_res = ampleness(pulled, verify=True)
     assert pulled_res.ampleness == res.ampleness + pd.levi_correction
     assert pulled_res.max_length == res.max_length
+
+
+def _check_highest_weights_on_k_simples(rs, marking, levis):
+    """hermitian_data's lambda_max_s and maximal_weights, which try only
+    K's simple roots, agree with the definition over all of K's positive
+    roots."""
+    g = grade_roots(rs, set(marking))
+    h = hermitian_data(rs, g)
+    k_pos = compact_positive_roots(rs, g)
+    noncompact = g.noncompact_roots
+    reference = tuple(
+        sorted(
+            a
+            for a in noncompact
+            if not any(
+                tuple(x + y for x, y in zip(a, gamma)) in noncompact
+                for gamma in k_pos
+            )
+        )
+    )
+    assert h.lambda_max_s == reference, (rs.dynkin, marking)
+    for levi in levis:
+        try:
+            pd = parabolic_data(rs, g, set(levi))
+            fiber = neutral_fiber(pd, g)
+        except DegenerateGeometryError:
+            continue
+        assert maximal_weights(fiber, h.k_simples) == maximal_weights(
+            fiber, k_pos
+        ), (rs.dynkin, marking, levi)
+
+
+@pytest.mark.parametrize("dt", all_types_up_to_rank(4), ids=str)
+def test_highest_weights_on_k_simples_every_case(dt):
+    rs = build_root_system(dt)
+    cases = sweep_cases(dt)
+    for marking in sorted({m for m, _ in cases}):
+        _check_highest_weights_on_k_simples(
+            rs, marking, [l for m, l in cases if m == marking]
+        )
+
+
+def test_highest_weights_on_k_simples_e6():
+    """Every marking of E6, with the full flag and with the Levi set of
+    all unmarked nodes (the smallest fiber that keeps the marked
+    simples)."""
+    rs = build_root_system(parse_type("E6"))
+    for marking in sorted({m for m, _ in sweep_cases(rs.dynkin)}):
+        complement = tuple(i for i in range(1, 7) if i not in marking)
+        _check_highest_weights_on_k_simples(rs, marking, [(), complement])
+
+
+@functools.cache
+def _root_system(label):
+    return build_root_system(parse_type(label))
+
+
+@st.composite
+def _e7_e8_case(draw):
+    label = draw(st.sampled_from(["E7", "E8"]))
+    nodes = st.integers(1, int(label[1]))
+    marking = draw(st.sets(nodes, min_size=1))
+    levi = draw(st.sets(nodes))
+    return label, tuple(sorted(marking)), tuple(sorted(levi))
+
+
+@given(_e7_e8_case())
+@settings(max_examples=40, deadline=None)
+def test_highest_weights_on_k_simples_e7_e8(case):
+    label, marking, levi = case
+    _check_highest_weights_on_k_simples(_root_system(label), marking, [levi])

@@ -4,6 +4,8 @@ import itertools
 from operator import itemgetter
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from flagample import kernels
 from flagample.cycle import neutral_fiber, parabolic_data
@@ -95,6 +97,25 @@ def test_element_equality_by_action(a2):
     assert len({WeylElement((), e.action) for e in els}) == 6
 
 
+def _perm_pair(n):
+    perm = st.permutations(range(n))
+    return st.tuples(perm, perm)
+
+
+@given(st.integers(0, 7).flatmap(_perm_pair))
+@example(((), ()))
+@example(((0,), (0,)))
+@example(((1, 0), (0, 1)))
+@example(((0, 1), (1, 0)))
+@example(((1, 0), (1, 0)))
+def test_compose_and_invert(perms):
+    a, b = (tuple(p) for p in perms)
+    ab = compose(a, b)
+    assert type(ab) is tuple
+    assert ab == tuple(a[x] for x in b)
+    assert compose(a, invert(a)) == tuple(range(len(a)))
+
+
 def test_identity_element(a2):
     els = enumerate_weyl(a2, [])
     assert len(els) == 1
@@ -119,7 +140,7 @@ def test_enumeration_cap_boundary(label):
 @pytest.mark.parametrize(
     "label,marked", [("B3", (1,)), ("C4", (2,)), ("D4", (1, 3)), ("E6", (1,))]
 )
-def test_bruteforce_cap_boundary(label, marked):
+def test_bruteforce_cap_boundary(label, marked, monkeypatch):
     rs = build_root_system(parse_type(label))
     g = grade_roots(rs, marked)
     h = hermitian_data(rs, g)
@@ -127,6 +148,15 @@ def test_bruteforce_cap_boundary(label, marked):
     inp = assemble_input(rs, g, h, pd, neutral_fiber(pd, g))
     assert h.k_order > 1
     max_weyl_length_bruteforce(inp, cap=h.k_order)
+    with pytest.raises(EnumerationCapError):
+        max_weyl_length_bruteforce(inp, cap=h.k_order - 1)
+
+    # a group over the cap is refused from |W(K)| alone, before any
+    # element is enumerated
+    def no_enumeration(*args):
+        raise AssertionError("enumerated a group known to exceed the cap")
+
+    monkeypatch.setattr(kernels, "enumerate_group", no_enumeration)
     with pytest.raises(EnumerationCapError):
         max_weyl_length_bruteforce(inp, cap=h.k_order - 1)
 
