@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .dynkin import parse_type
@@ -22,6 +23,8 @@ from .errors import (
 )
 from .pipeline import CaseSpec, Report, run_case, run_table
 from .weyl import DEFAULT_CAP
+
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the shell's code for a closed pipe
 
 _FORMATS = ("text", "tsv", "json")
 
@@ -394,9 +397,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "compute":
-            return _cmd_compute(args)
-        return _cmd_table(args)
+        code = _cmd_compute(args) if args.command == "compute" else _cmd_table(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): stop quietly, as a process
+        # killed by SIGPIPE would, and point stdout at devnull so that the
+        # interpreter's final flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except BadInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

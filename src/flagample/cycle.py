@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .errors import BadNodeError, EmptyFiberError, NotProperError
 from .realform import CompactnessGrading
-from .rootsystem import RootSystem, Weight, negate
+from .rootsystem import RootSystem, Weight
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,6 @@ class NeutralFiber:
         return len(self.weights)
 
 
-def _support(v: Weight) -> frozenset[int]:
-    return frozenset(i + 1 for i, c in enumerate(v) if c != 0)
-
-
 def parabolic_data(
     rs: RootSystem, grading: CompactnessGrading, levi_nodes: Iterable[int]
 ) -> ParabolicData:
@@ -58,17 +54,20 @@ def parabolic_data(
     if len(levi) == rs.rank:
         raise NotProperError("levi nodes cover the whole diagram; Z is a point")
 
-    in_levi = [v for v in rs.positive_roots if _support(v) <= levi]
-    tangent = tuple(v for v in rs.positive_roots if not _support(v) <= levi)
-    q_roots = tuple(
-        sorted([negate(v) for v in rs.positive_roots] + in_levi)
-    )
+    # a positive root lies in the Levi span iff its support does
+    levi_mask = sum(1 << (i - 1) for i in levi)
+    in_levi, tangent = [], []
+    for v, mask in zip(rs.positive_roots, rs.support_masks):
+        (in_levi if mask & ~levi_mask == 0 else tangent).append(v)
+    # rs.roots is sorted, and every negative root sorts before every
+    # positive one, so the negative roots are its first half
+    q_roots = rs.roots[: len(rs.positive_roots)] + tuple(in_levi)
     dim_c = sum(1 for v in tangent if v in grading.compact_roots)
     levi_correction = sum(1 for v in in_levi if v in grading.compact_roots)
     return ParabolicData(
         levi_nodes=levi,
         q_roots=q_roots,
-        tangent_weights=tangent,
+        tangent_weights=tuple(tangent),
         dim_z=len(tangent),
         dim_c=dim_c,
         levi_correction=levi_correction,

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidTypeError
+from .errors import InternalInconsistencyError, InvalidTypeError
 
 SERIES = "ABCDEFG"
 
@@ -114,7 +114,8 @@ def symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
             if i != j and cartan[i][j] != 0 and d[j] is None:
                 d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
                 pending.append(j)
-    assert all(x is not None for x in d), "disconnected diagram"
+    if any(x is None for x in d):
+        raise InternalInconsistencyError("disconnected diagram")
     denom = math.lcm(*(x.denominator for x in d))
     ints = [int(x * denom) for x in d]
     g = math.gcd(*ints)

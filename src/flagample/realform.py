@@ -11,18 +11,19 @@ Only inner forms are representable here; outer forms are out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add, mul
 from typing import Iterable
 
 from ._linalg import matrix_rank, nullspace_vector
-from .errors import BadNodeError, CompactFormError, DegenerateGradingError
-from .rootsystem import (
-    RootSystem,
-    Weight,
-    negate,
-    subsystem_components,
+from .errors import (
+    BadNodeError,
+    CompactFormError,
+    DegenerateGradingError,
+    InternalInconsistencyError,
 )
+from .rootsystem import RootSystem, Weight, negate
+from .weyl import SubsystemContext
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,8 @@ class CompactnessGrading:
 @dataclass(frozen=True)
 class HermitianData:
     """Center of k, the split of the noncompact roots it induces, the
-    maximal noncompact weights, and the simple system and Weyl group
-    order of K."""
+    maximal noncompact weights, and the simple system, Weyl group order
+    and reflection-group context of K."""
 
     center_dim: int  # 0 or 1
     s_plus: tuple[Weight, ...]
@@ -51,6 +52,8 @@ class HermitianData:
     kname: str
     k_simples: tuple[Weight, ...]  # sorted simple system of K
     k_order: int  # |W(K)|
+    # K's one SubsystemContext per case, shared by both search routes
+    k_context: SubsystemContext = field(compare=False, repr=False)
 
     @property
     def hermitian(self) -> bool:
@@ -89,6 +92,12 @@ def compact_positive_roots(
 def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData:
     """Detect Hermitian type and split the noncompact roots.
 
+    K's data comes from one orbit pass: the context of the compact
+    positive roots (`SubsystemContext.from_positive_roots`) finds K's
+    simple roots, proves the compact roots reflection-closed, and gives
+    K's Cartan matrix and the coordinates of its roots, from which K's
+    components, their labels and |W(K)| are read.
+
     center_dim is the rank deficiency of the span of the compact roots,
     which K's simple system spans.  When it is 1, a functional xi
     orthogonal to every compact root is solved for exactly as a
@@ -96,9 +105,11 @@ def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData
     lowest-index marked simple root; the xi-positive noncompact roots
     form s_plus.
     """
-    compact_pos = compact_positive_roots(rs, grading)
-    comps = subsystem_components(rs, compact_pos)
-    k_simples = tuple(sorted(g for c in comps for g in c.simples))
+    ctx = SubsystemContext.from_positive_roots(
+        rs, compact_positive_roots(rs, grading)
+    )
+    comps = ctx.components()
+    k_simples = ctx.simples
     center_dim = rs.rank - matrix_rank(k_simples)
     if center_dim not in (0, 1):
         raise DegenerateGradingError(
@@ -140,7 +151,8 @@ def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData
             (plus if p > 0 else minus).append(a)
         s_plus = tuple(sorted(plus))
         s_minus = tuple(sorted(minus))
-        assert set(s_minus) == {negate(a) for a in s_plus}
+        if set(s_minus) != {negate(a) for a in s_plus}:
+            raise InternalInconsistencyError("xi-halves are not opposite")
 
     kname = _real_form_name(rs, grading, center_dim, comps, k_type)
     return HermitianData(
@@ -152,6 +164,7 @@ def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData
         kname=kname,
         k_simples=k_simples,
         k_order=math.prod(c.order for c in comps),
+        k_context=ctx,
     )
 
 

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from . import dynkin as dk
 from .dynkin import DynkinType
-from .errors import NotARootError, NotClosedError
+from .errors import InternalInconsistencyError, NotARootError, NotClosedError
 
 Weight = tuple[int, ...]
 
@@ -32,6 +32,9 @@ class RootSystem:
     roots: tuple[Weight, ...]
     positive_roots: tuple[Weight, ...]
     norms: tuple[int, ...]  # (v, v) for each root, aligned with roots
+    # support of each positive root as a bitmask, bit i - 1 for node i,
+    # aligned with positive_roots
+    support_masks: tuple[int, ...]
     root_index: dict[Weight, int] = field(repr=False)
     # reflection rows built so far, by root index; see reflection_row
     _rows: dict[int, array] = field(default_factory=dict, repr=False)
@@ -69,7 +72,10 @@ def _reflection_row(rs: RootSystem, g: int) -> array:
     row = []
     for i, v in enumerate(rs.roots):
         c, r = divmod(2 * sum(map(mul, v, b_gamma)), norm)
-        assert r == 0, "non-integral coroot pairing between roots"
+        if r:
+            raise InternalInconsistencyError(
+                "non-integral coroot pairing between roots"
+            )
         row.append(index[tuple(x - c * y for x, y in zip(v, gamma))] if c else i)
     return array("H" if len(row) <= 1 << 16 else "L", row)
 
@@ -102,8 +108,10 @@ def build_root_system(dynkin: DynkinType) -> RootSystem:
 
     all_roots = tuple(sorted(roots))
     positives = tuple(v for v in all_roots if _sign(v) > 0)
-    assert len(all_roots) == dk.root_count(dynkin), "root closure miscounted"
-    assert 2 * len(positives) == len(all_roots)
+    if len(all_roots) != dk.root_count(dynkin):
+        raise InternalInconsistencyError("root closure miscounted")
+    if 2 * len(positives) != len(all_roots):
+        raise InternalInconsistencyError("positive roots are not half the roots")
 
     return RootSystem(
         dynkin=dynkin,
@@ -113,6 +121,9 @@ def build_root_system(dynkin: DynkinType) -> RootSystem:
         roots=all_roots,
         positive_roots=positives,
         norms=tuple(roots[v] for v in all_roots),
+        support_masks=tuple(
+            sum(1 << i for i, x in enumerate(v) if x) for v in positives
+        ),
         root_index={v: i for i, v in enumerate(all_roots)},
     )
 
@@ -155,31 +166,123 @@ def simple_system(rs: RootSystem, pos: Iterable[Weight]) -> tuple[Weight, ...]:
     """Simple roots of a positive subsystem.
 
     `pos` must be the positive half of a reflection-closed subsystem of
-    rs.roots; the result is its canonical simple system, sorted.  A
-    positive root is simple iff its reflection has length one, that is
-    sends no other positive root to a negative one.
+    rs.roots, so a set of positive roots; the result is its canonical
+    simple system, sorted.  NotClosedError otherwise.
+
+    Two passes, O(|pos| k) steps for k simple roots:
+
+    - The simple roots are the indecomposable elements of pos, found in
+      order of ambient height: beta is simple iff (beta, gamma) <= 0
+      for every simple gamma found so far.  A positive root beta of a
+      root system that is not simple has a simple gamma with
+      (beta, gamma) > 0 (else (beta, beta) <= 0), and then beta - gamma
+      is a positive root (Humphreys, *Introduction to Lie Algebras and
+      Representation Theory*, 9.4 and 10.2), so gamma is lower than beta
+      and was found first.  Two distinct simple roots have
+      (beta, gamma) <= 0.
+    - Closure is proven by one orbit of those roots under their
+      reflection rows (`subsystem_orbit`).  The orbit is W_D D for the
+      roots D found, and W_D D is reflection-closed: s_{wa} = w s_a w^-1.
+      It must equal pos and -pos exactly.  If pos is the positive half
+      of a closed subsystem, D is its simple system and W_D D is the
+      whole subsystem (Humphreys, 10.3); if pos and -pos are not closed,
+      they cannot be the closed set W_D D.
     """
-    pos_set = frozenset(pos)
-    full = pos_set | {negate(v) for v in pos_set}
-    for v in full:
-        if v not in rs.root_index:
-            raise NotClosedError(f"{v} is not a root of {rs.dynkin}")
-    idx = {rs.root_index[v] for v in full}
-    for g in idx:
-        row = rs.reflection_row(g)
-        for v in idx:
-            if row[v] not in idx:
-                raise NotClosedError(
-                    "subset not reflection-closed: "
-                    f"s_{rs.roots[g]}({rs.roots[v]}) escapes"
-                )
-    pos_idx = {rs.root_index[v] for v in pos_set}
-    simples = []
-    for g in pos_idx:
-        row = rs.reflection_row(g)
-        if all(row[v] in pos_idx for v in pos_idx if v != g):
-            simples.append(rs.roots[g])
-    return tuple(sorted(simples))
+    return _closed_subsystem(rs, pos)[0]
+
+
+def indecomposables(
+    rs: RootSystem, pos: Iterable[Weight]
+) -> tuple[tuple[Weight, ...], frozenset[int]]:
+    """The sorted simple roots of a set of positive roots, by the height
+    pass of `simple_system`, and the root indices of the set.
+    NotClosedError if an element is no positive root.
+
+    The pairing test reads the reflection rows: rs.roots is sorted, so
+    s_gamma(beta) = beta - <beta, gamma^vee> gamma comes before beta
+    exactly when the pairing is positive."""
+    index = rs.root_index
+    pos_idx = set()
+    for v in pos:
+        i = index.get(v)
+        # the coordinates of a root share one sign
+        if i is None or min(v) < 0:
+            raise NotClosedError(f"{v} is not a positive root of {rs.dynkin}")
+        pos_idx.add(i)
+    simples: list[int] = []
+    rows = []
+    for b in sorted(pos_idx, key=lambda i: sum(rs.roots[i])):
+        if all(row[b] >= b for row in rows):
+            simples.append(b)
+            rows.append(rs.reflection_row(b))
+    return tuple(sorted(rs.roots[g] for g in simples)), frozenset(pos_idx)
+
+
+def subsystem_orbit(
+    rs: RootSystem, simples: Sequence[int]
+) -> tuple[tuple[tuple[int, ...], ...], dict[int, tuple[int, ...]]]:
+    """The Cartan matrix of the roots of index `simples`, cartan[i][j] =
+    <gamma_j, gamma_i^vee>, and their orbit under their reflection rows:
+    each orbit root (by index) with its coordinates in that basis.
+
+    The coordinates ride along the orbit search: s_i changes only
+    coordinate i, by minus shift, the pairing of the coordinates with
+    row i of the Cartan matrix.  Each new root must equal its parent
+    minus shift * gamma_i, so by induction from the simples every orbit
+    root is the combination its coordinates state."""
+    roots = rs.roots
+    gens = [rs.reflection_row(g) for g in simples]
+    k = len(simples)
+    # s_i(gamma_j) = gamma_j - cartan[i][j] gamma_i, read at a coordinate
+    # where gamma_i is nonzero
+    cartan = []
+    for i, gi in enumerate(simples):
+        gamma = roots[gi]
+        t = next(t for t, x in enumerate(gamma) if x)
+        cartan.append(
+            tuple(
+                (roots[gj][t] - roots[gens[i][gj]][t]) // gamma[t] for gj in simples
+            )
+        )
+    coords = {
+        g: tuple(int(i == j) for j in range(k)) for i, g in enumerate(simples)
+    }
+    queue = list(simples)
+    while queue:
+        v = queue.pop()
+        c = coords[v]
+        for i in range(k):
+            w = gens[i][v]
+            if w not in coords:
+                shift = sum(map(mul, cartan[i], c))
+                gamma = roots[simples[i]]
+                step = [x - shift * y for x, y in zip(roots[v], gamma)]
+                if roots[w] != tuple(step):
+                    raise InternalInconsistencyError(
+                        "subsystem root outside simple span"
+                    )
+                coords[w] = c[:i] + (c[i] - shift,) + c[i + 1 :]
+                queue.append(w)
+    return tuple(cartan), coords
+
+
+def require_closed(pos: frozenset[int], orbit) -> None:
+    """NotClosedError unless the orbit of the simple roots of `pos` (root
+    indices of positive roots) is pos and -pos exactly.  The orbit holds
+    -v = s_v(v) with each root v, so it suffices that it holds pos and
+    has twice its size."""
+    if len(orbit) != 2 * len(pos) or not pos <= orbit.keys():
+        raise NotClosedError(
+            "subset not reflection-closed: the orbit of its simple roots "
+            "is not the subset and its negatives"
+        )
+
+
+def _closed_subsystem(rs: RootSystem, pos: Iterable[Weight]):
+    simples, pos_idx = indecomposables(rs, pos)
+    cartan, coords = subsystem_orbit(rs, [rs.root_index[g] for g in simples])
+    require_closed(pos_idx, coords)
+    return simples, cartan, coords
 
 
 @dataclass(frozen=True)
@@ -200,16 +303,22 @@ def subsystem_components(
 
     The label of each component is its abstract Dynkin type (so a D3
     component reports as A3, a C2 as B2)."""
-    pos = frozenset(positives)
-    if not pos:
-        return ()
-    simples = simple_system(rs, pos)
-    idx = [rs.root_index[g] for g in simples]
-    rows = [rs.reflection_row(i) for i in idx]
-    k = len(simples)
+    return orbit_components(rs, *_closed_subsystem(rs, positives))
 
-    # connected components of the simples under non-orthogonality:
-    # gamma_i and gamma_j are orthogonal iff s_i fixes gamma_j
+
+def orbit_components(
+    rs: RootSystem,
+    simples: tuple[Weight, ...],
+    cartan: tuple[tuple[int, ...], ...],
+    coords: dict[int, tuple[int, ...]],
+) -> tuple[SubsystemComponent, ...]:
+    """Irreducible components of the subsystem with the given sorted
+    simple roots, from `subsystem_orbit`'s Cartan matrix and coordinates:
+    the connected components of the Cartan matrix, each with the positive
+    roots whose coordinates it supports.  NotClosedError if the roots are
+    not a simple system, that is if some root has coordinates of both
+    signs."""
+    k = len(simples)
     comp_of = list(range(k))
 
     def find(i):
@@ -220,39 +329,37 @@ def subsystem_components(
 
     for i in range(k):
         for j in range(i + 1, k):
-            if rows[i][idx[j]] != idx[j]:
+            if cartan[i][j]:
                 comp_of[find(i)] = find(j)
 
     groups: dict[int, list[int]] = {}
     for i in range(k):
         groups.setdefault(find(i), []).append(i)
 
+    # the support of a positive root is connected, so any nonzero
+    # coordinate names its component
+    comp_pos: dict[int, list[int]] = {r: [] for r in groups}
+    for v, c in coords.items():
+        if min(c) >= 0:
+            comp_pos[find(c.index(max(c)))].append(v)
+    if 2 * sum(map(len, comp_pos.values())) != len(coords):
+        raise NotClosedError(
+            "roots with coordinates of both signs: not a simple system"
+        )
+
     comps = []
-    for members in groups.values():
-        comp_simples = tuple(simples[i] for i in sorted(members))
-        # the component's roots are the orbit of its simples
-        orbit = {idx[i] for i in members}
-        queue = list(orbit)
-        while queue:
-            v = queue.pop()
-            for i in members:
-                w = rows[i][v]
-                if w not in orbit:
-                    orbit.add(w)
-                    queue.append(w)
-        comp_pos = [v for v in orbit if rs.roots[v] in pos]
-        label = _component_label(rs, comp_simples, comp_pos)
+    for r, members in groups.items():
+        comp_simples = tuple(simples[i] for i in members)
+        label = _component_label(rs, comp_simples, comp_pos[r])
         comps.append(
             SubsystemComponent(
                 label=label,
                 rank=len(comp_simples),
-                num_roots=2 * len(comp_pos),
+                num_roots=2 * len(comp_pos[r]),
                 order=_order_from_label(label),
                 simples=comp_simples,
             )
         )
-    if sum(c.num_roots for c in comps) != 2 * len(pos):
-        raise NotClosedError("subsystem roots outside the orbits of its simples")
     return tuple(sorted(comps, key=lambda c: (-c.rank, c.label)))
 
 

@@ -78,7 +78,7 @@ def assemble_input(
         hermitian=hermitian,
         parabolic=parabolic,
         fiber=fiber,
-        k_context=SubsystemContext(rs, hermitian.k_simples),
+        k_context=hermitian.k_context,
         max_weights=maximal_weights(fiber, hermitian.k_simples),
     )
 

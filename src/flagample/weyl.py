@@ -14,14 +14,24 @@ which equals the length of any reduced word for w.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
-from operator import mul
 from typing import Iterable, Sequence
 
 from . import kernels
 from .errors import EnumerationCapError, InternalInconsistencyError, NotARootError
-from .rootsystem import RootSystem, Weight, pair, reflect, subsystem_components
+from .rootsystem import (
+    RootSystem,
+    SubsystemComponent,
+    Weight,
+    indecomposables,
+    orbit_components,
+    pair,
+    reflect,
+    require_closed,
+    subsystem_orbit,
+)
 
 DEFAULT_CAP = 10_000_000
 
@@ -74,55 +84,30 @@ class SubsystemContext:
         self.gen_perms: tuple[Perm, ...] = tuple(
             tuple(rs.reflection_row(g)) for g in self.simple_indices
         )
-        coords = self._subsystem_coords()
-        self.sub_sign = {v: 1 if min(c) >= 0 else -1 for v, c in coords.items()}
+        # the subsystem's Cartan matrix, and each of its roots (by index)
+        # with its coordinates in the simple basis, from one orbit pass
+        self.cartan, self.coords = subsystem_orbit(rs, self.simple_indices)
+        self.sub_sign = {v: 1 if min(c) >= 0 else -1 for v, c in self.coords.items()}
         self.pos_count = sum(1 for s in self.sub_sign.values() if s > 0)
         self._w0_word: tuple[int, ...] | None = None
 
-    def _subsystem_coords(self) -> dict[int, tuple[int, ...]]:
-        """Coordinates of each subsystem root (by index) in the
-        subsystem's simple basis.
+    @classmethod
+    def from_positive_roots(
+        cls, rs: RootSystem, positives: Iterable[Weight]
+    ) -> "SubsystemContext":
+        """The context of the closed subsystem whose positive roots are
+        `positives`: its simple roots by `simple_system`'s height pass,
+        and the closure proof on the orbit the context computes anyway.
+        NotClosedError if the positives are not the positive half of a
+        reflection-closed subsystem."""
+        simples, pos = indecomposables(rs, positives)
+        ctx = cls(rs, simples)
+        require_closed(pos, ctx.coords)
+        return ctx
 
-        The coordinates ride along the orbit search of the simples: s_i
-        changes only coordinate i, by minus the pairing of the
-        coordinates with row i of the subsystem's Cartan matrix,
-        cartan[i][j] = <gamma_j, gamma_i^vee>."""
-        rs = self.rs
-        simples, gens = self.simple_indices, self.gen_perms
-        k = len(simples)
-        # s_i(gamma_j) = gamma_j - cartan[i][j] gamma_i, read at a
-        # coordinate where gamma_i is nonzero
-        cartan = []
-        for i, gi in enumerate(simples):
-            gamma = rs.roots[gi]
-            t = next(t for t, x in enumerate(gamma) if x)
-            cartan.append(
-                tuple(
-                    (rs.roots[gj][t] - rs.roots[gens[i][gj]][t]) // gamma[t]
-                    for gj in simples
-                )
-            )
-        coords = {
-            g: tuple(int(i == j) for j in range(k)) for i, g in enumerate(simples)
-        }
-        queue = list(simples)
-        while queue:
-            v = queue.pop()
-            c = coords[v]
-            for i in range(k):
-                w = gens[i][v]
-                if w not in coords:
-                    shift = sum(map(mul, cartan[i], c))
-                    coords[w] = c[:i] + (c[i] - shift,) + c[i + 1 :]
-                    queue.append(w)
-        # column t holds coordinate t of each simple root
-        cols = list(zip(*(rs.roots[g] for g in simples)))
-        for v, c in coords.items():
-            if tuple([sum(map(mul, c, col)) for col in cols]) != rs.roots[v]:
-                raise InternalInconsistencyError(
-                    "subsystem root outside simple span"
-                )
-        return coords
+    def components(self) -> tuple[SubsystemComponent, ...]:
+        """Irreducible components, as `subsystem_components` gives them."""
+        return orbit_components(self.rs, self.simples, self.cartan, self.coords)
 
     @property
     def w0_word(self) -> tuple[int, ...]:
@@ -353,11 +338,4 @@ def coset_max_lengths(
 def group_order_from_simples(rs: RootSystem, simples: Iterable[Weight]) -> int:
     """Order of the generated reflection group, via the classification of
     the subsystem into irreducible components."""
-    ctx = SubsystemContext(rs, simples)
-    if not ctx.simples:
-        return 1
-    positives = [rs.roots[i] for i, s in ctx.sub_sign.items() if s > 0]
-    order = 1
-    for comp in subsystem_components(rs, positives):
-        order *= comp.order
-    return order
+    return math.prod(c.order for c in SubsystemContext(rs, simples).components())

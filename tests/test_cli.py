@@ -1,10 +1,15 @@
 import dataclasses
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from flagample.cli import main
+import flagample
+from flagample.cli import EXIT_BROKEN_PIPE, main
 from flagample.dynkin import MAX_CLASSICAL_RANK, parse_type
 
 
@@ -340,3 +345,47 @@ def test_table_counts_skipped_oracles(capsys):
     assert err == (
         "note: brute-force oracle skipped in 9 cases (|W(K)| > --max-weyl 1)\n"
     )
+
+
+def _child(*args, **kwargs):
+    """Run a fresh interpreter that imports this flagample."""
+    src = str(Path(flagample.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], env=env, timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--type", "D4", "--format", "json"],
+        ["compute", "--type", "E7", "--noncompact", "7", "--format", "json"],
+    ],
+)
+def test_closed_stdout_exits_quietly(argv):
+    """A reader that is gone before the output is written (`| head -c 10`
+    that has already exited): no traceback, the SIGPIPE exit code."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _child(
+            "-m", "flagample", *argv, stdout=write_end, stderr=subprocess.PIPE
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (EXIT_BROKEN_PIPE, b"")
+
+
+def test_invariant_check_survives_python_O():
+    """The closure count of build_root_system is a raised error, not an
+    assert, so `python -O` keeps it: a miscounted closure exits 3."""
+    script = (
+        "import sys\n"
+        "assert False, 'asserts are on'\n"
+        "from flagample import cli, dynkin\n"
+        "dynkin.root_count = lambda dt: 0\n"
+        "sys.exit(cli.main(['compute', '--type', 'A2', '--noncompact', '1']))\n"
+    )
+    proc = _child("-O", "-c", script, capture_output=True)
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert proc.stderr == b"internal inconsistency: root closure miscounted\n"

@@ -1,10 +1,12 @@
+import itertools
+
 import pytest
 
 from flagample.cycle import NeutralFiber, ParabolicData, neutral_fiber, parabolic_data
 from flagample.dynkin import all_types_up_to_rank, parse_type
 from flagample.errors import BadNodeError, EmptyFiberError, NotProperError
 from flagample.realform import grade_roots
-from flagample.rootsystem import build_root_system
+from flagample.rootsystem import build_root_system, negate
 
 
 @pytest.fixture(scope="module")
@@ -164,3 +166,40 @@ def test_fiber_disjoint_from_compact_complement(b2):
     assert set(fiber.weights).isdisjoint(compact_part)
     assert len(fiber.weights) + len(compact_part) == pd.dim_z
     assert isinstance(fiber, NeutralFiber)
+
+
+def _reference_parabolic(rs, g, levi):
+    """Levi roots as the positive roots whose support set lies in the
+    Levi nodes."""
+    def support(v):
+        return frozenset(i + 1 for i, c in enumerate(v) if c != 0)
+
+    in_levi = [v for v in rs.positive_roots if support(v) <= levi]
+    tangent = tuple(v for v in rs.positive_roots if not support(v) <= levi)
+    return (
+        tuple(sorted([negate(v) for v in rs.positive_roots] + in_levi)),
+        tangent,
+        sum(1 for v in tangent if v in g.compact_roots),
+        sum(1 for v in in_levi if v in g.compact_roots),
+    )
+
+
+@pytest.mark.parametrize(
+    "dt", list(all_types_up_to_rank(4)) + [parse_type("E6")], ids=str
+)
+def test_parabolic_matches_support_reference(dt):
+    """The bitmask split gives the support-set reference's q roots, tangent
+    weights, dim C and Levi correction for every marking and Levi set."""
+    rs = build_root_system(dt)
+    nodes = range(1, dt.rank + 1)
+    subsets = [
+        frozenset(s)
+        for k in range(dt.rank + 1)
+        for s in itertools.combinations(nodes, k)
+    ]
+    for m in subsets[1:]:
+        g = grade_roots(rs, m)
+        for levi in subsets[:-1]:
+            pd = parabolic_data(rs, g, levi)
+            got = (pd.q_roots, pd.tangent_weights, pd.dim_c, pd.levi_correction)
+            assert got == _reference_parabolic(rs, g, levi), (m, levi)

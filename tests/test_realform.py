@@ -17,6 +17,7 @@ from flagample.rootsystem import (
     subsystem_components,
 )
 from flagample.weyl import group_order_from_simples
+from test_rootsystem import reference_components, reference_simple_system
 
 
 @pytest.fixture(scope="module")
@@ -182,17 +183,28 @@ def test_xi_separates_marked_simple(a2):
 
 
 @pytest.mark.parametrize(
-    "dt", list(all_types_up_to_rank(4)) + [parse_type("E6")], ids=str
+    "dt",
+    list(all_types_up_to_rank(4)) + [parse_type(t) for t in ("E6", "E7", "E8")],
+    ids=str,
 )
 def test_shared_k_data_matches_direct_route(dt):
-    """hermitian_data's K simple system and |W(K)|, read off the
-    component classification, equal the direct computations."""
+    """hermitian_data's K simple system, components and |W(K)|, read off
+    its one orbit pass, equal the direct computations and the all-pairs
+    reference."""
     rs = build_root_system(dt)
     for marked in _all_markings(dt.rank):
         g = grade_roots(rs, marked)
         h = hermitian_data(rs, g)
-        assert h.k_simples == simple_system(rs, compact_positive_roots(rs, g))
+        k_pos = compact_positive_roots(rs, g)
+        comps = reference_components(rs, k_pos)
+        assert h.k_simples == reference_simple_system(rs, k_pos) == simple_system(
+            rs, k_pos
+        )
+        assert h.k_type == ("×".join(c[0] for c in comps) or "0")
+        assert h.k_order == math.prod(c[3] for c in comps)
         assert h.k_order == group_order_from_simples(rs, h.k_simples)
+        assert h.k_context.simples == h.k_simples
+        assert h.k_context.pos_count == len(k_pos)
 
 
 @pytest.mark.parametrize(

@@ -9,12 +9,16 @@ from hypothesis import strategies as st
 from flagample.dynkin import all_types_up_to_rank, parse_type
 from flagample.errors import NotARootError, NotClosedError
 from flagample.rootsystem import (
+    _component_label,
+    _order_from_label,
     build_root_system,
+    negate,
     pair,
     reflect,
     simple_system,
     subsystem_components,
 )
+from flagample.weyl import SubsystemContext
 
 
 def _model(label):
@@ -204,6 +208,129 @@ def test_simple_system_not_closed():
         simple_system(rs, [(1, 0), (1, 1)])  # reflection escapes to a2
     with pytest.raises(NotClosedError):
         simple_system(rs, [(2, 0)])  # not even a root
+
+
+def reference_simple_system(rs, pos):
+    """The all-pairs route: closure checked on every pair of roots, and a
+    positive root is simple iff its reflection has length one, sending no
+    other positive root to a negative one."""
+    pos_set = frozenset(pos)
+    full = pos_set | {negate(v) for v in pos_set}
+    for v in full:
+        if v not in rs.root_index:
+            raise NotClosedError(f"{v} is not a root")
+    idx = {rs.root_index[v] for v in full}
+    for g in idx:
+        row = rs.reflection_row(g)
+        for v in idx:
+            if row[v] not in idx:
+                raise NotClosedError("subset not reflection-closed")
+    pos_idx = {rs.root_index[v] for v in pos_set}
+    simples = []
+    for g in pos_idx:
+        row = rs.reflection_row(g)
+        if all(row[v] in pos_idx for v in pos_idx if v != g):
+            simples.append(rs.roots[g])
+    return tuple(sorted(simples))
+
+
+def reference_components(rs, pos):
+    """(label, rank, number of roots, Weyl group order, simples) of each
+    component, which is the orbit of a connected set of simple roots under
+    their reflections, connected meaning non-orthogonal."""
+    pos = frozenset(pos)
+    simples = reference_simple_system(rs, pos)
+    idx = [rs.root_index[g] for g in simples]
+    rows = [rs.reflection_row(i) for i in idx]
+    groups = []
+    for i in range(len(simples)):
+        linked = [
+            grp for grp in groups if any(rows[i][idx[j]] != idx[j] for j in grp)
+        ]
+        for grp in linked:
+            groups.remove(grp)
+        groups.append(sorted({i}.union(*linked)))
+    groups.sort()
+    out = []
+    for members in groups:
+        orbit = {idx[i] for i in members}
+        queue = list(orbit)
+        while queue:
+            v = queue.pop()
+            for i in members:
+                if rows[i][v] not in orbit:
+                    orbit.add(rows[i][v])
+                    queue.append(rows[i][v])
+        comp_pos = [v for v in orbit if rs.roots[v] in pos]
+        comp_simples = tuple(simples[i] for i in members)
+        label = _component_label(rs, comp_simples, comp_pos)
+        order = _order_from_label(label)
+        out.append((label, len(members), 2 * len(comp_pos), order, comp_simples))
+    assert sum(c[2] for c in out) == 2 * len(pos)
+    return tuple(sorted(out, key=lambda c: (-c[1], c[0])))
+
+
+_SUBSET_SYSTEMS = [build_root_system(dt) for dt in all_types_up_to_rank(4)] + [
+    build_root_system(parse_type(label)) for label in ("E6", "E7")
+]
+
+
+@st.composite
+def _positive_subsets(draw):
+    """A set of positive roots: the compact ones of a marking, the ones
+    supported on a node set, both (all closed), or any; then a few roots
+    toggled, which mostly breaks closure."""
+    rs = draw(st.sampled_from(_SUBSET_SYSTEMS))
+    n = rs.rank
+    nodes = st.frozensets(st.integers(0, n - 1))
+    marked, levi = draw(nodes), draw(nodes)
+    kind = draw(st.sampled_from(("compact", "levi", "both", "any")))
+    compact = {v for v in rs.positive_roots if sum(v[i] for i in marked) % 2 == 0}
+    inside = {
+        v
+        for v in rs.positive_roots
+        if all(v[i] == 0 for i in range(n) if i not in levi)
+    }
+    if kind == "any":
+        pos = set(draw(st.lists(st.sampled_from(rs.positive_roots), max_size=12)))
+    else:
+        pos = {"compact": compact, "levi": inside, "both": compact & inside}[kind]
+    toggles = draw(st.lists(st.sampled_from(rs.positive_roots), max_size=2))
+    return rs, pos.symmetric_difference(toggles)
+
+
+@given(_positive_subsets())
+@settings(max_examples=400, deadline=None)
+def test_simple_system_matches_all_pairs_reference(args):
+    """The height pass and orbit proof give the reference's simple roots
+    and components, through each entry point, and raise NotClosedError
+    exactly when the all-pairs check does."""
+    rs, pos = args
+    routes = (
+        lambda: simple_system(rs, pos),
+        lambda: subsystem_components(rs, pos),
+        lambda: SubsystemContext.from_positive_roots(rs, pos),
+    )
+    try:
+        expected = reference_simple_system(rs, pos)
+    except NotClosedError:
+        for route in routes:
+            with pytest.raises(NotClosedError):
+                route()
+        return
+    simples, comps, ctx = (route() for route in routes)
+    assert simples == ctx.simples == expected
+    assert (
+        tuple((c.label, c.rank, c.num_roots, c.order, c.simples) for c in comps)
+        == reference_components(rs, pos)
+    )
+    assert ctx.components() == comps
+
+
+def test_simple_system_refuses_negative_roots():
+    rs = build_root_system(parse_type("A2"))
+    with pytest.raises(NotClosedError):
+        simple_system(rs, [(-1, 0)])
 
 
 def test_subsystem_components():

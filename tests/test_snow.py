@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagample import rootsystem, weyl
 from flagample.cycle import neutral_fiber, parabolic_data
 from flagample.dynkin import all_types_up_to_rank, parse_type
 from flagample.errors import DegenerateGeometryError
-from flagample.pipeline import sweep_cases
+from flagample.pipeline import CaseSpec, run_case, sweep_cases
 from flagample.realform import compact_positive_roots, grade_roots, hermitian_data
 from flagample.rootsystem import build_root_system
 from flagample.snow import (
@@ -18,6 +19,7 @@ from flagample.snow import (
     max_weyl_length_fast,
     maximal_weights,
 )
+from flagample.weyl import SubsystemContext
 
 
 def _setup(label, marked, levi):
@@ -133,6 +135,31 @@ def test_routes_that_ran():
         assert res.routes == routes, (method, verify, cap)
 
 
+@pytest.mark.parametrize(
+    "label,marked,levi", [("E8", (1,), ()), ("A14", (1, 8), (2, 3))]
+)
+def test_run_case_builds_one_k_context(monkeypatch, label, marked, levi):
+    """hermitian_data builds K's context; assembly and both routes reuse
+    it, and no other orbit pass of K runs."""
+    built, orbits = [], []
+    init = SubsystemContext.__init__
+    orbit = weyl.subsystem_orbit
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def counting_orbit(*args):
+        orbits.append(args)
+        return orbit(*args)
+
+    monkeypatch.setattr(SubsystemContext, "__init__", counting_init)
+    for mod in (rootsystem, weyl):
+        monkeypatch.setattr(mod, "subsystem_orbit", counting_orbit)
+    run_case(CaseSpec(parse_type(label), marked, levi, verify=True, max_weyl=1))
+    assert len(built) == len(orbits) == 1
+
+
 def test_witness_invariant():
     rs, g, h, pd, fiber, inp = _setup("A2", {1}, set())
     res = ampleness(inp)
@@ -177,7 +204,7 @@ def test_rank_four_sweep_routes_and_verdicts():
     range, and the product verdict is equivalent to the containment test
     on every A4, B4, C4 case."""
     from flagample.classify import KIND_PRODUCT, classify
-    from flagample.pipeline import sweep_cases
+    from flagample.pipeline import CaseSpec, run_case, sweep_cases
 
     for label in ("A4", "B4", "C4"):
         rs = build_root_system(parse_type(label))

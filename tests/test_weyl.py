@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from flagample import kernels
 from flagample.cycle import neutral_fiber, parabolic_data
 from flagample.dynkin import all_types_up_to_rank, parse_type
-from flagample.errors import EnumerationCapError, NotARootError
+from flagample.errors import EnumerationCapError, NotARootError, NotClosedError
 from flagample.realform import grade_roots, hermitian_data
 from flagample.rootsystem import build_root_system
 from flagample.snow import assemble_input, max_weyl_length_bruteforce
@@ -77,6 +77,14 @@ def test_orders_match_classical(label, order):
     els = enumerate_weyl(rs, rs.simple_roots)
     assert len(els) == order
     assert group_order_from_simples(rs, rs.simple_roots) == order
+
+
+@pytest.mark.parametrize("simples", [[(1, 0), (1, 1)], [(1, 0), (0, 1), (1, 1)]])
+def test_group_order_refuses_a_non_simple_system(simples):
+    # a1 and a1 + a2 meet at 60 degrees; three roots of A2 are dependent
+    rs = build_root_system(parse_type("A2"))
+    with pytest.raises(NotClosedError):
+        group_order_from_simples(rs, simples)
 
 
 def test_inversion_count_equals_word_length():
