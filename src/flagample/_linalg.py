@@ -45,11 +45,6 @@ def _echelon(rows: Iterable[Sequence[int]]) -> list[tuple[int, list[int]]]:
     return pivots
 
 
-def matrix_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank of an integer matrix given as an iterable of rows."""
-    return len(_echelon(rows))
-
-
 def nullspace_vector(rows: Sequence[Sequence[int]]) -> Vec | None:
     """The primitive integer vector killed by every row, positive at the
     one non-pivot column, if the nullspace is exactly one-dimensional;

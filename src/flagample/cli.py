@@ -22,6 +22,7 @@ from .errors import (
     InternalInconsistencyError,
 )
 from .pipeline import CaseSpec, Report, run_case, run_table
+from .snow import METHODS
 from .weyl import DEFAULT_CAP
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the shell's code for a closed pipe
@@ -82,7 +83,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--type", help="Dynkin type, e.g. A2, B3, G2")
         sp.add_argument(
             "--method",
-            choices=("auto", "bruteforce", "fast"),
+            choices=METHODS,
             default=None,
             help="length-search route (default auto)",
         )
@@ -205,7 +206,7 @@ def _case_from_args(args) -> CaseSpec:
         levi = tuple(sorted(set(cfg.get("levi", ()))))
 
     method = args.method if args.method is not None else cfg.get("method", "auto")
-    if method not in ("auto", "bruteforce", "fast"):
+    if method not in METHODS:
         raise BadInputError(f"unknown method {method!r}")
     verify = args.verify if args.verify is not None else cfg.get("verify", False)
 

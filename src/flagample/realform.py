@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import add, mul
-from typing import Iterable
+from typing import AbstractSet, Iterable
 
-from ._linalg import matrix_rank, nullspace_vector
+from ._linalg import nullspace_vector
 from .errors import (
     BadNodeError,
     CompactFormError,
@@ -99,18 +99,19 @@ def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData
     components, their labels and |W(K)| are read.
 
     center_dim is the rank deficiency of the span of the compact roots,
-    which K's simple system spans.  When it is 1, a functional xi
-    orthogonal to every compact root is solved for exactly as a
-    primitive integer vector and normalized to pair positively with the
-    lowest-index marked simple root; the xi-positive noncompact roots
-    form s_plus.
+    which K's simple system spans; a simple system is linearly
+    independent, so it is the rank minus the number of K's simples.
+    When it is 1, a functional xi orthogonal to every compact root is
+    solved for exactly as a primitive integer vector and normalized to
+    pair positively with the lowest-index marked simple root; the
+    xi-positive noncompact roots form s_plus.
     """
     ctx = SubsystemContext.from_positive_roots(
         rs, compact_positive_roots(rs, grading)
     )
     comps = ctx.components()
     k_simples = ctx.simples
-    center_dim = rs.rank - matrix_rank(k_simples)
+    center_dim = rs.rank - len(k_simples)
     if center_dim not in (0, 1):
         raise DegenerateGradingError(
             f"compact span has rank deficiency {center_dim}"
@@ -120,13 +121,7 @@ def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData
     # root for each simple root gamma of K: their root vectors generate
     # n_K+, and a + gamma, when a root, is noncompact
     noncompact = grading.noncompact_roots
-    lam_max = tuple(
-        sorted(
-            a
-            for a in noncompact
-            if all(tuple(map(add, a, g)) not in noncompact for g in k_simples)
-        )
-    )
+    lam_max = highest_weights(noncompact, k_simples)
 
     k_type = "×".join(c.label for c in comps) if comps else "0"
 
@@ -165,6 +160,20 @@ def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData
         k_simples=k_simples,
         k_order=math.prod(c.order for c in comps),
         k_context=ctx,
+    )
+
+
+def highest_weights(
+    weights: AbstractSet[Weight], k_roots: tuple[Weight, ...]
+) -> tuple[Weight, ...]:
+    """The weights of the set to which no root of k_roots can be added
+    inside the set, sorted."""
+    return tuple(
+        sorted(
+            a
+            for a in weights
+            if all(tuple(map(add, a, g)) not in weights for g in k_roots)
+        )
     )
 
 

@@ -18,19 +18,17 @@ is equivalent to literally pulling back (the equality is unit-tested).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 
 from .cycle import NeutralFiber, ParabolicData
 from .errors import EnumerationCapError, InternalInconsistencyError
-from .realform import CompactnessGrading, HermitianData
+from .realform import CompactnessGrading, HermitianData, highest_weights
 from .rootsystem import RootSystem, Weight
 from .weyl import (
     DEFAULT_CAP,
-    SubsystemContext,
     WeylElement,
     _enumerate,
     _max_length_with_witness,
-    coset_max_lengths,
+    coset_orbit,
     invert,
     word_from_parents,
 )
@@ -47,7 +45,6 @@ class AmplenessInput:
     hermitian: HermitianData
     parabolic: ParabolicData
     fiber: NeutralFiber
-    k_context: SubsystemContext  # reflection group of K, shared by both routes
     max_weights: tuple[Weight, ...]  # maximal fiber weights, sorted
 
     @property
@@ -78,7 +75,6 @@ def assemble_input(
         hermitian=hermitian,
         parabolic=parabolic,
         fiber=fiber,
-        k_context=hermitian.k_context,
         max_weights=maximal_weights(fiber, hermitian.k_simples),
     )
 
@@ -99,13 +95,7 @@ def maximal_weights(
     compact root whenever the sum is a root (the sum stays positive,
     noncompact and outside the Levi span).
     """
-    wset = set(fiber.weights)
-    out = [
-        a
-        for a in wset
-        if all(tuple(map(add, a, g)) not in wset for g in k_roots)
-    ]
-    return tuple(sorted(out))
+    return highest_weights(frozenset(fiber.weights), k_roots)
 
 
 def closed_form_maximal_weights(
@@ -178,7 +168,7 @@ def max_weyl_length_bruteforce(
             f"{cap} elements"
         )
     rs = inp.rs
-    ctx = inp.k_context
+    ctx = inp.hermitian.k_context
     lam = inp.max_weights
     fiber_set = frozenset(inp.fiber.weights)
     fiber_idx = {rs.root_index[a] for a in fiber_set}
@@ -214,24 +204,28 @@ def max_weyl_length_fast(
     """Coset-by-coset search; no group enumeration.
 
     For each pair (mu maximal, nu fiber weight) the elements mapping nu
-    to mu form a single coset whose unique longest element has length
-    len(w0) - dist(nu, w0(mu)) in the orbit graph; one BFS per mu gives
-    that length for every nu.  Witnesses are built only for the pairs
-    that reach the maximum, with the same tie-break as the brute-force
-    scan.
+    to mu form a single coset of Stab(nu), a reflection subgroup, whose
+    unique longest element has length len(w0) - dist(nu, w0(mu)) in the
+    orbit graph (Dyer's unique minimum, see `coset_orbit`).  One BFS
+    from w0(mu) per maximal mu gives that length for every nu, and its
+    tree gives the witness of each pair that reaches the maximum; the
+    least canonical word among them is the brute-force scan's
+    tie-break.
     """
     rs = inp.rs
-    ctx = inp.k_context
+    ctx = inp.hermitian.k_context
     lam = inp.max_weights
     fiber_set = frozenset(inp.fiber.weights)
     nus = sorted(fiber_set)
 
     # pairs in (mu, nu) order, each with its coset maximum
-    lengths = [
-        (mu, nu, length)
-        for mu in lam
-        for nu, length in coset_max_lengths(ctx, mu, nus).items()
-    ]
+    orbits = {mu: coset_orbit(ctx, mu) for mu in lam}
+    lengths = []
+    for mu, orbit in orbits.items():
+        for nu in nus:
+            hit = orbit.get(rs.root_index[nu])
+            if hit is not None:
+                lengths.append((mu, nu, ctx.pos_count - hit[0]))
     if not lengths:
         raise InternalInconsistencyError(
             "no pair admits any group element: maximal weights escape the fiber"
@@ -239,15 +233,10 @@ def max_weyl_length_fast(
     top = max(length for _, _, length in lengths)
     best: WeylElement | None = None
     for mu, nu, length in lengths:
-        if length != top:
-            continue
-        res = _max_length_with_witness(ctx, mu, nu)
-        if res is None or res[0] != length:
-            raise InternalInconsistencyError(
-                "coset maximum differs between the orbit search and its witness"
-            )
-        if best is None or res[1].word < best.word:
-            best = res[1]
+        if length == top:
+            _, witness = _max_length_with_witness(ctx, mu, nu, orbits[mu])
+            if best is None or witness.word < best.word:
+                best = witness
     return top, best, _witness_pair(rs, best, lam, fiber_set)
 
 
@@ -275,22 +264,16 @@ def ampleness(
             f"maximal weights disagree: combinatorial {lam} vs case analysis {closed}"
         )
 
-    results = {}
-    if method == "bruteforce":
-        results["bruteforce"] = max_weyl_length_bruteforce(inp, cap)
-        if verify:
-            results["fast"] = max_weyl_length_fast(inp)
-        primary = results["bruteforce"]
-    elif method == "fast":
-        results["fast"] = max_weyl_length_fast(inp)
-        if verify:
-            results["bruteforce"] = max_weyl_length_bruteforce(inp, cap)
-        primary = results["fast"]
-    else:
-        results["fast"] = max_weyl_length_fast(inp)
-        if verify and inp.hermitian.k_order <= cap:
-            results["bruteforce"] = max_weyl_length_bruteforce(inp, cap)
-        primary = results["fast"]
+    # built per call, so a route replaced on the module is the one run
+    search = {
+        "fast": lambda: max_weyl_length_fast(inp),
+        "bruteforce": lambda: max_weyl_length_bruteforce(inp, cap),
+    }
+    order = ("bruteforce", "fast") if method == "bruteforce" else ("fast", "bruteforce")
+    if not verify or (method == "auto" and inp.hermitian.k_order > cap):
+        order = order[:1]
+    results = {name: search[name]() for name in order}
+    primary = results[order[0]]
 
     if len(results) == 2:
         a, b = results["fast"], results["bruteforce"]

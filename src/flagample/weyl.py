@@ -36,6 +36,8 @@ from .rootsystem import (
 DEFAULT_CAP = 10_000_000
 
 Perm = tuple[int, ...]
+# root index -> (distance, generator that reached it); see coset_orbit
+Orbit = dict[int, tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -227,17 +229,25 @@ def word_from_parents(parents: array, genids: array, k: int) -> tuple[int, ...]:
     return tuple(reversed(word))
 
 
-def _weight_orbit(
-    ctx: SubsystemContext, start: int
-) -> dict[int, tuple[int, int, int]]:
-    """BFS orbit of a root (by index) under the subsystem's simple
-    reflections.
+def coset_orbit(ctx: SubsystemContext, mu: Weight) -> Orbit:
+    """BFS orbit of w0(mu) under the subsystem's simple reflections.
 
-    Maps each orbit point to (distance, previous point, generator used),
-    with previous point -1 at the start; the distance is the minimal
-    length of a group element carrying `start` to that point.
+    Maps each orbit point v (a root index) to (distance, generator), the
+    generator being the one that reached v, so that s_gen(v) is v's
+    parent; the start has generator -1.  The generators are involutions,
+    so the distance is that of the orbit graph, and for each nu in the
+    orbit the elements mapping nu to mu have their unique longest
+    element at length len(w0) - dist(nu, w0(mu)): w -> w0^{-1} w is a
+    bijection onto the elements u with u(nu) = w0(mu), reversing
+    lengths, and these form a coset u Stab(nu) of a reflection subgroup,
+    which has a unique element of minimal length (Dyer, "Reflection
+    subgroups of Coxeter systems", 1990).  That element does not depend
+    on the BFS tree, and the tree path from nu to w0(mu) is one of
+    minimal length, so one search per mu gives every nu's coset maximum
+    and its witness.
     """
-    out = {start: (0, -1, -1)}
+    start = ctx.apply_word(ctx.w0_word, ctx.rs.root_index[mu])
+    out = {start: (0, -1)}
     frontier = [start]
     d = 0
     while frontier:
@@ -247,7 +257,7 @@ def _weight_orbit(
             for i, gp in enumerate(ctx.gen_perms):
                 w = gp[v]
                 if w not in out:
-                    out[w] = (d, v, i)
+                    out[w] = (d, i)
                     nxt.append(w)
         frontier = nxt
     return out
@@ -260,48 +270,39 @@ def max_length_mapping(
     when mu is not in the orbit of nu.
 
     nu must be a root (NotARootError otherwise); a mu that is not a root
-    lies in no root orbit, so it gives None.
-
-    Multiplying by the longest element w0 reverses lengths, so the
-    maximum equals len(w0) minus the minimal length of an element taking
-    nu to w0(mu); the minimum is the graph distance in the orbit of nu
-    under the simple reflections.
+    lies in no root orbit, so it gives None.  The maximum is read off
+    `coset_orbit`.
     """
     ctx = SubsystemContext(rs, simples)
-    res = _max_length_with_witness(ctx, tuple(mu), tuple(nu))
+    mu, nu = tuple(mu), tuple(nu)
+    if nu not in rs.root_index:
+        raise NotARootError(f"{nu} is not a root of {rs.dynkin}")
+    if mu not in rs.root_index:
+        return None
+    res = _max_length_with_witness(ctx, mu, nu, coset_orbit(ctx, mu))
     return None if res is None else res[0]
 
 
 def _max_length_with_witness(
-    ctx: SubsystemContext, mu: tuple, nu: tuple
+    ctx: SubsystemContext, mu: Weight, nu: Weight, orbit: Orbit
 ) -> tuple[int, WeylElement] | None:
+    """The longest element mapping the root nu to mu, with its length,
+    from `orbit` = coset_orbit(ctx, mu); None when nu is not in it."""
     rs = ctx.rs
-    nu_i = rs.root_index.get(nu)
-    if nu_i is None:
-        raise NotARootError(f"{nu} is not a root of {rs.dynkin}")
-    mu_i = rs.root_index.get(mu)
-    if mu_i is None:
+    nu_i = rs.root_index[nu]
+    hit = orbit.get(nu_i)
+    if hit is None:
         return None
-    if not ctx.simples:
-        if mu_i == nu_i:
-            return 0, WeylElement((), ctx.identity)
-        return None
-    orbit = _weight_orbit(ctx, nu_i)
-    target = ctx.apply_word(ctx.w0_word, mu_i)
-    if target not in orbit:
-        return None
-    dist = orbit[target][0]
-    # walk the BFS tree back from target: collects generators in
-    # composition order (last step first)
+    dist, gen = hit
+    # walk the BFS tree from nu up to w0(mu): the generators, first
+    # applied first, spell the shortest u with u(nu) = w0(mu)
     path: list[int] = []
-    v = target
-    while True:
-        _, prev, gen = orbit[v]
-        if prev < 0:
-            break
+    v = nu_i
+    while gen >= 0:
         path.append(gen)
-        v = prev
-    raw_word = ctx.w0_word + tuple(path)
+        v = ctx.gen_perms[gen][v]
+        gen = orbit[v][1]
+    raw_word = ctx.w0_word + tuple(reversed(path))
     p = ctx.perm_of_word(raw_word)
     length = ctx.pos_count - dist
     if ctx.length_of_perm(p) != length:
@@ -312,27 +313,9 @@ def _max_length_with_witness(
     if len(word) != length:
         raise InternalInconsistencyError("canonical word length mismatch")
     witness = WeylElement(word, p)
-    if ctx.apply_word(word, nu_i) != mu_i:
+    if ctx.apply_word(word, nu_i) != rs.root_index[mu]:
         raise InternalInconsistencyError("witness does not map nu to mu")
     return length, witness
-
-
-def coset_max_lengths(
-    ctx: SubsystemContext, mu: Weight, nus: Iterable[Weight]
-) -> dict[Weight, int]:
-    """Largest length of an element mapping nu to mu, for each nu of
-    `nus` in the orbit of mu.
-
-    The generators are involutions, so the orbit graph is undirected and
-    one BFS from w0(mu) gives dist(nu, w0(mu)) for every nu at once."""
-    rs = ctx.rs
-    orbit = _weight_orbit(ctx, ctx.apply_word(ctx.w0_word, rs.root_index[mu]))
-    out = {}
-    for nu in nus:
-        hit = orbit.get(rs.root_index[nu])
-        if hit is not None:
-            out[nu] = ctx.pos_count - hit[0]
-    return out
 
 
 def group_order_from_simples(rs: RootSystem, simples: Iterable[Weight]) -> int:

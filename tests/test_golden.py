@@ -26,6 +26,7 @@ TABLE_DIGESTS = {
     "C4": "24aaa790c02201c3b72b20a18e04967f902cd4f6fb4e8ba4a6b30731e43a2567",
     "G2": "72f16b2b3397b4e222a5a4dcd5ce0efcc120ac4a4277d476ed30e34675d1287a",
     "D4": "a8d6ef547abde1144638c8992efe5483e790b5d84534e13dc208da4bd571bb87",
+    "F4": "1e852026f54caef351d914fd4dd08569d4a88337326b300f7942506786cce8ee",
 }
 
 COMPUTE_DIGESTS = {

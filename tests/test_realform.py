@@ -17,6 +17,7 @@ from flagample.rootsystem import (
     subsystem_components,
 )
 from flagample.weyl import group_order_from_simples
+from test_linalg import _rref
 from test_rootsystem import reference_components, reference_simple_system
 
 
@@ -205,6 +206,22 @@ def test_shared_k_data_matches_direct_route(dt):
         assert h.k_order == group_order_from_simples(rs, h.k_simples)
         assert h.k_context.simples == h.k_simples
         assert h.k_context.pos_count == len(k_pos)
+
+
+@pytest.mark.parametrize(
+    "dt",
+    list(all_types_up_to_rank(4)) + [parse_type(t) for t in ("E6", "E7", "E8")],
+    ids=str,
+)
+def test_center_dim_is_the_rank_deficiency(dt):
+    """center_dim, read off the number of K's simple roots, equals the
+    rank deficiency of the compact roots by rational elimination."""
+    rs = build_root_system(dt)
+    for marked in _all_markings(dt.rank):
+        g = grade_roots(rs, marked)
+        k_pos = compact_positive_roots(rs, g)
+        deficiency = rs.rank - len(_rref(k_pos))
+        assert hermitian_data(rs, g).center_dim == deficiency, (dt, marked)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagample import rootsystem, weyl
+from flagample import rootsystem, snow, weyl
 from flagample.cycle import neutral_fiber, parabolic_data
 from flagample.dynkin import all_types_up_to_rank, parse_type
 from flagample.errors import DegenerateGeometryError
@@ -126,6 +126,7 @@ def test_routes_that_ran():
     for method, verify, cap, routes in [
         ("auto", False, 10, ("fast",)),
         ("auto", True, 10, ("fast", "bruteforce")),
+        ("auto", True, 4, ("fast", "bruteforce")),  # |W(K)| at the cap
         ("auto", True, 3, ("fast",)),  # |W(K)| over the cap: oracle skipped
         ("fast", True, 10, ("fast", "bruteforce")),
         ("bruteforce", False, 10, ("bruteforce",)),
@@ -158,6 +159,28 @@ def test_run_case_builds_one_k_context(monkeypatch, label, marked, levi):
         monkeypatch.setattr(mod, "subsystem_orbit", counting_orbit)
     run_case(CaseSpec(parse_type(label), marked, levi, verify=True, max_weyl=1))
     assert len(built) == len(orbits) == 1
+
+
+@pytest.mark.parametrize(
+    "label,marked,levi", [("E8", (1,), ()), ("A14", (1, 8), (2, 3))]
+)
+def test_fast_route_runs_one_orbit_search_per_maximal_weight(
+    monkeypatch, label, marked, levi
+):
+    """The coset search reads every pair's length and every witness off
+    one BFS per maximal weight."""
+    searched = []
+    orbit = weyl.coset_orbit
+
+    def counting_orbit(ctx, mu):
+        searched.append(mu)
+        return orbit(ctx, mu)
+
+    for mod in (snow, weyl):
+        monkeypatch.setattr(mod, "coset_orbit", counting_orbit)
+    report = run_case(CaseSpec(parse_type(label), marked, levi))
+    assert report.routes == ("fast",)
+    assert tuple(searched) == report.max_weights
 
 
 def test_witness_invariant():

@@ -1,10 +1,11 @@
 """Weyl enumeration and coset length maxima, with exhaustive oracles."""
 
+import functools
 import itertools
 from operator import itemgetter
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flagample import kernels
@@ -17,7 +18,9 @@ from flagample.snow import assemble_input, max_weyl_length_bruteforce
 from flagample.weyl import (
     SubsystemContext,
     WeylElement,
+    _max_length_with_witness,
     compose,
+    coset_orbit,
     enumerate_weyl,
     group_order_from_simples,
     invert,
@@ -286,6 +289,15 @@ def test_max_length_mapping_nu_not_a_root(a2):
         max_length_mapping(a2, [], (0, 0), (0, 0))
 
 
+def test_max_length_mapping_trivial_group(a2):
+    # with no simples the group is {e}: only nu = mu is matched, at length 0
+    for mu in a2.roots:
+        assert max_length_mapping(a2, [], mu, mu) == 0
+        for nu in a2.roots:
+            if nu != mu:
+                assert max_length_mapping(a2, [], mu, nu) is None
+
+
 def test_max_length_mapping_nontrivial_stabilizer(b2):
     # the stabilizer of the short root a2 = e2 in W(B2) is {e, s_{e1}},
     # and s_{e1} has length 3: the coset {w : w(a2) = a2} peaks at 3
@@ -322,3 +334,132 @@ def test_orbit_stays_in_roots(b2):
                     seen.add(w)
                     frontier.append(w)
         assert seen <= set(b2.roots)
+
+
+def _k_context(rs, marked):
+    return hermitian_data(rs, grade_roots(rs, marked)).k_context
+
+
+def _check_coset_maxima_by_enumeration(ctx, nus):
+    """Group the elements of the group by (nu, w(nu)), for each nu of
+    nus: each group has exactly one element of maximal length, and it is
+    the witness read off coset_orbit, whose keys are nu's orbit."""
+    rs = ctx.rs
+    elements = enumerate_weyl(rs, ctx.simples)
+    orbits = {}
+    for nu in nus:
+        nu_i = rs.root_index[nu]
+        groups = {}
+        for el in elements:
+            groups.setdefault(el.action[nu_i], []).append(el)
+        for mu_i, group in groups.items():
+            mu = rs.roots[mu_i]
+            if mu not in orbits:
+                orbits[mu] = coset_orbit(ctx, mu)
+            assert orbits[mu].keys() == groups.keys(), (mu, nu)
+            top = max(el.length for el in group)
+            (longest,) = [el for el in group if el.length == top]
+            length, witness = _max_length_with_witness(ctx, mu, nu, orbits[mu])
+            assert (length, witness.word, witness.action) == (
+                top,
+                longest.word,
+                longest.action,
+            ), (mu, nu)
+
+
+@pytest.mark.parametrize("dt", all_types_up_to_rank(4), ids=str)
+def test_coset_maximum_is_unique_and_is_the_witness(dt):
+    """For K of every marking, and for the whole Weyl group: every coset
+    {w : w(nu) = mu} has a unique longest element (Dyer), and the coset
+    search returns it."""
+    rs = build_root_system(dt)
+    contexts = [_k_context(rs, marked) for marked in _all_markings(dt.rank)]
+    contexts.append(SubsystemContext(rs, rs.simple_roots))
+    for ctx in contexts:
+        _check_coset_maxima_by_enumeration(ctx, rs.roots)
+        # a root outside nu's orbit gives None
+        orbit = coset_orbit(ctx, rs.roots[0])
+        for nu in rs.roots:
+            if rs.root_index[nu] not in orbit:
+                assert _max_length_with_witness(ctx, rs.roots[0], nu, orbit) is None
+
+
+@functools.cache
+def _cached_root_system(label):
+    return build_root_system(parse_type(label))
+
+
+@functools.cache
+def _cached_k_context(label, marked):
+    return _k_context(_cached_root_system(label), marked)
+
+
+@st.composite
+def _marked_root(draw, labels):
+    label = draw(st.sampled_from(labels))
+    rank = int(label[1:])
+    marked = tuple(sorted(draw(st.sets(st.integers(1, rank), min_size=1))))
+    rs = _cached_root_system(label)
+    return label, marked, draw(st.sampled_from(rs.roots))
+
+
+@given(_marked_root(["E6"]))
+@settings(max_examples=30, deadline=None)
+def test_coset_maximum_is_unique_e6(case):
+    label, marked, nu = case
+    _check_coset_maxima_by_enumeration(_cached_k_context(label, marked), [nu])
+
+
+def _reference_max_length_with_witness(ctx, mu, nu):
+    """The coset maximum and its witness by a search of nu's orbit: BFS
+    from nu until it has the whole orbit, then the tree path back from
+    w0(mu), with w0 in front."""
+    nu_i = ctx.rs.root_index[nu]
+    tree = {nu_i: (0, -1, -1)}
+    frontier = [nu_i]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i, gp in enumerate(ctx.gen_perms):
+                w = gp[v]
+                if w not in tree:
+                    tree[w] = (tree[v][0] + 1, v, i)
+                    nxt.append(w)
+        frontier = nxt
+    target = ctx.apply_word(ctx.w0_word, ctx.rs.root_index[mu])
+    if target not in tree:
+        return None
+    path = []
+    v = target
+    while tree[v][1] >= 0:
+        path.append(tree[v][2])
+        v = tree[v][1]
+    p = ctx.perm_of_word(ctx.w0_word + tuple(path))
+    return ctx.pos_count - tree[target][0], WeylElement(ctx.canonical_word(p), p)
+
+
+@given(_marked_root(["E7", "E8"]), st.booleans(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_witness_matches_search_from_nu(case, in_orbit, data):
+    """On E7 and E8, the witness read off the BFS tree of w0(mu) is the
+    one the BFS from nu builds, and a mu outside nu's orbit gives None
+    on both routes."""
+    label, marked, nu = case
+    ctx = _cached_k_context(label, marked)
+    rs = ctx.rs
+    if in_orbit:
+        # nu's orbit is w0(mu)'s orbit for every mu in it
+        orbit = coset_orbit(ctx, nu)
+        mu = rs.roots[data.draw(st.sampled_from(sorted(orbit)))]
+    else:
+        mu = data.draw(st.sampled_from(rs.roots))
+    res = _max_length_with_witness(ctx, mu, nu, coset_orbit(ctx, mu))
+    ref = _reference_max_length_with_witness(ctx, mu, nu)
+    if ref is None:
+        assert res is None
+    else:
+        assert (res[0], res[1].word, res[1].action) == (
+            ref[0],
+            ref[1].word,
+            ref[1].action,
+        )
