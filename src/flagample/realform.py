@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from operator import add, mul
 from typing import AbstractSet, Iterable
 
-from ._linalg import nullspace_vector
 from .errors import (
     BadNodeError,
     CompactFormError,
@@ -98,13 +97,17 @@ def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData
     K's Cartan matrix and the coordinates of its roots, from which K's
     components, their labels and |W(K)| are read.
 
-    center_dim is the rank deficiency of the span of the compact roots,
-    which K's simple system spans; a simple system is linearly
-    independent, so it is the rank minus the number of K's simples.
-    When it is 1, a functional xi orthogonal to every compact root is
-    solved for exactly as a primitive integer vector and normalized to
-    pair positively with the lowest-index marked simple root; the
-    xi-positive noncompact roots form s_plus.
+    The center of k has two independent routes.  center_dim is the rank
+    deficiency of the span of the compact roots, which K's simple system
+    spans; a simple system is linearly independent, so it is the rank
+    minus the number of K's simples.  Independently, a functional xi is
+    read off the Dynkin diagram (`_central_functional`) for every
+    marking.  A nonzero xi that kills K's simple roots vanishes on the
+    compact span, so center_dim >= 1; when k has a center, xi generates
+    it and kills every compact root.  So xi kills K's simple roots
+    exactly when center_dim is 1, and a disagreement ends the run as an
+    internal inconsistency.  When the check passes, xi is the central
+    functional, and the xi-positive noncompact roots form s_plus.
     """
     ctx = SubsystemContext.from_positive_roots(
         rs, compact_positive_roots(rs, grading)
@@ -125,20 +128,20 @@ def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData
 
     k_type = "×".join(c.label for c in comps) if comps else "0"
 
+    xi = _central_functional(rs, grading.marked_simples)
+    if any(sum(map(mul, g, xi)) for g in k_simples) == (center_dim == 1):
+        raise InternalInconsistencyError(
+            f"compact span has rank deficiency {center_dim}, but the "
+            f"diagram functional {'misses' if center_dim else 'kills'} "
+            "K's simple roots"
+        )
+
     s_plus: tuple[Weight, ...] = ()
     s_minus: tuple[Weight, ...] = ()
     if center_dim == 1:
-        xi = _central_functional(rs, k_simples)
-        # (xi, v) = sum_k v_k (B xi)_k, B symmetric
-        b_xi = [sum(map(mul, row, xi)) for row in rs.pairing_matrix]
-        val = b_xi[min(grading.marked_simples) - 1]
-        if val == 0:
-            raise DegenerateGradingError("central functional kills a marked simple")
-        if val < 0:
-            b_xi = [-x for x in b_xi]
         plus, minus = [], []
         for a in noncompact:
-            p = sum(map(mul, a, b_xi))
+            p = sum(map(mul, a, xi))
             if p == 0:
                 raise DegenerateGradingError(
                     "central functional kills a noncompact root"
@@ -177,21 +180,30 @@ def highest_weights(
     )
 
 
-def _central_functional(rs, k_simples):
-    """Primitive integer vector xi with (xi, gamma) = 0 for every compact
-    root, that is for every simple root of K."""
-    if not k_simples:
-        if rs.rank != 1:
-            raise DegenerateGradingError("no compact roots at rank > 1")
-        return (1,)
-    # (xi, gamma) = sum_k xi_k (B gamma)_k, B symmetric
-    b = rs.pairing_matrix
-    xi = nullspace_vector(
-        [[sum(map(mul, row, g)) for row in b] for g in k_simples]
-    )
-    if xi is None:
-        raise DegenerateGradingError("central direction is not one-dimensional")
-    return xi
+def _central_functional(rs, marked) -> Weight:
+    """The diagram functional xi on simple-root coordinates,
+    xi(v) = sum_i xi_i v_i: 0 on unmarked nodes, +1 on the lowest marked
+    node, and a sign that flips each time a walk over the tree from that
+    node enters a marked node.
+
+    When k has a center, xi generates it: ad xi is a scalar on each of
+    the irreducible K-modules p+ and p-, so xi is +-1 on the noncompact
+    roots and 0 on the compact ones.  Unmarked simple roots are compact
+    and marked ones noncompact.  The simple roots on the path between two
+    marked nodes with no marked node between them sum to a root with two
+    marked coefficients, a compact one, so the two nodes take opposite
+    signs; the diagram is a tree, so that fixes every sign.
+    """
+    start = min(marked) - 1
+    sign = {start: 1}
+    stack = [start]
+    while stack:
+        i = stack.pop()
+        for j, a in enumerate(rs.cartan_matrix[i]):
+            if a and j not in sign:
+                sign[j] = -sign[i] if j + 1 in marked else sign[i]
+                stack.append(j)
+    return tuple(sign[i] if i + 1 in marked else 0 for i in range(rs.rank))
 
 
 def _real_form_name(rs, grading, center_dim, comps, k_type) -> str:

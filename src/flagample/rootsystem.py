@@ -50,9 +50,6 @@ class RootSystem:
             tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
         )
 
-    def is_root(self, v: Weight) -> bool:
-        return v in self.root_index
-
     def reflection_row(self, g: int) -> array:
         """Indices of s_gamma(v) for every root v, where gamma is the
         root of index g.  Each row is built on first use and kept, as a

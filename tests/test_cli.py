@@ -245,6 +245,29 @@ def test_route_disagreement_exits_3(capsys, monkeypatch, module, name, breaker):
         assert err.startswith("internal inconsistency: ")
 
 
+
+@pytest.mark.parametrize(
+    "label,noncompact,xi",
+    [
+        # k has a center, but the functional misses K's simple root a2
+        ("A2", "1", (1, 1)),
+        # k has no center, but the zero vector kills all of K's simples
+        ("C3", "1", (0, 0, 0)),
+    ],
+)
+def test_central_functional_disagreement_exits_3(
+    capsys, monkeypatch, label, noncompact, xi
+):
+    realform = importlib.import_module("flagample.realform")
+    monkeypatch.setattr(realform, "_central_functional", lambda rs, marked: xi)
+    code, out, err = run(
+        capsys, "compute", "--type", label, "--noncompact", noncompact
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("internal inconsistency: ")
+    assert "diagram functional" in err
+
+
 @pytest.mark.parametrize(
     "cfg",
     [

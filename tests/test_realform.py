@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -17,8 +18,40 @@ from flagample.rootsystem import (
     subsystem_components,
 )
 from flagample.weyl import group_order_from_simples
-from test_linalg import _rref
 from test_rootsystem import reference_components, reference_simple_system
+
+
+def _rref(rows):
+    """Reference: reduced row echelon form over the rationals."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    cols = []
+    for col in range(len(mat[0]) if mat else 0):
+        r = len(cols)
+        src = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if src is None:
+            continue
+        mat[r], mat[src] = mat[src], mat[r]
+        mat[r] = [x / mat[r][col] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        cols.append(col)
+    return list(zip(cols, mat))
+
+
+def _reference_kernel(rows, n):
+    """The kernel vector with 1 at the one free column, or None when
+    the kernel is not one-dimensional."""
+    pivots = _rref(rows)
+    free = sorted(set(range(n)) - {c for c, _ in pivots})
+    if len(free) != 1:
+        return None
+    x = [Fraction(0)] * n
+    x[free[0]] = Fraction(1)
+    for c, row in pivots:
+        x[c] = -row[free[0]]
+    return x
 
 
 @pytest.fixture(scope="module")
@@ -230,20 +263,52 @@ def test_center_dim_is_the_rank_deficiency(dt):
     ids=str,
 )
 def test_central_functional_kills_compact_roots(dt):
-    """For every Hermitian marking, xi is a primitive integer vector
-    orthogonal to every compact root, and s_plus is the half of the
-    noncompact roots on the side of the first marked simple root."""
+    """For every Hermitian marking, s_plus is the half of the noncompact
+    roots on the side of the first marked simple root of the rational
+    kernel vector orthogonal to every compact root."""
     rs = build_root_system(dt)
     for marked in _all_markings(dt.rank):
         g = grade_roots(rs, marked)
         h = hermitian_data(rs, g)
         if not h.hermitian:
             continue
-        xi = _central_functional(rs, h.k_simples)
-        assert all(type(x) is int for x in xi) and math.gcd(*xi) == 1
-        assert all(pair(rs, xi, gamma) == 0 for gamma in g.compact_roots)
+        # (x, gamma) = sum_k x_k (B gamma)_k, B symmetric
+        rows = [
+            [pair(rs, e, gamma) for e in rs.simple_roots]
+            for gamma in compact_positive_roots(rs, g)
+        ]
+        x = _reference_kernel(rows, rs.rank)
+        assert x is not None, (dt, marked)
+        assert all(pair(rs, x, gamma) == 0 for gamma in g.compact_roots)
         first = rs.simple_roots[min(marked) - 1]
-        sign = 1 if pair(rs, xi, first) > 0 else -1
+        sign = 1 if pair(rs, x, first) > 0 else -1
         assert set(h.s_plus) == {
-            a for a in g.noncompact_roots if sign * pair(rs, xi, a) > 0
+            a for a in g.noncompact_roots if sign * pair(rs, x, a) > 0
         }, (dt, marked)
+
+
+def _xi_value(xi, v):
+    return sum(a * b for a, b in zip(xi, v))
+
+
+@pytest.mark.parametrize("dt", all_types_up_to_rank(8), ids=str)
+def test_center_has_two_routes(dt):
+    """The diagram functional is 0 exactly on the unmarked nodes, +-1 on
+    the marked ones and +1 on the lowest marked node.  It kills K's
+    simple roots exactly when the compact roots have rank deficiency 1;
+    then it is +1 on s_plus and -1 on s_minus, the scalars by which the
+    center acts on p+ and p-."""
+    rs = build_root_system(dt)
+    for marked in _all_markings(dt.rank):
+        xi = _central_functional(rs, frozenset(marked))
+        assert len(xi) == rs.rank
+        for i, x in enumerate(xi, 1):
+            assert x in ((1, -1) if i in marked else (0,)), (dt, marked)
+        assert xi[min(marked) - 1] == 1
+
+        h = hermitian_data(rs, grade_roots(rs, marked))
+        kills = all(_xi_value(xi, gamma) == 0 for gamma in h.k_simples)
+        assert kills == (h.center_dim == 1), (dt, marked)
+        if h.hermitian:
+            assert {_xi_value(xi, a) for a in h.s_plus} == {1}, (dt, marked)
+            assert {_xi_value(xi, a) for a in h.s_minus} == {-1}, (dt, marked)
