@@ -25,10 +25,9 @@ from .rootsystem import (
     RootSystem,
     SubsystemComponent,
     Weight,
+    coroot_pairing,
     indecomposables,
     orbit_components,
-    pair,
-    reflect,
     require_closed,
     subsystem_orbit,
 )
@@ -114,28 +113,35 @@ class SubsystemContext:
     @property
     def w0_word(self) -> tuple[int, ...]:
         """A reduced word for the longest element of the subsystem group,
-        found by walking the sum of the positive subsystem roots into the
-        antidominant chamber.  That sum is not a root, so the walk uses
-        coordinate pairings instead of the reflection rows."""
+        found by walking 2 rho, the sum of the positive subsystem roots,
+        into the antidominant chamber: each step reflects in the first
+        simple root gamma_i with <v, gamma_i^vee> > 0.
+
+        The walk runs in the weight coordinates p_j = <v, gamma_j^vee>,
+        where s_i sends p_j to p_j - p_i cartan[j][i].  Every p_j of
+        2 rho is 2 (Humphreys, *Introduction to Lie Algebras and
+        Representation Theory*, 10.2, Lemma B); the start is paired once
+        in ambient coordinates and checked against that, which ties the
+        positive system of sub_sign to the pairing."""
         if self._w0_word is None:
             rs = self.rs
-            v = tuple(
-                sum(rs.roots[i][j] for i, s in self.sub_sign.items() if s > 0)
-                for j in range(rs.rank)
-            )
+            positives = (rs.roots[i] for i, s in self.sub_sign.items() if s > 0)
+            two_rho = tuple(map(sum, zip(*positives)))
+            p = [coroot_pairing(rs, two_rho, g) for g in self.simples]
+            if any(x != 2 for x in p):
+                raise InternalInconsistencyError(
+                    "sum of the positive subsystem roots is not 2 on every "
+                    "simple coroot"
+                )
+            # columns[i][j] = cartan[j][i] = <gamma_i, gamma_j^vee>
+            columns = tuple(zip(*self.cartan))
             steps: list[int] = []
             while True:
-                i = next(
-                    (
-                        k
-                        for k, g in enumerate(self.simples)
-                        if pair(rs, v, g) > 0
-                    ),
-                    None,
-                )
+                i = next((k for k, x in enumerate(p) if x > 0), None)
                 if i is None:
                     break
-                v = reflect(rs, v, self.simples[i])
+                c = p[i]
+                p = [x - c * a for x, a in zip(p, columns[i])]
                 steps.append(i)
             if len(steps) != self.pos_count:
                 raise InternalInconsistencyError(

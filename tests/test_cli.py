@@ -269,6 +269,30 @@ def test_central_functional_disagreement_exits_3(
 
 
 @pytest.mark.parametrize(
+    "label,noncompact", [("A2", "1"), ("B3", "2"), ("E6", "1")]
+)
+def test_w0_walk_from_a_wrong_start_exits_3(capsys, monkeypatch, label, noncompact):
+    """K's first simple root counted as negative: the sum of the
+    positive roots is then not 2 rho, and the walk for w0 refuses to
+    start from it."""
+    weyl = importlib.import_module("flagample.weyl")
+    init = weyl.SubsystemContext.__init__
+
+    def init_with_a_sign_flipped(self, *args):
+        init(self, *args)
+        if self.simple_indices:
+            self.sub_sign[self.simple_indices[0]] = -1
+
+    monkeypatch.setattr(weyl.SubsystemContext, "__init__", init_with_a_sign_flipped)
+    code, out, err = run(
+        capsys, "compute", "--type", label, "--noncompact", noncompact
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("internal inconsistency: ")
+    assert "simple coroot" in err
+
+
+@pytest.mark.parametrize(
     "cfg",
     [
         {"series": "A", "rank": 2, "noncompact": ["x"]},

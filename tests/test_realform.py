@@ -17,7 +17,7 @@ from flagample.rootsystem import (
     simple_system,
     subsystem_components,
 )
-from flagample.weyl import group_order_from_simples
+from flagample.weyl import enumerate_weyl, group_order_from_simples
 from test_rootsystem import reference_components, reference_simple_system
 
 
@@ -312,3 +312,62 @@ def test_center_has_two_routes(dt):
         if h.hermitian:
             assert {_xi_value(xi, a) for a in h.s_plus} == {1}, (dt, marked)
             assert {_xi_value(xi, a) for a in h.s_minus} == {-1}, (dt, marked)
+
+
+# The E7 markings whose K is E6 x T.  The label route names that K "C6"
+# and reads |W(K)| = 46,080 where the Weyl group of E6 has 51,840
+# elements: the wrong answer of ROADMAP.md item 2, pinned here unfixed.
+E7_MARKINGS_WITH_K_E6 = (
+    (7,), (1, 2), (1, 7), (2, 3), (2, 6), (3, 5), (4, 5), (5, 6), (6, 7),
+    (1, 2, 3), (1, 2, 4), (1, 3, 7), (1, 4, 5), (1, 5, 6), (1, 6, 7),
+    (2, 3, 4), (2, 4, 6), (2, 5, 7), (3, 4, 7),
+    (1, 2, 3, 4), (1, 3, 4, 5), (1, 3, 5, 6), (1, 3, 6, 7), (2, 4, 5, 7),
+    (2, 5, 6, 7), (3, 4, 5, 6), (3, 4, 6, 7),
+    (2, 4, 5, 6, 7),
+)
+
+
+def _height_product(ctx):
+    """|W(K)| by Kostant's height partition: the product over K's
+    positive roots of (ht + 1) / ht, heights in K's simple coordinates
+    (Humphreys, *Reflection Groups and Coxeter Groups*, 3.20)."""
+    num = den = 1
+    for c in ctx.coords.values():
+        ht = sum(c)
+        if ht > 0:
+            num *= ht + 1
+            den *= ht
+    order, rest = divmod(num, den)
+    assert rest == 0
+    return order
+
+
+@pytest.mark.parametrize("dt", all_types_up_to_rank(8), ids=str)
+def test_k_order_is_the_height_product(dt):
+    rs = build_root_system(dt)
+    for marked in _all_markings(dt.rank):
+        if str(dt) == "E7" and marked in E7_MARKINGS_WITH_K_E6:
+            continue
+        h = hermitian_data(rs, grade_roots(rs, marked))
+        assert h.k_order == _height_product(h.k_context), (dt, marked)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP.md item 2: K = E6 x T is labelled C6 and its |W(K)| "
+    "read as 46,080",
+)
+@pytest.mark.parametrize("marked", E7_MARKINGS_WITH_K_E6, ids=str)
+def test_k_order_is_the_height_product_k_e6(marked):
+    rs = build_root_system(parse_type("E7"))
+    h = hermitian_data(rs, grade_roots(rs, marked))
+    assert h.k_order == _height_product(h.k_context)
+
+
+def test_weyl_group_of_k_e6_has_51840_elements():
+    rs = build_root_system(parse_type("E7"))
+    for marked in E7_MARKINGS_WITH_K_E6:
+        h = hermitian_data(rs, grade_roots(rs, marked))
+        assert _height_product(h.k_context) == 51_840, marked
+    h = hermitian_data(rs, grade_roots(rs, (7,)))
+    assert len(enumerate_weyl(rs, h.k_simples)) == 51_840

@@ -13,7 +13,7 @@ from flagample.cycle import neutral_fiber, parabolic_data
 from flagample.dynkin import all_types_up_to_rank, parse_type
 from flagample.errors import EnumerationCapError, NotARootError, NotClosedError
 from flagample.realform import grade_roots, hermitian_data
-from flagample.rootsystem import build_root_system
+from flagample.rootsystem import build_root_system, pair, reflect
 from flagample.snow import assemble_input, max_weyl_length_bruteforce
 from flagample.weyl import (
     SubsystemContext,
@@ -384,6 +384,51 @@ def test_coset_maximum_is_unique_and_is_the_witness(dt):
                 assert _max_length_with_witness(ctx, rs.roots[0], nu, orbit) is None
 
 
+def _reference_w0_word(ctx):
+    """The coordinate walk for w0: the sum of K's positive roots, in
+    ambient coordinates, reflected in the first simple root it pairs
+    positively with until there is none."""
+    rs = ctx.rs
+    v = tuple(
+        sum(rs.roots[i][j] for i, s in ctx.sub_sign.items() if s > 0)
+        for j in range(rs.rank)
+    )
+    steps = []
+    while True:
+        i = next(
+            (k for k, g in enumerate(ctx.simples) if pair(rs, v, g) > 0), None
+        )
+        if i is None:
+            return tuple(reversed(steps))
+        v = reflect(rs, v, ctx.simples[i])
+        steps.append(i)
+
+
+def _check_w0_word(ctx):
+    """w0_word is the reference walk's word, has length |Phi_K^+|, and
+    its action is an involution sending every K-positive root to a
+    K-negative one."""
+    word = ctx.w0_word
+    assert word == _reference_w0_word(ctx)
+    assert len(word) == ctx.pos_count
+    p = ctx.perm_of_word(word)
+    for v, s in ctx.sub_sign.items():
+        assert ctx.sub_sign[p[v]] == -s
+    assert compose(p, p) == ctx.identity
+
+
+@pytest.mark.parametrize(
+    "dt", list(all_types_up_to_rank(4)) + [parse_type("E6")], ids=str
+)
+def test_w0_word_matches_coordinate_walk(dt):
+    """For K of every marking, and for the whole Weyl group."""
+    rs = build_root_system(dt)
+    contexts = [_k_context(rs, marked) for marked in _all_markings(dt.rank)]
+    contexts.append(SubsystemContext(rs, rs.simple_roots))
+    for ctx in contexts:
+        _check_w0_word(ctx)
+
+
 @functools.cache
 def _cached_root_system(label):
     return build_root_system(parse_type(label))
@@ -463,3 +508,12 @@ def test_witness_matches_search_from_nu(case, in_orbit, data):
             ref[1].word,
             ref[1].action,
         )
+
+
+@given(_marked_root(["E7", "E8"]))
+@settings(max_examples=40, deadline=None)
+def test_w0_word_matches_coordinate_walk_e7_e8(case):
+    label, marked, _ = case
+    # a fresh context, so that the word is walked here and not cached
+    ctx = _cached_k_context(label, marked)
+    _check_w0_word(SubsystemContext(ctx.rs, ctx.simples))
