@@ -21,7 +21,7 @@ from .errors import (
     FlagampleError,
     InternalInconsistencyError,
 )
-from .pipeline import CaseSpec, Report, run_case, run_table
+from .pipeline import CaseSpec, Report, input_block, run_case, run_table
 from .snow import METHODS
 from .weyl import DEFAULT_CAP
 
@@ -346,17 +346,8 @@ def _cmd_compute(args) -> int:
     if args.format == "json":
         print(_dump_json(report.to_json_dict()))
     elif args.format == "tsv":
-        row = {
-            "input": {
-                "series": report.series,
-                "rank": report.rank,
-                "noncompact": list(report.noncompact),
-                "levi": list(report.levi),
-            },
-            "status": "ok",
-            "report": report,
-        }
-        print(_table_tsv([row]))
+        inp = input_block(report.series, report.rank, report.noncompact, report.levi)
+        print(_table_tsv([{"input": inp, "status": "ok", "report": report}]))
     else:
         print(_report_text(report))
     return 0

@@ -15,11 +15,16 @@ from .errors import (
     DegenerateGeometryError,
     EnumerationCapError,
     InternalInconsistencyError,
+    InvalidTypeError,
 )
 from .realform import grade_roots, hermitian_data
 from .rootsystem import build_root_system
 from .snow import ampleness, assemble_input
 from .weyl import DEFAULT_CAP
+
+# a rank-n table has (2^n - 1)^2 cases, built as a list before any runs:
+# E8's 65,025 are accepted, A9's 261,121 are not
+MAX_TABLE_RANK = 8
 
 
 @dataclass(frozen=True)
@@ -68,12 +73,7 @@ class Report:
         1-based generator indices for the witness word.  k_order and
         routes are not part of it."""
         return {
-            "input": {
-                "series": self.series,
-                "rank": self.rank,
-                "noncompact": list(self.noncompact),
-                "levi": list(self.levi),
-            },
+            "input": input_block(self.series, self.rank, self.noncompact, self.levi),
             "realform": {
                 "name": self.realform_name,
                 "k_type": self.k_type,
@@ -101,6 +101,16 @@ class Report:
                 "cross_check": self.cross_check,
             },
         }
+
+
+def input_block(series: str, rank: int, noncompact, levi) -> dict:
+    """The `input` block of the JSON schema, for reports and table rows."""
+    return {
+        "series": series,
+        "rank": rank,
+        "noncompact": list(noncompact),
+        "levi": list(levi),
+    }
 
 
 @lru_cache(maxsize=None)
@@ -188,24 +198,9 @@ def _status_tag(exc: Exception) -> str:
     return name[:-5] if name.endswith("Error") else name
 
 
-def _table_worker(args) -> dict:
-    series, rank, marking, levi, method, verify, cap = args
-    spec = CaseSpec(
-        dynkin=DynkinType(series, rank),
-        noncompact=marking,
-        levi=levi,
-        method=method,
-        verify=verify,
-        max_weyl=cap,
-    )
-    row = {
-        "input": {
-            "series": series,
-            "rank": rank,
-            "noncompact": list(marking),
-            "levi": list(levi),
-        }
-    }
+def _table_worker(spec: CaseSpec) -> dict:
+    dt = spec.dynkin
+    row = {"input": input_block(dt.series, dt.rank, spec.noncompact, spec.levi)}
     try:
         report = run_case(spec)
     except (DegenerateGeometryError, EnumerationCapError) as exc:
@@ -229,17 +224,22 @@ def run_table(
 ) -> list[dict]:
     """Evaluate every case of a type; rows come back in case order
     regardless of parallelism.  The pool never exceeds the CPU count or
-    the number of cases."""
-    cases = sweep_cases(dynkin, dedupe=dedupe)
-    args = [
-        (dynkin.series, dynkin.rank, m, l, method, verify, max_weyl)
-        for m, l in cases
+    the number of cases.  A rank above MAX_TABLE_RANK is refused before
+    any case is built."""
+    if dynkin.rank > MAX_TABLE_RANK:
+        raise InvalidTypeError(
+            f"table rank {dynkin.rank} out of bounds (1..{MAX_TABLE_RANK}): "
+            f"a rank-n table has (2^n - 1)^2 cases"
+        )
+    specs = [
+        CaseSpec(dynkin, m, l, method, verify, max_weyl)
+        for m, l in sweep_cases(dynkin, dedupe=dedupe)
     ]
-    jobs = min(jobs, os.cpu_count() or 1, len(args))
+    jobs = min(jobs, os.cpu_count() or 1, len(specs))
     if jobs <= 1:
-        return [_table_worker(a) for a in args]
+        return [_table_worker(s) for s in specs]
     # the pool machinery costs start-up time and memory: import on demand
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_table_worker, args))
+        return list(pool.map(_table_worker, specs))

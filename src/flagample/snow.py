@@ -134,21 +134,6 @@ def closed_form_maximal_weights(
     return tuple(sorted(keep))
 
 
-def _witness_pair(
-    rs: RootSystem,
-    element: WeylElement,
-    lam: tuple[Weight, ...],
-    fiber_set: frozenset,
-) -> tuple[Weight, Weight]:
-    """First (mu, nu) in sorted mu order with element(nu) = mu."""
-    inv = invert(element.action)
-    for mu in lam:
-        nu = rs.roots[inv[rs.root_index[mu]]]
-        if nu in fiber_set:
-            return mu, nu
-    raise InternalInconsistencyError("witness element matches no weight pair")
-
-
 def max_weyl_length_bruteforce(
     inp: AmplenessInput, cap: int = DEFAULT_CAP
 ) -> tuple[int, WeylElement, tuple[Weight, Weight]]:
@@ -158,9 +143,11 @@ def max_weyl_length_bruteforce(
     maximal mu, so the enumeration carries only w^{-1} of the maximal
     weights.  Elements arrive ordered by (length, word), so the first
     element of the greatest length in the set is the lexicographically
-    least witness among the maximizers; only its action is built.  A
-    group larger than cap is refused before the enumeration starts, by
-    the order |W(K)| that K's classification gives.
+    least witness among the maximizers; only its action is built.  Its
+    pair is read off the images it already carries: the first mu whose
+    w^{-1}(mu) is a fiber weight, with nu that image.  A group larger
+    than cap is refused before the enumeration starts, by the order
+    |W(K)| that K's classification gives.
     """
     if inp.hermitian.k_order > cap:
         raise EnumerationCapError(
@@ -170,8 +157,7 @@ def max_weyl_length_bruteforce(
     rs = inp.rs
     ctx = inp.hermitian.k_context
     lam = inp.max_weights
-    fiber_set = frozenset(inp.fiber.weights)
-    fiber_idx = {rs.root_index[a] for a in fiber_set}
+    fiber_idx = {rs.root_index[a] for a in inp.fiber.weights}
     lam_idx = tuple(rs.root_index[a] for a in lam)
     images, parents, genids = _enumerate(ctx, lam_idx, cap)
     k = len(ctx.simple_indices)
@@ -194,8 +180,10 @@ def max_weyl_length_bruteforce(
         raise InternalInconsistencyError(
             "enumerated inverse images disagree with the witness's action"
         )
-    witness = WeylElement(word, action)
-    return top, witness, _witness_pair(rs, witness, lam, fiber_set)
+    pair_ = next(
+        (mu, rs.roots[v]) for mu, v in zip(lam, images[best][k:]) if v in fiber_idx
+    )
+    return top, WeylElement(word, action), pair_
 
 
 def max_weyl_length_fast(
@@ -210,13 +198,13 @@ def max_weyl_length_fast(
     from w0(mu) per maximal mu gives that length for every nu, and its
     tree gives the witness of each pair that reaches the maximum; the
     least canonical word among them is the brute-force scan's
-    tie-break.
+    tie-break, and the first pair in (mu, nu) order that has it is the
+    pair returned.
     """
     rs = inp.rs
     ctx = inp.hermitian.k_context
     lam = inp.max_weights
-    fiber_set = frozenset(inp.fiber.weights)
-    nus = sorted(fiber_set)
+    nus = sorted(inp.fiber.weights)
 
     # pairs in (mu, nu) order, each with its coset maximum
     orbits = {mu: coset_orbit(ctx, mu) for mu in lam}
@@ -231,13 +219,14 @@ def max_weyl_length_fast(
             "no pair admits any group element: maximal weights escape the fiber"
         )
     top = max(length for _, _, length in lengths)
-    best: WeylElement | None = None
+    best = None
     for mu, nu, length in lengths:
         if length == top:
             _, witness = _max_length_with_witness(ctx, mu, nu, orbits[mu])
-            if best is None or witness.word < best.word:
-                best = witness
-    return top, best, _witness_pair(rs, best, lam, fiber_set)
+            if best is None or witness.word < best[0].word:
+                best = witness, (mu, nu)
+    witness, pair_ = best
+    return top, witness, pair_
 
 
 def ampleness(
@@ -276,6 +265,12 @@ def ampleness(
     primary = results[order[0]]
 
     if len(results) == 2:
+        # The pairs are found independently and must agree.  The witness
+        # w is the unique longest element of the coset of every pair
+        # (mu, nu) with w(nu) = mu (Dyer; see `coset_orbit`), so each such
+        # pair is tied at the maximum and has witness w.  The first mu
+        # with w^{-1}(mu) in the fiber (the brute-force pair) is
+        # therefore the first tied pair that has w's word (the fast pair).
         a, b = results["fast"], results["bruteforce"]
         if a[0] != b[0] or a[1] != b[1] or a[1].word != b[1].word or a[2] != b[2]:
             raise InternalInconsistencyError(

@@ -122,6 +122,24 @@ def test_classical_rank_bound():
         assert parse_type(f"{series}{MAX_CLASSICAL_RANK}").rank == MAX_CLASSICAL_RANK
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a table above the rank bound built or ran cases")
+
+
+@pytest.mark.parametrize("label", ["A9", "A64"])
+def test_table_rank_above_bound_exits_1(capsys, monkeypatch, label):
+    """A table of rank 9 or more is refused before any case list is
+    built: A9 has 261,121 cases and A64 would have (2^64 - 1)^2."""
+    from flagample import pipeline
+
+    monkeypatch.setattr(pipeline, "sweep_cases", _must_not_run)
+    monkeypatch.setattr(pipeline, "run_case", _must_not_run)
+    code, out, err = run(capsys, "table", "--type", label, "--format", "json")
+    assert code == 1
+    assert out == ""
+    assert "out of bounds" in err
+
+
 def test_exit_code_bad_nodes(capsys):
     code, _, err = run(capsys, "compute", "--type", "A2", "--noncompact", "x")
     assert code == 1

@@ -11,6 +11,11 @@ The text and TSV digests were recorded at commit 03bcde9, before the
 central functional was read off the Dynkin diagram.  The text report
 prints the notes, which name the xi-half holding q ∩ s, so it also pins
 the sign of xi, which the JSON does not show.
+
+The one-row TSV of `compute` and the all-capped `table` were recorded at
+commit 38bca6e, before table rows were built from the case they ran: a
+row whose status is not "ok" prints its status and dashes, in both
+formats.
 """
 
 import hashlib
@@ -106,6 +111,24 @@ TABLE_TEXT_TSV_DIGESTS = {
     ),
 }
 
+TSV_COMPUTE_DIGESTS = {
+    "A2 {1}": (
+        ["--type", "A2", "--noncompact", "1"],
+        "71647fee7d89d47655bd8483d44000f0788c44766dc9bcacd3afa08e7e9ca583",
+    ),
+    "E7 {7}": (
+        ["--type", "E7", "--noncompact", "7"],
+        "0bd9ac24e7f67b877e22b53a0c9fafd3ca026211d759d21e6cd0dc09126a8ec6",
+    ),
+}
+
+# every case of A2 has |W(K)| > 1, so every row is an EnumerationCap row
+CAPPED_TABLE_ARGS = ["table", "--type", "A2", "--method", "bruteforce", "--max-weyl", "1"]
+CAPPED_TABLE_DIGESTS = {
+    "json": "843c6f8b216725ab37335bb9c3d21f35874a2784caf8f988749c5d39ea28835d",
+    "tsv": "4cf75cb6d1f899835b890f65b23ec93b0d6ef22b02085d3c92ebbe852471a250",
+}
+
 
 def _stdout_digest(capsys, argv) -> str:
     assert main(argv) == 0
@@ -139,3 +162,15 @@ def test_table_text_and_tsv_bytes(capsys, label, fmt):
     want = TABLE_TEXT_TSV_DIGESTS[label][fmt == "tsv"]
     argv = ["table", "--type", label, "--format", fmt]
     assert _stdout_digest(capsys, argv) == want
+
+
+@pytest.mark.parametrize("name", sorted(TSV_COMPUTE_DIGESTS))
+def test_compute_tsv_bytes(capsys, name):
+    args, want = TSV_COMPUTE_DIGESTS[name]
+    assert _stdout_digest(capsys, ["compute", *args, "--format", "tsv"]) == want
+
+
+@pytest.mark.parametrize("fmt", sorted(CAPPED_TABLE_DIGESTS))
+def test_capped_table_bytes(capsys, fmt):
+    argv = [*CAPPED_TABLE_ARGS, "--format", fmt]
+    assert _stdout_digest(capsys, argv) == CAPPED_TABLE_DIGESTS[fmt]

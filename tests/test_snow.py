@@ -320,16 +320,95 @@ def _root_system(label):
 
 
 @st.composite
-def _e7_e8_case(draw):
-    label = draw(st.sampled_from(["E7", "E8"]))
+def _exceptional_case(draw, labels):
+    label = draw(st.sampled_from(labels))
     nodes = st.integers(1, int(label[1]))
     marking = draw(st.sets(nodes, min_size=1))
     levi = draw(st.sets(nodes))
     return label, tuple(sorted(marking)), tuple(sorted(levi))
 
 
-@given(_e7_e8_case())
+@given(_exceptional_case(["E7", "E8"]))
 @settings(max_examples=40, deadline=None)
 def test_highest_weights_on_k_simples_e7_e8(case):
     label, marking, levi = case
     _check_highest_weights_on_k_simples(_root_system(label), marking, [levi])
+
+
+def _reference_witness_pair(rs, element, lam, fiber_set):
+    """The pair as it was once re-derived from the winner's action: the
+    first mu in sorted order with element(nu) = mu for a fiber weight nu."""
+    inv = weyl.invert(element.action)
+    for mu in lam:
+        nu = rs.roots[inv[rs.root_index[mu]]]
+        if nu in fiber_set:
+            return mu, nu
+    raise AssertionError("witness element matches no weight pair")
+
+
+def _check_route_pairs(inp, oracle_cap=None):
+    """Each route's own (mu, nu) is the reference pair of its witness;
+    the brute-force route runs when |W(K)| is at most oracle_cap."""
+    routes = [max_weyl_length_fast]
+    if oracle_cap is None or inp.hermitian.k_order <= oracle_cap:
+        routes.append(max_weyl_length_bruteforce)
+    fiber_set = frozenset(inp.fiber.weights)
+    for route in routes:
+        _, witness, pair_ = route(inp)
+        want = _reference_witness_pair(inp.rs, witness, inp.max_weights, fiber_set)
+        assert pair_ == want, (route.__name__, inp.rs.dynkin, pair_, want)
+
+
+def _check_route_pairs_of_marking(rs, marking, levis, oracle_cap=None):
+    g = grade_roots(rs, set(marking))
+    h = hermitian_data(rs, g)
+    for levi in levis:
+        try:
+            pd = parabolic_data(rs, g, set(levi))
+            fiber = neutral_fiber(pd, g)
+        except DegenerateGeometryError:
+            continue
+        _check_route_pairs(assemble_input(rs, g, h, pd, fiber), oracle_cap)
+
+
+def test_route_pairs_when_the_witness_maps_onto_both_maximal_weights():
+    """A3 {1,3}, full flag: the witness s1 maps a fiber weight onto each
+    of the two maximal weights, so each of them is a tied pair with the
+    witness's word, and both routes must report the first."""
+    rs, g, h, pd, fiber, inp = _setup("A3", {1, 3}, set())
+    assert inp.max_weights == ((0, 1, 1), (1, 1, 0))
+    for route in (max_weyl_length_fast, max_weyl_length_bruteforce):
+        _, witness, pair_ = route(inp)
+        assert witness.word == (0,)
+        images = {
+            rs.roots[witness.action[rs.root_index[nu]]] for nu in fiber.weights
+        }
+        assert set(inp.max_weights) <= images
+        assert pair_ == ((0, 1, 1), (0, 0, 1))
+
+
+@pytest.mark.parametrize("dt", all_types_up_to_rank(4), ids=str)
+def test_route_pairs_every_case(dt):
+    rs = build_root_system(dt)
+    cases = sweep_cases(dt)
+    for marking in sorted({m for m, _ in cases}):
+        _check_route_pairs_of_marking(
+            rs, marking, [l for m, l in cases if m == marking]
+        )
+
+
+@given(_exceptional_case(["E6"]))
+@settings(max_examples=40, deadline=None)
+def test_route_pairs_e6(case):
+    label, marking, levi = case
+    _check_route_pairs_of_marking(_root_system(label), marking, [levi])
+
+
+@given(_exceptional_case(["E7", "E8"]))
+@settings(max_examples=30, deadline=None)
+def test_route_pairs_e7_e8(case):
+    """The oracle runs only where |W(K)| is at most that of E7 {7}'s K."""
+    label, marking, levi = case
+    _check_route_pairs_of_marking(
+        _root_system(label), marking, [levi], oracle_cap=51_840
+    )
