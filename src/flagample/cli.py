@@ -75,6 +75,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _weyl_cap(text: str) -> int:
+    """--max-weyl: from 1 up to the default cap, which bounds the memory
+    and time a brute-force scan may take."""
+    value = _positive_int(text)
+    if value > DEFAULT_CAP:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {DEFAULT_CAP}, got {value}"
+        )
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="flagample", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -96,10 +107,10 @@ def _build_parser() -> _Parser:
         sp.add_argument("--format", choices=_FORMATS, default="text")
         sp.add_argument(
             "--max-weyl",
-            type=_positive_int,
+            type=_weyl_cap,
             default=DEFAULT_CAP,
             metavar="N",
-            help="Weyl enumeration cap, at least 1 (default 10^7)",
+            help="Weyl enumeration cap, from 1 to 10^7 (default 10^7)",
         )
         if table:
             sp.add_argument(

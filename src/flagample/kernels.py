@@ -1,21 +1,44 @@
 """Group-enumeration kernel.
 
-Breadth-first closure of the identity under right multiplication by the
-generators, parents scanned in discovery order and generators in
-ascending index.  With that order the word read off the parent chain is
-the lexicographically least reduced word of each element.
+The reflection group W generated by simple reflections s_0..s_{k-1} is
+built as a product of parabolic factors.  Let W_m = <s_0..s_{m-1}>.
+Every w in W_m factors uniquely as w = x u with l(w) = l(x) + l(u),
+where x is in W_{m-1} and u is a minimal representative of the right
+coset W_{m-1} u, i.e. u has no left descent among s_0..s_{m-2}
+(Humphreys, *Reflection Groups and Coxeter Groups*, 1.10; Bjorner and
+Brenti, *Combinatorics of Coxeter Groups*, 2.4).  So every element is
+one product w = u_1 u_2 ... u_k with u_m a representative of level m,
+and W_m is one block per representative u of level m, each block being
+W_{m-1} multiplied by u on the right.
 
 An element w is not stored as a permutation.  The kernel carries only
-the images under w^{-1} of a few positions: the child w o g has inverse
-g o w^{-1}, so each carried image costs one lookup in g, whatever the
-size of the permuted set.
+the images under w^{-1} of the tracked positions.  Since (x u)^{-1}(p)
+= u^{-1}(x^{-1}(p)), a whole block is one gather of u^{-1} over the
+previous level's images: no per-element hashing.
+
+Words: the left descents of x u among s_0..s_{m-2} are those of x, and
+s_{m-1} has the largest index, so the lexicographically least reduced
+word of x u is that of x followed by that of u, and the least word of
+w is the concatenation of its factors' least words (`word_of`).  The
+representatives are found breadth-first, parents in discovery order and
+generators in ascending index, which reaches each along its least word.
+
+Elements are numbered in block order, identity first: element i has
+the factors u_m = factors[m - 1][r_m], where r_1, r_2, ... are the
+digits of i in the mixed radix of the level sizes, least significant
+first.  This is not (length, word) order.
 """
 
 from __future__ import annotations
 
-from array import array
+import math
 from operator import itemgetter
-from typing import Sequence
+from typing import Mapping, Sequence
+
+Perm = tuple[int, ...]
+# one level's coset representatives u, each (least word, u^{-1}),
+# identity first
+Level = tuple[tuple[tuple[int, ...], Perm], ...]
 
 
 def backend_name() -> str:
@@ -33,44 +56,104 @@ def reader(positions: tuple[int, ...]):
 
 def enumerate_group(
     gens: Sequence[Sequence[int]],
-    key_positions: Sequence[int],
+    simple_positions: Sequence[int],
     tracked: Sequence[int],
+    sign: Mapping[int, int],
     cap: int,
-) -> tuple[list[tuple[int, ...]], array, array]:
-    """Enumerate the permutation group generated by `gens`.
+) -> tuple[list[list[int]], bytearray, list[Level]]:
+    """Enumerate the reflection group generated by `gens`.
 
-    gens: involutive permutations of range(m) (as equal-length sequences).
-    key_positions: positions whose images under w^{-1} already determine
-        w (for reflection groups: the indices of the simple roots).
-    tracked: further positions whose inverse images the caller reads.
-    cap: maximum number of elements before OverflowError is raised.
+    gens: the simple reflections s_0..s_{k-1} of a root system, as
+        permutations of its root indices range(n).
+    simple_positions: the index of the simple root of each generator.
+    tracked: the positions whose inverse images the caller reads.
+    sign: sign[v] > 0 iff v is a positive root, for every root v of the
+        root system that gens generate.
+    cap: OverflowError is raised iff the group has more elements, before
+        any element is built.
 
-    Returns (images, parents, genids).  images[k] holds w^{-1}(p) for the
-    k-th element w in canonical order (identity first) and each p of
-    key_positions followed by tracked; element k was first reached from
-    element parents[k] by generator genids[k] (-1 for the identity).
+    Returns (images, lengths, factors).  images[j][i] is w^{-1} of
+    tracked[j] for element i, lengths[i] is its length, and factors
+    holds each level's coset representatives (see the module
+    docstring), from which `word_of` and `inverse_images` read any one
+    element.
     """
     gens = [tuple(g) for g in gens]
-    images = [tuple(key_positions) + tuple(tracked)]
-    parents = array("i", [-1])
-    genids = array("i", [-1])
-    # the key images determine w^{-1}, so the carried tuple is a complete
-    # invariant of the element
-    seen = set(images)
+    simples = tuple(simple_positions)
+    negative = {v for v, s in sign.items() if s < 0}
+    factors = [
+        _coset_representatives(gens[:m], simples, negative)
+        for m in range(1, len(gens) + 1)
+    ]
+    order = math.prod(map(len, factors))
+    if order > cap:
+        raise OverflowError(f"group enumeration exceeded cap of {cap} elements")
+    # lengths are kept one per byte; no reflection group of fewer than
+    # 2^31 elements has an element longer than 255
+    if sum(len(level[-1][0]) for level in factors) > 255:
+        raise OverflowError("group enumeration exceeded element length 255")
 
-    idx = 0
-    while idx < len(images):
-        read = reader(images[idx])
+    images = [[p] for p in tracked]  # W_0 = {e} fixes every position
+    lengths = bytearray(1)
+    for level in factors:
+        gathers = [reader(tuple(col)) for col in images]
+        base = bytes(lengths)
+        for word, u_inv in level[1:]:
+            for col, gather in zip(images, gathers):
+                col += gather(u_inv)  # (x u)^{-1}(p) = u^{-1}(x^{-1}(p))
+            # + len(word) on every byte; no byte wraps, by the check above
+            shift = len(word)
+            lengths += base.translate(bytes(range(shift, 256)) + bytes(shift))
+    return images, lengths, factors
+
+
+def _coset_representatives(
+    gens: list[Perm], simples: tuple[int, ...], negative: set[int]
+) -> Level:
+    """Minimal representatives u of the right cosets of W_{m-1} in W_m,
+    m = len(gens), in breadth-first order from the identity, each as
+    (least word, u^{-1}).
+
+    A child u s_j is kept only when none of (u s_j)^{-1}(gamma_i),
+    i < m - 1, is in `negative`, the negative roots: then it has no left
+    descent in W_{m-1}.  The representatives are closed under dropping
+    the last letter, so each is reached from its parent, and first along
+    its least word."""
+    m = len(gens)
+    reps = [((), tuple(range(len(gens[0]))))]
+    # u^{-1} of the simple roots determines u
+    at_simples = [simples]
+    seen = {simples}
+    for idx, (word, u_inv) in enumerate(reps):  # grows while iterating
+        at = reader(at_simples[idx])
         for j, g in enumerate(gens):
-            child = read(g)  # (w o g)^{-1} = g o w^{-1}
-            if child not in seen:
-                if len(images) >= cap:
-                    raise OverflowError(
-                        f"group enumeration exceeded cap of {cap} elements"
-                    )
-                seen.add(child)
-                images.append(child)
-                parents.append(idx)
-                genids.append(j)
-        idx += 1
-    return images, parents, genids
+            key = at(g)  # (u s_j)^{-1} = s_j u^{-1}
+            if key in seen or not negative.isdisjoint(key[: m - 1]):
+                continue
+            seen.add(key)
+            at_simples.append(key)
+            reps.append((word + (j,), reader(u_inv)(g)))
+    return tuple(reps)
+
+
+def _factors_of(factors: Sequence[Level], i: int):
+    """The factors u_1, u_2, ... of element i, each (word, u^{-1})."""
+    for level in factors:
+        i, r = divmod(i, len(level))
+        yield level[r]
+
+
+def word_of(factors: Sequence[Level], i: int) -> tuple[int, ...]:
+    """Least reduced word of element i: its factors' words in order."""
+    return sum((word for word, _ in _factors_of(factors, i)), ())
+
+
+def inverse_images(
+    factors: Sequence[Level], i: int, positions: Sequence[int]
+) -> tuple[int, ...]:
+    """w^{-1}(p) for element i = u_1 ... u_k and each p of positions,
+    by applying u_1^{-1} first."""
+    out = tuple(positions)
+    for _, u_inv in _factors_of(factors, i):
+        out = tuple(u_inv[p] for p in out)
+    return out

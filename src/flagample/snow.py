@@ -18,9 +18,12 @@ is equivalent to literally pulling back (the equality is unit-tested).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import or_
 
 from .cycle import NeutralFiber, ParabolicData
 from .errors import EnumerationCapError, InternalInconsistencyError
+from .kernels import inverse_images, word_of
 from .realform import CompactnessGrading, HermitianData, highest_weights
 from .rootsystem import RootSystem, Weight
 from .weyl import (
@@ -30,7 +33,6 @@ from .weyl import (
     _max_length_with_witness,
     coset_orbit,
     invert,
-    word_from_parents,
 )
 
 METHODS = ("auto", "bruteforce", "fast")
@@ -141,13 +143,14 @@ def max_weyl_length_bruteforce(
 
     w is in the searched set iff w^{-1}(mu) is a fiber weight for some
     maximal mu, so the enumeration carries only w^{-1} of the maximal
-    weights.  Elements arrive ordered by (length, word), so the first
-    element of the greatest length in the set is the lexicographically
-    least witness among the maximizers; only its action is built.  Its
-    pair is read off the images it already carries: the first mu whose
-    w^{-1}(mu) is a fiber weight, with nu that image.  A group larger
-    than cap is refused before the enumeration starts, by the order
-    |W(K)| that K's classification gives.
+    weights.  The elements come in the kernel's block order, so the
+    winner is picked explicitly: the greatest length among the elements
+    in the set, then the least canonical word among those of that
+    length; only its action is built.  Its pair is read off the images
+    it already carries: the first mu whose w^{-1}(mu) is a fiber weight,
+    with nu that image.  A group larger than cap is refused before the
+    enumeration starts, by the order |W(K)| that K's classification
+    gives.
     """
     if inp.hermitian.k_order > cap:
         raise EnumerationCapError(
@@ -159,30 +162,39 @@ def max_weyl_length_bruteforce(
     lam = inp.max_weights
     fiber_idx = {rs.root_index[a] for a in inp.fiber.weights}
     lam_idx = tuple(rs.root_index[a] for a in lam)
-    images, parents, genids = _enumerate(ctx, lam_idx, cap)
-    k = len(ctx.simple_indices)
+    images, lengths, factors = _enumerate(ctx, lam_idx, cap)
 
-    hits = [i for i, row in enumerate(images) if not fiber_idx.isdisjoint(row[k:])]
-    if not hits:
+    # hit[i] is 1 iff element i sends some maximal weight into the fiber
+    hit = b""
+    for col in images:
+        found = map(fiber_idx.__contains__, col)
+        hit = bytes(map(or_, hit, found) if hit else found)
+    top = max(compress(lengths, hit), default=None)
+    if top is None:
         raise InternalInconsistencyError(
             "identity not in the search set: maximal weights escape the fiber"
         )
-    length = [0] * len(parents)
-    for i in range(1, len(parents)):
-        length[i] = length[parents[i]] + 1
-    top = length[hits[-1]]
-    best = next(i for i in hits if length[i] == top)
+    # the elements of length top, each found by a C-level search
+    tied = []
+    i = lengths.find(top)
+    while i >= 0:
+        if hit[i]:
+            tied.append(i)
+        i = lengths.find(top, i + 1)
+    word, best = min((word_of(factors, i), i) for i in tied)
 
-    word = word_from_parents(parents, genids, best)
+    # the winner's images from its factors and from the scanned columns
+    # must be those of the action its word spells
     action = ctx.perm_of_word(word)
     inv = invert(action)
-    if tuple(inv[p] for p in ctx.simple_indices + lam_idx) != images[best]:
+    row = tuple(col[best] for col in images)
+    if tuple(inv[p] for p in ctx.simple_indices + lam_idx) != (
+        inverse_images(factors, best, ctx.simple_indices) + row
+    ):
         raise InternalInconsistencyError(
             "enumerated inverse images disagree with the witness's action"
         )
-    pair_ = next(
-        (mu, rs.roots[v]) for mu, v in zip(lam, images[best][k:]) if v in fiber_idx
-    )
+    pair_ = next((mu, rs.roots[v]) for mu, v in zip(lam, row) if v in fiber_idx)
     return top, WeylElement(word, action), pair_
 
 

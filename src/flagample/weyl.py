@@ -5,7 +5,8 @@ permutation of root indices) together with a reduced word in the simple
 reflections of the designated subsystem.  A word (j1, ..., jk) denotes
 the composition s_{j1} o s_{j2} o ... o s_{jk} (rightmost applied first).
 The enumeration itself stores neither: it carries w^{-1} of a few roots
-per element and a parent pointer, from which the word is read off.
+and the length of each element, and each element's word is read off
+its factors (see `kernels`).
 
 All lengths are taken with respect to the subsystem: the length of w is
 the number of subsystem-positive roots sent to subsystem-negative roots,
@@ -15,7 +16,6 @@ which equals the length of any reduced word for w.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -198,41 +198,30 @@ def enumerate_weyl(
     system, exactly once, ordered by length with ties broken by the
     lexicographic order of the canonical reduced words."""
     ctx = SubsystemContext(rs, simples)
-    images, parents, genids = _enumerate(ctx, ctx.identity, cap)
-    k = len(ctx.simple_indices)
-    words: list[tuple[int, ...]] = [()] * len(parents)
-    out: list[WeylElement] = []
-    for i, row in enumerate(images):
-        if i > 0:
-            words[i] = words[parents[i]] + (genids[i],)
-        out.append(WeylElement(words[i], invert(row[k:])))
+    images, _, factors = _enumerate(ctx, ctx.identity, cap)
+    # images tracks every root, so each row is w^{-1}
+    out = [
+        WeylElement(kernels.word_of(factors, i), invert(row))
+        for i, row in enumerate(zip(*images))
+    ]
+    out.sort(key=lambda e: (e.length, e.word))
     return out
 
 
 def _enumerate(
     ctx: SubsystemContext, tracked: Sequence[int], cap: int
-) -> tuple[list[tuple[int, ...]], array, array]:
-    """The subsystem's group in canonical order, each element w given by
-    w^{-1} of the subsystem's simple roots followed by w^{-1} of the
-    tracked roots (all by index), plus the parent and generator of each
-    element.  The word of an element is read off its parent chain
-    (`word_from_parents`)."""
+) -> tuple[list[list[int]], bytearray, list[kernels.Level]]:
+    """The subsystem's group, as `kernels.enumerate_group` gives it: one
+    column of w^{-1}(p) per tracked root p (by index), the length of each
+    element and the coset representatives it is the product of.  The
+    elements come in the kernel's block order, not in (length, word)
+    order; `kernels.word_of` reads the canonical word of any one."""
     try:
         return kernels.enumerate_group(
-            ctx.gen_perms, ctx.simple_indices, tracked, cap
+            ctx.gen_perms, ctx.simple_indices, tracked, ctx.sub_sign, cap
         )
     except OverflowError as exc:
         raise EnumerationCapError(str(exc)) from None
-
-
-def word_from_parents(parents: array, genids: array, k: int) -> tuple[int, ...]:
-    """Word of element k of an enumeration: its parent's word followed by
-    the generator that reached it."""
-    word = []
-    while k > 0:
-        word.append(genids[k])
-        k = parents[k]
-    return tuple(reversed(word))
 
 
 def coset_orbit(ctx: SubsystemContext, mu: Weight) -> Orbit:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import flagample
+from flagample import cli
 from flagample.cli import EXIT_BROKEN_PIPE, main
 from flagample.dynkin import MAX_CLASSICAL_RANK, parse_type
 
@@ -349,6 +350,26 @@ def test_resource_flags_must_be_positive(capsys, argv):
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert "at least 1" in err or "invalid integer" in err
+
+
+@pytest.mark.parametrize("value", ["10000001", "1000000000000"])
+@pytest.mark.parametrize("command", ["compute", "table"])
+def test_max_weyl_is_bounded_above(capsys, command, value):
+    # parsing only: an accepted cap of 10^12 would let --verify enumerate
+    # the 14! elements of K on an A14 case
+    argv = [command, "--type", "A14", "--verify", "--max-weyl", value]
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser().parse_args(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"error: argument --max-weyl: must be at most 10000000, got {value}" in err
+
+
+@pytest.mark.parametrize("value", ["1", "10000000"])
+def test_max_weyl_accepts_one_to_the_default_cap(value):
+    argv = ["table", "--type", "A14", "--max-weyl", value]
+    assert cli._build_parser().parse_args(argv).max_weyl == int(value)
+    assert cli.DEFAULT_CAP == 10_000_000
 
 
 @pytest.mark.parametrize("cpus,expected", [(4, 4), (64, 9), (None, 1)])

@@ -412,3 +412,52 @@ def test_route_pairs_e7_e8(case):
     _check_route_pairs_of_marking(
         _root_system(label), marking, [levi], oracle_cap=51_840
     )
+
+
+def _reference_scan(inp):
+    """The oracle's answer by a scan of enumerate_weyl's elements, which
+    come in (length, word) order: the first element of the greatest
+    length in the searched set, the number of elements tied with it, and
+    its pair (the first mu whose w^{-1}(mu) is a fiber weight)."""
+    rs = inp.rs
+    fiber = {rs.root_index[a] for a in inp.fiber.weights}
+    found = []
+    for el in weyl.enumerate_weyl(rs, inp.k_simples):
+        inv = weyl.invert(el.action)
+        images = [(mu, inv[rs.root_index[mu]]) for mu in inp.max_weights]
+        pair_ = next(((mu, rs.roots[v]) for mu, v in images if v in fiber), None)
+        if pair_ is not None:
+            found.append((el, pair_))
+    top = max(el.length for el, _ in found)
+    tied = [(el, pair_) for el, pair_ in found if el.length == top]
+    return top, len({el.word for el, _ in tied}), tied[0]
+
+
+@pytest.mark.parametrize(
+    "label,marked,levi",
+    [
+        ("A3", (1, 2, 3), ()),
+        ("A4", (1, 3), (3,)),
+        ("B3", (1, 2, 3), ()),
+        ("C4", (1, 3), ()),
+        ("D4", (2,), (2,)),
+        ("F4", (2,), (2,)),
+        # in these E6 cases the oracle's block order does not reach the
+        # least tied word first
+        ("E6", (2, 4), (3, 4, 5)),
+        ("E6", (1, 2, 6), ()),
+        ("E6", (3, 4, 5), (3, 5)),
+        ("E6", (3, 5, 6), (2, 3, 5)),
+        ("E6", (1, 2, 3, 5), (2, 3, 5, 6)),
+    ],
+)
+def test_bruteforce_breaks_ties_by_the_least_word(label, marked, levi):
+    """Several maximizers of different words tie: the oracle returns the
+    one with the lexicographically least word, and that one's pair."""
+    inp = _setup(label, marked, levi)[-1]
+    top, n_tied, (want, want_pair) = _reference_scan(inp)
+    assert n_tied >= 2
+    length, witness, pair_ = max_weyl_length_bruteforce(inp)
+    assert (length, witness.word, witness.action, pair_) == (
+        top, want.word, want.action, want_pair
+    )
