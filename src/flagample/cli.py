@@ -179,7 +179,9 @@ def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers bytes that are not UTF-8 and malformed JSON;
+        # RecursionError, JSON nested deeper than the parser can follow
         raise BadInputError(f"cannot read config {path}: {exc}") from None
     if not isinstance(data, dict):
         raise BadInputError("config must be a JSON object")

@@ -7,7 +7,8 @@ the base point are the positive roots outside the Levi span.  In the
 equal-rank case the Cartan involution preserves every root space, hence
 preserves the parabolic, and the neutral fiber of the normal bundle is
 the quotient of the (-1)-eigenspace by its intersection with the
-parabolic; its weights are the noncompact tangent weights.
+parabolic; its weights are the noncompact tangent weights.  Weights
+are roots, named by their index in the sorted `RootSystem.roots`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterable
 
 from .errors import BadNodeError, EmptyFiberError, NotProperError
 from .realform import CompactnessGrading
-from .rootsystem import RootSystem, Weight
+from .rootsystem import RootSystem
 
 
 @dataclass(frozen=True)
@@ -25,8 +26,8 @@ class ParabolicData:
     """Root data of the parabolic and the dimensions it determines."""
 
     levi_nodes: frozenset[int]  # 1-based
-    q_roots: tuple[Weight, ...]
-    tangent_weights: tuple[Weight, ...]  # positive roots outside the Levi span
+    q_roots: tuple[int, ...]
+    tangent_weights: tuple[int, ...]  # positive roots outside the Levi span
     dim_z: int
     dim_c: int
     levi_correction: int  # dim P - dim B for P = K cap Q, B a Borel of K
@@ -34,9 +35,10 @@ class ParabolicData:
 
 @dataclass(frozen=True)
 class NeutralFiber:
-    """Weight multiset of the neutral fiber; multiplicity-free, so a set."""
+    """Weight multiset of the neutral fiber; multiplicity-free, so a
+    sorted tuple."""
 
-    weights: tuple[Weight, ...]
+    weights: tuple[int, ...]
 
     @property
     def rank(self) -> int:
@@ -57,13 +59,13 @@ def parabolic_data(
     # a positive root lies in the Levi span iff its support does
     levi_mask = sum(1 << (i - 1) for i in levi)
     in_levi, tangent = [], []
-    for v, mask in zip(rs.positive_roots, rs.support_masks):
+    for v, mask in zip(rs.positive_indices, rs.support_masks):
         (in_levi if mask & ~levi_mask == 0 else tangent).append(v)
-    # rs.roots is sorted, and every negative root sorts before every
-    # positive one, so the negative roots are its first half
-    q_roots = rs.roots[: len(rs.positive_roots)] + tuple(in_levi)
-    dim_c = sum(1 for v in tangent if v in grading.compact_roots)
-    levi_correction = sum(1 for v in in_levi if v in grading.compact_roots)
+    # the negative roots are the ones before the positive ones
+    q_roots = tuple(range(rs.positive_indices.start)) + tuple(in_levi)
+    noncompact = grading.noncompact_roots
+    dim_c = sum(1 for v in tangent if v not in noncompact)
+    levi_correction = sum(1 for v in in_levi if v not in noncompact)
     return ParabolicData(
         levi_nodes=levi,
         q_roots=q_roots,

@@ -119,7 +119,8 @@ def _root_system(series: str, rank: int):
 
 
 def run_case(spec: CaseSpec) -> Report:
-    """Run the whole pipeline for one case."""
+    """Run the whole pipeline for one case; the report turns root
+    indices into coordinates."""
     rs = _root_system(spec.dynkin.series, spec.dynkin.rank)
     grading = grade_roots(rs, spec.noncompact)
     herm = hermitian_data(rs, grading)
@@ -144,9 +145,9 @@ def run_case(spec: CaseSpec) -> Report:
         dim_z=pd.dim_z,
         dim_c=pd.dim_c,
         rank_e=fiber.rank,
-        e0_weights=tuple(sorted(fiber.weights)),
-        max_weights=amp.max_weights,
-        k_simples=inp.k_simples,
+        e0_weights=tuple(rs.roots[i] for i in fiber.weights),
+        max_weights=tuple(rs.roots[i] for i in amp.max_weights),
+        k_simples=tuple(rs.roots[i] for i in herm.k_context.simples),
         w0_max_length=amp.max_length,
         witness_word=amp.witness.word,
         levi_correction=pd.levi_correction,

@@ -6,13 +6,14 @@ nodes.  In the equal-rank case the Cartan involution fixes the Cartan
 subalgebra pointwise, every root space is an eigenspace, and the
 noncompact roots are exactly the weights of the (-1)-eigenspace.
 Only inner forms are representable here; outer forms are out of scope.
+Roots are named by their index in the sorted `RootSystem.roots`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import add, mul
+from operator import mul
 from typing import AbstractSet, Iterable
 
 from .errors import (
@@ -21,20 +22,17 @@ from .errors import (
     DegenerateGradingError,
     InternalInconsistencyError,
 )
-from .rootsystem import RootSystem, Weight, negate
+from .rootsystem import RootSystem, Weight
 from .weyl import SubsystemContext
 
 
 @dataclass(frozen=True)
 class CompactnessGrading:
-    """Partition of the roots into compact and noncompact."""
+    """Partition of the roots into compact and noncompact: a root is
+    compact iff its index is not in noncompact_roots."""
 
     marked_simples: frozenset[int]  # 1-based node labels
-    compact_roots: frozenset[Weight]
-    noncompact_roots: frozenset[Weight]
-
-    def parity(self, v) -> int:
-        return sum(v[i - 1] for i in self.marked_simples) % 2
+    noncompact_roots: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -44,14 +42,14 @@ class HermitianData:
     and reflection-group context of K."""
 
     center_dim: int  # 0 or 1
-    s_plus: tuple[Weight, ...]
-    s_minus: tuple[Weight, ...]
-    lambda_max_s: tuple[Weight, ...]
+    s_plus: tuple[int, ...]
+    s_minus: tuple[int, ...]
+    lambda_max_s: tuple[int, ...]
     k_type: str
     kname: str
-    k_simples: tuple[Weight, ...]  # sorted simple system of K
     k_order: int  # |W(K)|
-    # K's one SubsystemContext per case, shared by both search routes
+    # K's one SubsystemContext per case, shared by both search routes;
+    # its simples are K's simple roots
     k_context: SubsystemContext = field(compare=False, repr=False)
 
     @property
@@ -60,7 +58,8 @@ class HermitianData:
 
 
 def grade_roots(rs: RootSystem, marked: Iterable[int]) -> CompactnessGrading:
-    """Grade the roots by the mod-2 sum of their marked coefficients."""
+    """Grade the roots by the mod-2 sum of their marked coefficients,
+    the parity of their odd marked coefficients."""
     marked = frozenset(marked)
     if not marked:
         raise CompactFormError(
@@ -69,23 +68,13 @@ def grade_roots(rs: RootSystem, marked: Iterable[int]) -> CompactnessGrading:
     for i in marked:
         if not 1 <= i <= rs.rank:
             raise BadNodeError(f"node {i} outside 1..{rs.rank}")
-    compact, noncompact = [], []
-    for v in rs.roots:
-        if sum(v[i - 1] for i in marked) % 2 == 0:
-            compact.append(v)
-        else:
-            noncompact.append(v)
+    mask = sum(1 << (i - 1) for i in marked)
     return CompactnessGrading(
         marked_simples=marked,
-        compact_roots=frozenset(compact),
-        noncompact_roots=frozenset(noncompact),
+        noncompact_roots=frozenset(
+            i for i, odd in enumerate(rs.odd_masks) if (odd & mask).bit_count() & 1
+        ),
     )
-
-
-def compact_positive_roots(
-    rs: RootSystem, grading: CompactnessGrading
-) -> tuple[Weight, ...]:
-    return tuple(v for v in rs.positive_roots if v in grading.compact_roots)
 
 
 def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData:
@@ -109,12 +98,12 @@ def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData
     internal inconsistency.  When the check passes, xi is the central
     functional, and the xi-positive noncompact roots form s_plus.
     """
+    noncompact = grading.noncompact_roots
     ctx = SubsystemContext.from_positive_roots(
-        rs, compact_positive_roots(rs, grading)
+        rs, (i for i in rs.positive_indices if i not in noncompact)
     )
     comps = ctx.components()
-    k_simples = ctx.simples
-    center_dim = rs.rank - len(k_simples)
+    center_dim = rs.rank - len(ctx.simples)
     if center_dim not in (0, 1):
         raise DegenerateGradingError(
             f"compact span has rank deficiency {center_dim}"
@@ -123,33 +112,32 @@ def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData
     # a is a highest weight of the noncompact module iff a + gamma is no
     # root for each simple root gamma of K: their root vectors generate
     # n_K+, and a + gamma, when a root, is noncompact
-    noncompact = grading.noncompact_roots
-    lam_max = highest_weights(noncompact, k_simples)
+    lam_max = highest_weights(rs, noncompact, ctx.simples)
 
     k_type = "×".join(c.label for c in comps) if comps else "0"
 
     xi = _central_functional(rs, grading.marked_simples)
-    if any(sum(map(mul, g, xi)) for g in k_simples) == (center_dim == 1):
+    if any(sum(map(mul, rs.roots[g], xi)) for g in ctx.simples) == (center_dim == 1):
         raise InternalInconsistencyError(
             f"compact span has rank deficiency {center_dim}, but the "
             f"diagram functional {'misses' if center_dim else 'kills'} "
             "K's simple roots"
         )
 
-    s_plus: tuple[Weight, ...] = ()
-    s_minus: tuple[Weight, ...] = ()
+    s_plus = s_minus = ()
     if center_dim == 1:
         plus, minus = [], []
-        for a in noncompact:
-            p = sum(map(mul, a, xi))
+        for a in sorted(noncompact):
+            p = sum(map(mul, rs.roots[a], xi))
             if p == 0:
                 raise DegenerateGradingError(
                     "central functional kills a noncompact root"
                 )
             (plus if p > 0 else minus).append(a)
-        s_plus = tuple(sorted(plus))
-        s_minus = tuple(sorted(minus))
-        if set(s_minus) != {negate(a) for a in s_plus}:
+        s_plus, s_minus = tuple(plus), tuple(minus)
+        # rs.roots is sorted, so -roots[a] is roots[last - a]
+        last = len(rs.roots) - 1
+        if set(s_minus) != {last - a for a in s_plus}:
             raise InternalInconsistencyError("xi-halves are not opposite")
 
     kname = _real_form_name(rs, grading, center_dim, comps, k_type)
@@ -160,23 +148,20 @@ def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData
         lambda_max_s=lam_max,
         k_type=k_type,
         kname=kname,
-        k_simples=k_simples,
         k_order=math.prod(c.order for c in comps),
         k_context=ctx,
     )
 
 
 def highest_weights(
-    weights: AbstractSet[Weight], k_roots: tuple[Weight, ...]
-) -> tuple[Weight, ...]:
-    """The weights of the set to which no root of k_roots can be added
-    inside the set, sorted."""
+    rs: RootSystem, weights: AbstractSet[int], k_roots: Iterable[int]
+) -> tuple[int, ...]:
+    """The roots of the set (by index) to which no root of k_roots can
+    be added inside the set, sorted.  A sum that is no root reads as
+    len(rs.roots) in the sum rows, which no set holds."""
+    rows = [rs.sum_row(g) for g in k_roots]
     return tuple(
-        sorted(
-            a
-            for a in weights
-            if all(tuple(map(add, a, g)) not in weights for g in k_roots)
-        )
+        sorted(a for a in weights if all(row[a] not in weights for row in rows))
     )
 
 
@@ -208,7 +193,7 @@ def _central_functional(rs, marked) -> Weight:
 
 def _real_form_name(rs, grading, center_dim, comps, k_type) -> str:
     series, n = rs.dynkin.series, rs.dynkin.rank
-    cnt = len(grading.compact_roots)
+    cnt = len(rs.roots) - len(grading.noncompact_roots)
     labels = tuple(sorted(c.label for c in comps))
 
     if series == "A":

@@ -4,6 +4,8 @@ Weights are integer tuples in the simple-root basis; every lattice
 element handled here lies in the root lattice, so integer coordinates
 are exact.  The inner product is v^T B w with B = diag(d) * A for the
 minimal symmetrizer d, which makes all coroot pairings exact integers.
+The roots are kept sorted in `RootSystem.roots`, and the rest of the
+pipeline names a root by its index there.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from functools import cached_property
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from . import dynkin as dk
@@ -36,8 +39,9 @@ class RootSystem:
     # aligned with positive_roots
     support_masks: tuple[int, ...]
     root_index: dict[Weight, int] = field(repr=False)
-    # reflection rows built so far, by root index; see reflection_row
+    # reflection and sum rows built so far, by root index
     _rows: dict[int, array] = field(default_factory=dict, repr=False)
+    _sums: dict[int, array] = field(default_factory=dict, repr=False)
 
     @property
     def rank(self) -> int:
@@ -50,6 +54,12 @@ class RootSystem:
             tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
         )
 
+    @property
+    def positive_indices(self) -> range:
+        """Indices of the positive roots: roots is sorted, and every
+        negative root sorts before every positive one."""
+        return range(len(self.positive_roots), len(self.roots))
+
     def reflection_row(self, g: int) -> array:
         """Indices of s_gamma(v) for every root v, where gamma is the
         root of index g.  Each row is built on first use and kept, as a
@@ -58,6 +68,23 @@ class RootSystem:
         if row is None:
             row = self._rows[g] = _reflection_row(self, g)
         return row
+
+    def sum_row(self, a: int) -> array:
+        """Indices of roots[a] + v for every root v, and the sentinel
+        len(roots) where the sum is no root; built and kept like
+        reflection_row."""
+        row = self._sums.get(a)
+        if row is None:
+            alpha, get, m = self.roots[a], self.root_index.get, len(self.roots)
+            row = [get(tuple(map(add, alpha, v)), m) for v in self.roots]
+            row = self._sums[a] = array("H" if m < 1 << 16 else "L", row)
+        return row
+
+    @cached_property
+    def odd_masks(self) -> tuple[int, ...]:
+        """Each root's odd coefficients as a bitmask, bit i - 1 for node
+        i, built on first use."""
+        return tuple(sum(1 << i for i, x in enumerate(v) if x & 1) for v in self.roots)
 
 
 def _reflection_row(rs: RootSystem, g: int) -> array:
@@ -101,10 +128,11 @@ def build_root_system(dynkin: DynkinType) -> RootSystem:
             if w not in roots:
                 roots[w] = roots[v]
                 queue.append(w)
-    roots.update({negate(v): norm for v, norm in roots.items()})
+    roots.update({tuple(-x for x in v): norm for v, norm in roots.items()})
 
     all_roots = tuple(sorted(roots))
-    positives = tuple(v for v in all_roots if _sign(v) > 0)
+    # the coordinates of a root share one sign
+    positives = tuple(v for v in all_roots if max(v) > 0)
     if len(all_roots) != dk.root_count(dynkin):
         raise InternalInconsistencyError("root closure miscounted")
     if 2 * len(positives) != len(all_roots):
@@ -123,13 +151,6 @@ def build_root_system(dynkin: DynkinType) -> RootSystem:
         ),
         root_index={v: i for i, v in enumerate(all_roots)},
     )
-
-
-def _sign(v: Weight) -> int:
-    for x in v:
-        if x != 0:
-            return 1 if x > 0 else -1
-    return 0
 
 
 def pair(rs: RootSystem, v: Sequence, w: Sequence) -> int | Fraction:
@@ -153,10 +174,6 @@ def reflect(rs: RootSystem, v: Sequence, gamma: Weight):
         raise NotARootError(f"{gamma} is not a root of {rs.dynkin}")
     c = coroot_pairing(rs, v, gamma)
     return tuple(v[j] - c * gamma[j] for j in range(rs.rank))
-
-
-def negate(v: Weight) -> Weight:
-    return tuple(-x for x in v)
 
 
 def simple_system(rs: RootSystem, pos: Iterable[Weight]) -> tuple[Weight, ...]:
@@ -185,34 +202,29 @@ def simple_system(rs: RootSystem, pos: Iterable[Weight]) -> tuple[Weight, ...]:
       whole subsystem (Humphreys, 10.3); if pos and -pos are not closed,
       they cannot be the closed set W_D D.
     """
-    return _closed_subsystem(rs, pos)[0]
+    return tuple(rs.roots[g] for g in _closed_subsystem(rs, pos)[0])
 
 
 def indecomposables(
-    rs: RootSystem, pos: Iterable[Weight]
-) -> tuple[tuple[Weight, ...], frozenset[int]]:
-    """The sorted simple roots of a set of positive roots, by the height
-    pass of `simple_system`, and the root indices of the set.
-    NotClosedError if an element is no positive root.
+    rs: RootSystem, pos: Iterable[int]
+) -> tuple[tuple[int, ...], frozenset[int]]:
+    """The simple roots of a set of positive roots, all by index, found
+    by the height pass of `simple_system`, sorted, and the set itself.
+    NotClosedError if an index is no positive root's.
 
     The pairing test reads the reflection rows: rs.roots is sorted, so
     s_gamma(beta) = beta - <beta, gamma^vee> gamma comes before beta
     exactly when the pairing is positive."""
-    index = rs.root_index
-    pos_idx = set()
-    for v in pos:
-        i = index.get(v)
-        # the coordinates of a root share one sign
-        if i is None or min(v) < 0:
-            raise NotClosedError(f"{v} is not a positive root of {rs.dynkin}")
-        pos_idx.add(i)
+    pos = frozenset(pos)
+    if any(i not in rs.positive_indices for i in pos):
+        raise NotClosedError(f"not a set of positive roots of {rs.dynkin}")
     simples: list[int] = []
     rows = []
-    for b in sorted(pos_idx, key=lambda i: sum(rs.roots[i])):
+    for b in sorted(pos, key=lambda i: sum(rs.roots[i])):
         if all(row[b] >= b for row in rows):
             simples.append(b)
             rows.append(rs.reflection_row(b))
-    return tuple(sorted(rs.roots[g] for g in simples)), frozenset(pos_idx)
+    return tuple(sorted(simples)), pos
 
 
 def subsystem_orbit(
@@ -276,9 +288,10 @@ def require_closed(pos: frozenset[int], orbit) -> None:
 
 
 def _closed_subsystem(rs: RootSystem, pos: Iterable[Weight]):
-    simples, pos_idx = indecomposables(rs, pos)
-    cartan, coords = subsystem_orbit(rs, [rs.root_index[g] for g in simples])
-    require_closed(pos_idx, coords)
+    # a vector that is no root gets -1, which indecomposables refuses
+    simples, pos = indecomposables(rs, [rs.root_index.get(tuple(v), -1) for v in pos])
+    cartan, coords = subsystem_orbit(rs, simples)
+    require_closed(pos, coords)
     return simples, cartan, coords
 
 
@@ -290,13 +303,14 @@ class SubsystemComponent:
     rank: int
     num_roots: int
     order: int  # Weyl group order
-    simples: tuple[Weight, ...]
+    simples: tuple[int, ...]  # root indices
 
 
 def subsystem_components(
     rs: RootSystem, positives: Iterable[Weight]
 ) -> tuple[SubsystemComponent, ...]:
-    """Classify a closed positive subsystem into irreducible components.
+    """Classify a closed positive subsystem, given by coordinates, into
+    irreducible components.
 
     The label of each component is its abstract Dynkin type (so a D3
     component reports as A3, a C2 as B2)."""
@@ -305,7 +319,7 @@ def subsystem_components(
 
 def orbit_components(
     rs: RootSystem,
-    simples: tuple[Weight, ...],
+    simples: tuple[int, ...],
     cartan: tuple[tuple[int, ...], ...],
     coords: dict[int, tuple[int, ...]],
 ) -> tuple[SubsystemComponent, ...]:

@@ -13,6 +13,7 @@ pulling the bundle back to the full flag manifold of K changes the
 ampleness by the fiber dimension of K/B -> K/P, and over K/B the maximal
 length is the answer; applying the correction as an integer subtraction
 is equivalent to literally pulling back (the equality is unit-tested).
+Weights are roots, named by their index in the sorted `RootSystem.roots`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .cycle import NeutralFiber, ParabolicData
 from .errors import EnumerationCapError, InternalInconsistencyError
 from .kernels import inverse_images, word_of
 from .realform import CompactnessGrading, HermitianData, highest_weights
-from .rootsystem import RootSystem, Weight
+from .rootsystem import RootSystem
 from .weyl import (
     DEFAULT_CAP,
     WeylElement,
@@ -47,11 +48,7 @@ class AmplenessInput:
     hermitian: HermitianData
     parabolic: ParabolicData
     fiber: NeutralFiber
-    max_weights: tuple[Weight, ...]  # maximal fiber weights, sorted
-
-    @property
-    def k_simples(self) -> tuple[Weight, ...]:
-        return self.hermitian.k_simples
+    max_weights: tuple[int, ...]  # maximal fiber weights, sorted
 
 
 @dataclass(frozen=True)
@@ -59,8 +56,8 @@ class AmplenessResult:
     ampleness: int
     max_length: int
     witness: WeylElement
-    witness_pair: tuple[Weight, Weight]  # (mu maximal, nu fiber weight)
-    max_weights: tuple[Weight, ...]
+    witness_pair: tuple[int, int]  # (mu maximal, nu fiber weight)
+    max_weights: tuple[int, ...]
     routes: tuple[str, ...]  # search routes that ran, primary first
 
 
@@ -77,13 +74,13 @@ def assemble_input(
         hermitian=hermitian,
         parabolic=parabolic,
         fiber=fiber,
-        max_weights=maximal_weights(fiber, hermitian.k_simples),
+        max_weights=maximal_weights(rs, fiber, hermitian.k_context.simples),
     )
 
 
 def maximal_weights(
-    fiber: NeutralFiber, k_roots: tuple[Weight, ...]
-) -> tuple[Weight, ...]:
+    rs: RootSystem, fiber: NeutralFiber, k_roots: tuple[int, ...]
+) -> tuple[int, ...]:
     """Fiber weights to which no root of k_roots can be added inside the
     fiber's weight set; k_roots is K's simple system or all of its
     positive roots, with the same answer.
@@ -97,14 +94,14 @@ def maximal_weights(
     compact root whenever the sum is a root (the sum stays positive,
     noncompact and outside the Levi span).
     """
-    return highest_weights(frozenset(fiber.weights), k_roots)
+    return highest_weights(rs, frozenset(fiber.weights), k_roots)
 
 
 def closed_form_maximal_weights(
     grading: CompactnessGrading,
     hermitian: HermitianData,
     parabolic: ParabolicData,
-) -> tuple[Weight, ...]:
+) -> tuple[int, ...]:
     """Independent route to the maximal fiber weights.
 
     If k is semisimple the noncompact module is irreducible and the only
@@ -138,7 +135,7 @@ def closed_form_maximal_weights(
 
 def max_weyl_length_bruteforce(
     inp: AmplenessInput, cap: int = DEFAULT_CAP
-) -> tuple[int, WeylElement, tuple[Weight, Weight]]:
+) -> tuple[int, WeylElement, tuple[int, int]]:
     """Scan the whole group; oracle for the fast search.
 
     w is in the searched set iff w^{-1}(mu) is a fiber weight for some
@@ -157,17 +154,15 @@ def max_weyl_length_bruteforce(
             f"|W(K)|={inp.hermitian.k_order} exceeds the enumeration cap of "
             f"{cap} elements"
         )
-    rs = inp.rs
     ctx = inp.hermitian.k_context
     lam = inp.max_weights
-    fiber_idx = {rs.root_index[a] for a in inp.fiber.weights}
-    lam_idx = tuple(rs.root_index[a] for a in lam)
-    images, lengths, factors = _enumerate(ctx, lam_idx, cap)
+    fiber = frozenset(inp.fiber.weights)
+    images, lengths, factors = _enumerate(ctx, lam, cap)
 
     # hit[i] is 1 iff element i sends some maximal weight into the fiber
     hit = b""
     for col in images:
-        found = map(fiber_idx.__contains__, col)
+        found = map(fiber.__contains__, col)
         hit = bytes(map(or_, hit, found) if hit else found)
     top = max(compress(lengths, hit), default=None)
     if top is None:
@@ -188,19 +183,19 @@ def max_weyl_length_bruteforce(
     action = ctx.perm_of_word(word)
     inv = invert(action)
     row = tuple(col[best] for col in images)
-    if tuple(inv[p] for p in ctx.simple_indices + lam_idx) != (
-        inverse_images(factors, best, ctx.simple_indices) + row
+    if tuple(inv[p] for p in ctx.simples + lam) != (
+        inverse_images(factors, best, ctx.simples) + row
     ):
         raise InternalInconsistencyError(
             "enumerated inverse images disagree with the witness's action"
         )
-    pair_ = next((mu, rs.roots[v]) for mu, v in zip(lam, row) if v in fiber_idx)
+    pair_ = next((mu, v) for mu, v in zip(lam, row) if v in fiber)
     return top, WeylElement(word, action), pair_
 
 
 def max_weyl_length_fast(
     inp: AmplenessInput,
-) -> tuple[int, WeylElement, tuple[Weight, Weight]]:
+) -> tuple[int, WeylElement, tuple[int, int]]:
     """Coset-by-coset search; no group enumeration.
 
     For each pair (mu maximal, nu fiber weight) the elements mapping nu
@@ -213,17 +208,15 @@ def max_weyl_length_fast(
     tie-break, and the first pair in (mu, nu) order that has it is the
     pair returned.
     """
-    rs = inp.rs
     ctx = inp.hermitian.k_context
     lam = inp.max_weights
-    nus = sorted(inp.fiber.weights)
 
     # pairs in (mu, nu) order, each with its coset maximum
     orbits = {mu: coset_orbit(ctx, mu) for mu in lam}
     lengths = []
     for mu, orbit in orbits.items():
-        for nu in nus:
-            hit = orbit.get(rs.root_index[nu])
+        for nu in inp.fiber.weights:  # sorted
+            hit = orbit.get(nu)
             if hit is not None:
                 lengths.append((mu, nu, ctx.pos_count - hit[0]))
     if not lengths:
@@ -262,7 +255,8 @@ def ampleness(
     closed = closed_form_maximal_weights(inp.grading, inp.hermitian, inp.parabolic)
     if closed != lam:
         raise InternalInconsistencyError(
-            f"maximal weights disagree: combinatorial {lam} vs case analysis {closed}"
+            f"maximal weights disagree: combinatorial {lam} vs case analysis "
+            f"{closed} (root indices)"
         )
 
     # built per call, so a route replaced on the module is the one run

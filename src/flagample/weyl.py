@@ -74,31 +74,32 @@ def invert(p: Perm) -> Perm:
 
 
 class SubsystemContext:
-    """Precomputed data for the reflection group of a root subsystem."""
+    """Precomputed data for the reflection group of a root subsystem,
+    given by the indices of its simple roots."""
 
-    def __init__(self, rs: RootSystem, simples: Iterable[Weight]):
+    def __init__(self, rs: RootSystem, simples: Iterable[int]):
         self.rs = rs
         self.simples = tuple(sorted(simples))
         m = len(rs.roots)
         self.identity: Perm = tuple(range(m))
-        self.simple_indices = tuple(rs.root_index[g] for g in self.simples)
         self.gen_perms: tuple[Perm, ...] = tuple(
-            tuple(rs.reflection_row(g)) for g in self.simple_indices
+            tuple(rs.reflection_row(g)) for g in self.simples
         )
         # the subsystem's Cartan matrix, and each of its roots (by index)
         # with its coordinates in the simple basis, from one orbit pass
-        self.cartan, self.coords = subsystem_orbit(rs, self.simple_indices)
+        self.cartan, self.coords = subsystem_orbit(rs, self.simples)
         self.sub_sign = {v: 1 if min(c) >= 0 else -1 for v, c in self.coords.items()}
         self.pos_count = sum(1 for s in self.sub_sign.values() if s > 0)
         self._w0_word: tuple[int, ...] | None = None
 
     @classmethod
     def from_positive_roots(
-        cls, rs: RootSystem, positives: Iterable[Weight]
+        cls, rs: RootSystem, positives: Iterable[int]
     ) -> "SubsystemContext":
-        """The context of the closed subsystem whose positive roots are
-        `positives`: its simple roots by `simple_system`'s height pass,
-        and the closure proof on the orbit the context computes anyway.
+        """The context of the closed subsystem whose positive roots have
+        the indices `positives`: its simple roots by `simple_system`'s
+        height pass, and the closure proof on the orbit the context
+        computes anyway.
         NotClosedError if the positives are not the positive half of a
         reflection-closed subsystem."""
         simples, pos = indecomposables(rs, positives)
@@ -127,7 +128,7 @@ class SubsystemContext:
             rs = self.rs
             positives = (rs.roots[i] for i, s in self.sub_sign.items() if s > 0)
             two_rho = tuple(map(sum, zip(*positives)))
-            p = [coroot_pairing(rs, two_rho, g) for g in self.simples]
+            p = [coroot_pairing(rs, two_rho, rs.roots[g]) for g in self.simples]
             if any(x != 2 for x in p):
                 raise InternalInconsistencyError(
                     "sum of the positive subsystem roots is not 2 on every "
@@ -183,7 +184,7 @@ class SubsystemContext:
                 return tuple(word)
             i = next(
                 k
-                for k, gi in enumerate(self.simple_indices)
+                for k, gi in enumerate(self.simples)
                 if self.sub_sign[inv[gi]] < 0
             )
             word.append(i)
@@ -197,7 +198,7 @@ def enumerate_weyl(
     """Every element of the reflection group generated by the simple
     system, exactly once, ordered by length with ties broken by the
     lexicographic order of the canonical reduced words."""
-    ctx = SubsystemContext(rs, simples)
+    ctx = SubsystemContext(rs, map(rs.root_index.__getitem__, simples))
     images, _, factors = _enumerate(ctx, ctx.identity, cap)
     # images tracks every root, so each row is w^{-1}
     out = [
@@ -218,14 +219,15 @@ def _enumerate(
     order; `kernels.word_of` reads the canonical word of any one."""
     try:
         return kernels.enumerate_group(
-            ctx.gen_perms, ctx.simple_indices, tracked, ctx.sub_sign, cap
+            ctx.gen_perms, ctx.simples, tracked, ctx.sub_sign, cap
         )
     except OverflowError as exc:
         raise EnumerationCapError(str(exc)) from None
 
 
-def coset_orbit(ctx: SubsystemContext, mu: Weight) -> Orbit:
-    """BFS orbit of w0(mu) under the subsystem's simple reflections.
+def coset_orbit(ctx: SubsystemContext, mu: int) -> Orbit:
+    """BFS orbit of w0(mu), for the root of index mu, under the
+    subsystem's simple reflections.
 
     Maps each orbit point v (a root index) to (distance, generator), the
     generator being the one that reached v, so that s_gen(v) is v's
@@ -241,7 +243,7 @@ def coset_orbit(ctx: SubsystemContext, mu: Weight) -> Orbit:
     minimal length, so one search per mu gives every nu's coset maximum
     and its witness.
     """
-    start = ctx.apply_word(ctx.w0_word, ctx.rs.root_index[mu])
+    start = ctx.apply_word(ctx.w0_word, mu)
     out = {start: (0, -1)}
     frontier = [start]
     d = 0
@@ -268,31 +270,30 @@ def max_length_mapping(
     lies in no root orbit, so it gives None.  The maximum is read off
     `coset_orbit`.
     """
-    ctx = SubsystemContext(rs, simples)
-    mu, nu = tuple(mu), tuple(nu)
-    if nu not in rs.root_index:
-        raise NotARootError(f"{nu} is not a root of {rs.dynkin}")
-    if mu not in rs.root_index:
+    ctx = SubsystemContext(rs, map(rs.root_index.__getitem__, simples))
+    mu_i, nu_i = rs.root_index.get(tuple(mu)), rs.root_index.get(tuple(nu))
+    if nu_i is None:
+        raise NotARootError(f"{tuple(nu)} is not a root of {rs.dynkin}")
+    if mu_i is None:
         return None
-    res = _max_length_with_witness(ctx, mu, nu, coset_orbit(ctx, mu))
+    res = _max_length_with_witness(ctx, mu_i, nu_i, coset_orbit(ctx, mu_i))
     return None if res is None else res[0]
 
 
 def _max_length_with_witness(
-    ctx: SubsystemContext, mu: Weight, nu: Weight, orbit: Orbit
+    ctx: SubsystemContext, mu: int, nu: int, orbit: Orbit
 ) -> tuple[int, WeylElement] | None:
-    """The longest element mapping the root nu to mu, with its length,
-    from `orbit` = coset_orbit(ctx, mu); None when nu is not in it."""
-    rs = ctx.rs
-    nu_i = rs.root_index[nu]
-    hit = orbit.get(nu_i)
+    """The longest element mapping the root of index nu to that of index
+    mu, with its length, from `orbit` = coset_orbit(ctx, mu); None when
+    nu is not in it."""
+    hit = orbit.get(nu)
     if hit is None:
         return None
     dist, gen = hit
     # walk the BFS tree from nu up to w0(mu): the generators, first
     # applied first, spell the shortest u with u(nu) = w0(mu)
     path: list[int] = []
-    v = nu_i
+    v = nu
     while gen >= 0:
         path.append(gen)
         v = ctx.gen_perms[gen][v]
@@ -308,7 +309,7 @@ def _max_length_with_witness(
     if len(word) != length:
         raise InternalInconsistencyError("canonical word length mismatch")
     witness = WeylElement(word, p)
-    if ctx.apply_word(word, nu_i) != rs.root_index[mu]:
+    if ctx.apply_word(word, nu) != mu:
         raise InternalInconsistencyError("witness does not map nu to mu")
     return length, witness
 
@@ -316,4 +317,5 @@ def _max_length_with_witness(
 def group_order_from_simples(rs: RootSystem, simples: Iterable[Weight]) -> int:
     """Order of the generated reflection group, via the classification of
     the subsystem into irreducible components."""
-    return math.prod(c.order for c in SubsystemContext(rs, simples).components())
+    ctx = SubsystemContext(rs, map(rs.root_index.__getitem__, simples))
+    return math.prod(c.order for c in ctx.components())

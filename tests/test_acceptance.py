@@ -14,10 +14,11 @@ import pytest
 
 from flagample.dynkin import DynkinType, all_types_up_to_rank
 from flagample.pipeline import CaseSpec, run_case, sweep_cases
-from flagample.realform import compact_positive_roots, grade_roots
+from flagample.realform import grade_roots
 from flagample.rootsystem import build_root_system, subsystem_components
 from flagample.snow import closed_form_maximal_weights
 from flagample.weyl import SubsystemContext, enumerate_weyl
+from test_realform import compact_positive_roots, roots_of
 
 SWEEP_TYPES = all_types_up_to_rank(3) + [DynkinType("D", 4), DynkinType("F", 4)]
 
@@ -126,7 +127,7 @@ def test_criterion_5_exhaustive_sweep(sweep):
         from flagample.cycle import parabolic_data
 
         pd = parabolic_data(rs, g, levi)
-        if tuple(rep.max_weights) != closed_form_maximal_weights(g, h, pd):
+        if rep.max_weights != roots_of(rs, closed_form_maximal_weights(g, h, pd)):
             failures.append(f"{tag}: closed-form lambda_max")
         # run_case(verify=True) already forced brute == fast per case
     ok = not failures and elapsed < 60.0
@@ -160,7 +161,7 @@ def test_criterion_6_weyl_infrastructure(sweep):
         for comp in subsystem_components(rs, k_pos):
             expected *= comp.order
         elements = enumerate_weyl(rs, simples)
-        ctx = SubsystemContext(rs, simples)
+        ctx = SubsystemContext(rs, [rs.root_index[v] for v in simples])
         if len(elements) != expected:
             bad.append(f"{dt} m={marking}: order {len(elements)} != {expected}")
         if any(ctx.length_of_perm(e.action) != e.length for e in elements):

@@ -299,8 +299,8 @@ def test_w0_walk_from_a_wrong_start_exits_3(capsys, monkeypatch, label, noncompa
 
     def init_with_a_sign_flipped(self, *args):
         init(self, *args)
-        if self.simple_indices:
-            self.sub_sign[self.simple_indices[0]] = -1
+        if self.simples:
+            self.sub_sign[self.simples[0]] = -1
 
     monkeypatch.setattr(weyl.SubsystemContext, "__init__", init_with_a_sign_flipped)
     code, out, err = run(
@@ -332,6 +332,22 @@ def test_bad_config_exits_1(tmp_path, capsys, cfg):
     code, out, err = run(capsys, "compute", "--config", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"\xff\xfe",  # not UTF-8
+        b"[" * 100_000 + b"]" * 100_000,  # deeper than the parser follows
+    ],
+    ids=["not-utf8", "deeply-nested"],
+)
+def test_unreadable_config_exits_1(tmp_path, capsys, content):
+    path = tmp_path / "case.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "compute", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read config {path}")
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,9 @@ from flagample.cycle import NeutralFiber, ParabolicData, neutral_fiber, paraboli
 from flagample.dynkin import all_types_up_to_rank, parse_type
 from flagample.errors import BadNodeError, EmptyFiberError, NotProperError
 from flagample.realform import grade_roots
-from flagample.rootsystem import build_root_system, negate
+from flagample.rootsystem import build_root_system
+from test_realform import compact_roots, roots_of
+from test_rootsystem import negate
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +27,7 @@ def test_parabolic_a2_levi2(a2):
     assert pd.dim_z == 2
     assert pd.dim_c == 0
     assert pd.levi_correction == 1
-    assert set(pd.tangent_weights) == {(1, 0), (1, 1)}
+    assert set(roots_of(a2, pd.tangent_weights)) == {(1, 0), (1, 1)}
 
 
 def test_parabolic_a2_levi1(a2):
@@ -42,7 +44,7 @@ def test_parabolic_a2_borel(a2):
     assert pd.dim_z == 3
     assert pd.dim_c == 1
     assert pd.levi_correction == 0
-    assert set(pd.tangent_weights) == set(a2.positive_roots)
+    assert set(roots_of(a2, pd.tangent_weights)) == set(a2.positive_roots)
 
 
 def test_parabolic_errors(a2):
@@ -56,14 +58,14 @@ def test_parabolic_errors(a2):
 def test_fiber_examples(a2, b2):
     g = grade_roots(a2, {1})
     f = neutral_fiber(parabolic_data(a2, g, {2}), g)
-    assert set(f.weights) == {(1, 0), (1, 1)} and f.rank == 2
+    assert set(roots_of(a2, f.weights)) == {(1, 0), (1, 1)} and f.rank == 2
     f = neutral_fiber(parabolic_data(a2, g, {1}), g)
-    assert f.weights == ((1, 1),) and f.rank == 1
+    assert roots_of(a2, f.weights) == ((1, 1),) and f.rank == 1
 
     gb = grade_roots(b2, {2})
     pd = parabolic_data(b2, gb, {1})
     f = neutral_fiber(pd, gb)
-    assert set(f.weights) == {(0, 1), (1, 1)} and f.rank == 2
+    assert set(roots_of(b2, f.weights)) == {(0, 1), (1, 1)} and f.rank == 2
     assert pd.dim_c == 1  # via the compact root a1+2a2
 
 
@@ -75,7 +77,7 @@ def test_empty_fiber_guard(a2):
     doctored = ParabolicData(
         levi_nodes=frozenset({2}),
         q_roots=(),
-        tangent_weights=((0, 1),),  # compact for this grading
+        tangent_weights=(a2.root_index[(0, 1)],),  # compact for this grading
         dim_z=1,
         dim_c=1,
         levi_correction=0,
@@ -125,21 +127,25 @@ def test_structural_invariants(dt):
         ):
             pd = parabolic_data(rs, g, l)
             fiber = neutral_fiber(pd, g)
+            q_roots = roots_of(rs, pd.q_roots)
 
             # q covers the roots together with its opposite
-            qset = set(pd.q_roots)
+            qset = set(q_roots)
             assert qset | {tuple(-x for x in v) for v in qset} == set(rs.roots)
 
             # q is closed under root addition
-            for a in pd.q_roots:
-                for b in pd.q_roots:
+            for a in q_roots:
+                for b in q_roots:
                     c = tuple(a[i] + b[i] for i in range(n))
                     if c in rs.root_index:
                         assert c in qset
 
             # theta-stability of q in the inner case: every root of q has
             # a well-defined parity (tautology guard)
-            assert all(g.parity(v) in (0, 1) for v in pd.q_roots)
+            assert all(
+                sum(v[i - 1] for i in m) % 2 == (rs.root_index[v] in g.noncompact_roots)
+                for v in q_roots
+            )
 
             # dimension bookkeeping
             assert pd.dim_z == pd.dim_c + fiber.rank
@@ -149,12 +155,14 @@ def test_structural_invariants(dt):
 
             # fiber weights form an upper ideal under adding positive
             # compact roots (the parabolic absorbs downward only)
-            fset = set(fiber.weights)
-            for a in fiber.weights:
+            fset = set(roots_of(rs, fiber.weights))
+            compact = compact_roots(rs, g)
+            noncompact = set(roots_of(rs, g.noncompact_roots))
+            for a in fset:
                 for gam in rs.positive_roots:
-                    if gam in g.compact_roots:
+                    if gam in compact:
                         c = tuple(a[i] + gam[i] for i in range(n))
-                        if c in g.noncompact_roots:
+                        if c in noncompact:
                             assert c in fset
 
 
@@ -162,7 +170,7 @@ def test_fiber_disjoint_from_compact_complement(b2):
     g = grade_roots(b2, {2})
     pd = parabolic_data(b2, g, {1})
     fiber = neutral_fiber(pd, g)
-    compact_part = [v for v in pd.tangent_weights if v in g.compact_roots]
+    compact_part = [v for v in pd.tangent_weights if v not in g.noncompact_roots]
     assert set(fiber.weights).isdisjoint(compact_part)
     assert len(fiber.weights) + len(compact_part) == pd.dim_z
     assert isinstance(fiber, NeutralFiber)
@@ -170,17 +178,18 @@ def test_fiber_disjoint_from_compact_complement(b2):
 
 def _reference_parabolic(rs, g, levi):
     """Levi roots as the positive roots whose support set lies in the
-    Levi nodes."""
+    Levi nodes, all in coordinates."""
     def support(v):
         return frozenset(i + 1 for i, c in enumerate(v) if c != 0)
 
+    compact = compact_roots(rs, g)
     in_levi = [v for v in rs.positive_roots if support(v) <= levi]
     tangent = tuple(v for v in rs.positive_roots if not support(v) <= levi)
     return (
         tuple(sorted([negate(v) for v in rs.positive_roots] + in_levi)),
         tangent,
-        sum(1 for v in tangent if v in g.compact_roots),
-        sum(1 for v in in_levi if v in g.compact_roots),
+        sum(1 for v in tangent if v in compact),
+        sum(1 for v in in_levi if v in compact),
     )
 
 
@@ -201,5 +210,10 @@ def test_parabolic_matches_support_reference(dt):
         g = grade_roots(rs, m)
         for levi in subsets[:-1]:
             pd = parabolic_data(rs, g, levi)
-            got = (pd.q_roots, pd.tangent_weights, pd.dim_c, pd.levi_correction)
+            got = (
+                roots_of(rs, pd.q_roots),
+                roots_of(rs, pd.tangent_weights),
+                pd.dim_c,
+                pd.levi_correction,
+            )
             assert got == _reference_parabolic(rs, g, levi), (m, levi)

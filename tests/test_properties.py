@@ -17,6 +17,7 @@ from flagample.snow import (
     max_weyl_length_fast,
 )
 from flagample.weyl import SubsystemContext, enumerate_weyl, max_length_mapping
+from test_realform import compact_positive_roots, roots_of
 
 _TYPES = [
     DynkinType("A", 1),
@@ -67,10 +68,14 @@ def test_reflect_involution_and_lattice(case):
 def test_grading_additivity(case):
     rs, marked, _ = case
     g = grade_roots(rs, marked)
+
+    def parity(v):
+        return int(rs.root_index[v] in g.noncompact_roots)
+
     for a, b in itertools.combinations(rs.roots, 2):
         c = tuple(a[i] + b[i] for i in range(rs.rank))
         if c in rs.root_index:
-            assert g.parity(c) == (g.parity(a) + g.parity(b)) % 2
+            assert parity(c) == (parity(a) + parity(b)) % 2
 
 
 @given(_case())
@@ -91,8 +96,7 @@ def test_search_routes_agree(case):
 @settings(max_examples=40, deadline=None)
 def test_max_length_mapping_against_scan(case, data):
     rs, marked, _ = case
-    g = grade_roots(rs, marked)
-    k_pos = [v for v in rs.positive_roots if v in g.compact_roots]
+    k_pos = compact_positive_roots(rs, grade_roots(rs, marked))
     if not k_pos:
         return
     from flagample.rootsystem import simple_system
@@ -113,20 +117,19 @@ def test_max_length_mapping_against_scan(case, data):
 @settings(max_examples=40, deadline=None)
 def test_weyl_orbit_of_root_stays_in_roots(case):
     rs, marked, _ = case
-    g = grade_roots(rs, marked)
-    k_pos = [v for v in rs.positive_roots if v in g.compact_roots]
+    k_pos = compact_positive_roots(rs, grade_roots(rs, marked))
     if not k_pos:
         return
     from flagample.rootsystem import simple_system
 
-    ctx = SubsystemContext(rs, simple_system(rs, k_pos))
+    ctx = SubsystemContext(rs, [rs.root_index[g] for g in simple_system(rs, k_pos)])
     root_set = set(rs.roots)
     for start in rs.roots:
         seen = {start}
         frontier = [start]
         while frontier:
             v = frontier.pop()
-            for gsimple in ctx.simples:
+            for gsimple in roots_of(rs, ctx.simples):
                 w = reflect(rs, v, gsimple)
                 if w not in seen:
                     seen.add(w)
@@ -153,12 +156,13 @@ def test_s_plus_abelian_and_orthogonality(case):
     h = hermitian_data(rs, g)
     if not h.hermitian:
         return
-    for a in h.s_plus:
-        for b in h.s_plus:
+    s_plus = roots_of(rs, h.s_plus)
+    for a in s_plus:
+        for b in s_plus:
             c = tuple(a[i] + b[i] for i in range(rs.rank))
             assert c not in rs.root_index
     # the two halves are swapped by negation and exhaust the noncompacts
-    assert {tuple(-x for x in a) for a in h.s_plus} == set(h.s_minus)
+    assert {tuple(-x for x in a) for a in s_plus} == set(roots_of(rs, h.s_minus))
     assert len(h.s_plus) + len(h.s_minus) == len(g.noncompact_roots)
 
 

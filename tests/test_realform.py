@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -7,9 +8,9 @@ from flagample.dynkin import all_types_up_to_rank, parse_type
 from flagample.errors import BadNodeError, CompactFormError
 from flagample.realform import (
     _central_functional,
-    compact_positive_roots,
     grade_roots,
     hermitian_data,
+    highest_weights,
 )
 from flagample.rootsystem import (
     build_root_system,
@@ -19,6 +20,44 @@ from flagample.rootsystem import (
 )
 from flagample.weyl import enumerate_weyl, group_order_from_simples
 from test_rootsystem import reference_components, reference_simple_system
+
+
+def roots_of(rs, indices):
+    """The coordinates of the roots of the given indices, in order."""
+    return tuple(rs.roots[i] for i in indices)
+
+
+def compact_roots(rs, g):
+    """The coordinates of the compact roots of a grading."""
+    return {v for i, v in enumerate(rs.roots) if i not in g.noncompact_roots}
+
+
+def compact_positive_roots(rs, g):
+    """The coordinates of the compact positive roots, sorted."""
+    return tuple(
+        v for v in rs.positive_roots if rs.root_index[v] not in g.noncompact_roots
+    )
+
+
+def reference_grade_roots(rs, marked):
+    """The coordinate grading: (compact, noncompact) as sets of
+    coordinate tuples, by the mod-2 sum of the marked coefficients."""
+    compact, noncompact = set(), set()
+    for v in rs.roots:
+        (noncompact if sum(v[i - 1] for i in marked) % 2 else compact).add(v)
+    return compact, noncompact
+
+
+def reference_highest_weights(weights, k_roots):
+    """The coordinate highest weights: the weights of the set to which no
+    root of k_roots can be added inside the set, by tuple sums, sorted."""
+    return tuple(
+        sorted(
+            a
+            for a in weights
+            if all(tuple(map(add, a, g)) not in weights for g in k_roots)
+        )
+    )
 
 
 def _rref(rows):
@@ -66,21 +105,21 @@ def b2():
 
 def test_grade_a2_marked_1(a2):
     g = grade_roots(a2, {1})
-    assert g.noncompact_roots == {(1, 0), (1, 1), (-1, 0), (-1, -1)}
-    assert g.compact_roots == {(0, 1), (0, -1)}
+    assert set(roots_of(a2, g.noncompact_roots)) == {(1, 0), (1, 1), (-1, 0), (-1, -1)}
+    assert compact_roots(a2, g) == {(0, 1), (0, -1)}
 
 
 def test_grade_b2_marked_2(b2):
     g = grade_roots(b2, {2})
-    assert g.noncompact_roots == {(0, 1), (1, 1), (0, -1), (-1, -1)}
-    assert g.compact_roots == {(1, 0), (1, 2), (-1, 0), (-1, -2)}
+    assert set(roots_of(b2, g.noncompact_roots)) == {(0, 1), (1, 1), (0, -1), (-1, -1)}
+    assert compact_roots(b2, g) == {(1, 0), (1, 2), (-1, 0), (-1, -2)}
 
 
 def test_grade_g2_marked_1():
     g2 = build_root_system(parse_type("G2"))
     g = grade_roots(g2, {1})
     assert len(g.noncompact_roots) == 8
-    assert len(g.compact_roots) == 4
+    assert len(compact_roots(g2, g)) == 4
     comps = subsystem_components(g2, compact_positive_roots(g2, g))
     assert [c.label for c in comps] == ["A1", "A1"]
 
@@ -99,10 +138,10 @@ def test_hermitian_a2_marked_1(a2):
     h = hermitian_data(a2, g)
     assert h.center_dim == 1
     assert h.hermitian
-    assert set(h.s_plus) == {(1, 0), (1, 1)}
-    assert set(h.s_minus) == {(-1, 0), (-1, -1)}
+    assert set(roots_of(a2, h.s_plus)) == {(1, 0), (1, 1)}
+    assert set(roots_of(a2, h.s_minus)) == {(-1, 0), (-1, -1)}
     # highest weights of the two halves: a1+a2 and -a1
-    assert set(h.lambda_max_s) == {(1, 1), (-1, 0)}
+    assert set(roots_of(a2, h.lambda_max_s)) == {(1, 1), (-1, 0)}
     assert h.kname == "su(2,1)"
 
 
@@ -111,7 +150,7 @@ def test_hermitian_b2_marked_2(b2):
     h = hermitian_data(b2, g)
     assert h.center_dim == 0
     assert not h.hermitian
-    assert h.lambda_max_s == ((1, 1),)
+    assert roots_of(b2, h.lambda_max_s) == ((1, 1),)
     assert h.s_plus == () and h.s_minus == ()
     assert h.kname == "so(4,1)"
 
@@ -174,10 +213,14 @@ def test_parity_additivity_exhaustive(dt):
     ]
     for marked in _all_markings(dt.rank):
         g = grade_roots(rs, marked)
+
+        def parity(v):
+            return int(rs.root_index[v] in g.noncompact_roots)
+
         for a in rs.roots:
-            assert g.parity(tuple(-x for x in a)) == g.parity(a)
+            assert parity(tuple(-x for x in a)) == parity(a)
         for a, b, c in summable:
-            assert g.parity(c) == (g.parity(a) + g.parity(b)) % 2
+            assert parity(c) == (parity(a) + parity(b)) % 2
 
 
 @pytest.mark.parametrize("dt", all_types_up_to_rank(4))
@@ -188,9 +231,12 @@ def test_lambda_max_count_and_s_plus_abelian(dt):
         h = hermitian_data(rs, g)
         assert len(h.lambda_max_s) == 1 + h.center_dim, (dt, marked)
         if h.hermitian:
-            assert set(h.s_minus) == {tuple(-x for x in a) for a in h.s_plus}
-            for a in h.s_plus:
-                for b in h.s_plus:
+            s_plus = roots_of(rs, h.s_plus)
+            assert set(roots_of(rs, h.s_minus)) == {
+                tuple(-x for x in a) for a in s_plus
+            }
+            for a in s_plus:
+                for b in s_plus:
                     c = tuple(a[i] + b[i] for i in range(rs.rank))
                     assert c not in rs.root_index, (dt, marked, a, b)
 
@@ -199,12 +245,38 @@ def test_lambda_max_count_and_s_plus_abelian(dt):
 def test_compact_roots_reflection_closed(dt):
     rs = build_root_system(dt)
     for marked in _all_markings(dt.rank):
-        g = grade_roots(rs, marked)
+        compact = compact_roots(rs, grade_roots(rs, marked))
         from flagample.rootsystem import reflect
 
-        for gamma in g.compact_roots:
-            for v in g.compact_roots:
-                assert reflect(rs, v, gamma) in g.compact_roots
+        for gamma in compact:
+            for v in compact:
+                assert reflect(rs, v, gamma) in compact
+
+
+@pytest.mark.parametrize(
+    "dt", list(all_types_up_to_rank(4)) + [parse_type("E6")], ids=str
+)
+def test_index_grading_matches_coordinate_reference(dt):
+    """On every marking, grade_roots gives the coordinate reference's
+    compact and noncompact roots, and highest_weights, through K's simple
+    roots and through all of K's positive roots, gives the coordinate
+    reference's highest weights, which are hermitian_data's lambda_max_s."""
+    rs = build_root_system(dt)
+    for marked in _all_markings(dt.rank):
+        g = grade_roots(rs, marked)
+        compact, noncompact = reference_grade_roots(rs, marked)
+        assert set(roots_of(rs, g.noncompact_roots)) == noncompact, (dt, marked)
+        assert compact_roots(rs, g) == compact, (dt, marked)
+
+        h = hermitian_data(rs, g)
+        k_simples = h.k_context.simples
+        k_pos = compact_positive_roots(rs, g)
+        want = reference_highest_weights(noncompact, roots_of(rs, k_simples))
+        assert want == reference_highest_weights(noncompact, k_pos), (dt, marked)
+        for k_roots in (k_simples, [rs.root_index[v] for v in k_pos]):
+            got = highest_weights(rs, g.noncompact_roots, k_roots)
+            assert roots_of(rs, got) == want, (dt, marked)
+        assert roots_of(rs, h.lambda_max_s) == want, (dt, marked)
 
 
 def test_xi_separates_marked_simple(a2):
@@ -212,8 +284,8 @@ def test_xi_separates_marked_simple(a2):
     g = grade_roots(a2, {1, 2})
     h = hermitian_data(a2, g)
     assert h.center_dim == 1
-    assert (1, 0) in h.s_plus
-    assert (0, -1) in h.s_plus  # (xi, a2) < 0 since xi kills a1+a2
+    assert (1, 0) in roots_of(a2, h.s_plus)
+    assert (0, -1) in roots_of(a2, h.s_plus)  # (xi, a2) < 0 since xi kills a1+a2
 
 
 @pytest.mark.parametrize(
@@ -231,13 +303,13 @@ def test_shared_k_data_matches_direct_route(dt):
         h = hermitian_data(rs, g)
         k_pos = compact_positive_roots(rs, g)
         comps = reference_components(rs, k_pos)
-        assert h.k_simples == reference_simple_system(rs, k_pos) == simple_system(
+        k_simples = roots_of(rs, h.k_context.simples)
+        assert k_simples == reference_simple_system(rs, k_pos) == simple_system(
             rs, k_pos
         )
         assert h.k_type == ("×".join(c[0] for c in comps) or "0")
         assert h.k_order == math.prod(c[3] for c in comps)
-        assert h.k_order == group_order_from_simples(rs, h.k_simples)
-        assert h.k_context.simples == h.k_simples
+        assert h.k_order == group_order_from_simples(rs, k_simples)
         assert h.k_context.pos_count == len(k_pos)
 
 
@@ -279,11 +351,11 @@ def test_central_functional_kills_compact_roots(dt):
         ]
         x = _reference_kernel(rows, rs.rank)
         assert x is not None, (dt, marked)
-        assert all(pair(rs, x, gamma) == 0 for gamma in g.compact_roots)
+        assert all(pair(rs, x, gamma) == 0 for gamma in compact_roots(rs, g))
         first = rs.simple_roots[min(marked) - 1]
         sign = 1 if pair(rs, x, first) > 0 else -1
-        assert set(h.s_plus) == {
-            a for a in g.noncompact_roots if sign * pair(rs, x, a) > 0
+        assert set(roots_of(rs, h.s_plus)) == {
+            a for a in roots_of(rs, g.noncompact_roots) if sign * pair(rs, x, a) > 0
         }, (dt, marked)
 
 
@@ -307,11 +379,14 @@ def test_center_has_two_routes(dt):
         assert xi[min(marked) - 1] == 1
 
         h = hermitian_data(rs, grade_roots(rs, marked))
-        kills = all(_xi_value(xi, gamma) == 0 for gamma in h.k_simples)
+        kills = all(
+            _xi_value(xi, gamma) == 0 for gamma in roots_of(rs, h.k_context.simples)
+        )
         assert kills == (h.center_dim == 1), (dt, marked)
         if h.hermitian:
-            assert {_xi_value(xi, a) for a in h.s_plus} == {1}, (dt, marked)
-            assert {_xi_value(xi, a) for a in h.s_minus} == {-1}, (dt, marked)
+            plus, minus = roots_of(rs, h.s_plus), roots_of(rs, h.s_minus)
+            assert {_xi_value(xi, a) for a in plus} == {1}, (dt, marked)
+            assert {_xi_value(xi, a) for a in minus} == {-1}, (dt, marked)
 
 
 # The E7 markings whose K is E6 x T.  The label route names that K "C6"
@@ -370,4 +445,4 @@ def test_weyl_group_of_k_e6_has_51840_elements():
         h = hermitian_data(rs, grade_roots(rs, marked))
         assert _height_product(h.k_context) == 51_840, marked
     h = hermitian_data(rs, grade_roots(rs, (7,)))
-    assert len(enumerate_weyl(rs, h.k_simples)) == 51_840
+    assert len(enumerate_weyl(rs, roots_of(rs, h.k_context.simples))) == 51_840

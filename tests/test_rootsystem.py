@@ -12,7 +12,6 @@ from flagample.rootsystem import (
     _component_label,
     _order_from_label,
     build_root_system,
-    negate,
     pair,
     reflect,
     simple_system,
@@ -210,6 +209,10 @@ def test_simple_system_not_closed():
         simple_system(rs, [(2, 0)])  # not even a root
 
 
+def negate(v):
+    return tuple(-x for x in v)
+
+
 def reference_simple_system(rs, pos):
     """The all-pairs route: closure checked on every pair of roots, and a
     positive root is simple iff its reflection has length one, sending no
@@ -309,7 +312,9 @@ def test_simple_system_matches_all_pairs_reference(args):
     routes = (
         lambda: simple_system(rs, pos),
         lambda: subsystem_components(rs, pos),
-        lambda: SubsystemContext.from_positive_roots(rs, pos),
+        lambda: SubsystemContext.from_positive_roots(
+            rs, [rs.root_index[v] for v in pos]
+        ),
     )
     try:
         expected = reference_simple_system(rs, pos)
@@ -319,11 +324,11 @@ def test_simple_system_matches_all_pairs_reference(args):
                 route()
         return
     simples, comps, ctx = (route() for route in routes)
-    assert simples == ctx.simples == expected
-    assert (
-        tuple((c.label, c.rank, c.num_roots, c.order, c.simples) for c in comps)
-        == reference_components(rs, pos)
-    )
+    assert simples == tuple(rs.roots[g] for g in ctx.simples) == expected
+    assert tuple(
+        (c.label, c.rank, c.num_roots, c.order, tuple(rs.roots[g] for g in c.simples))
+        for c in comps
+    ) == reference_components(rs, pos)
     assert ctx.components() == comps
 
 
@@ -388,6 +393,64 @@ def test_reflection_rows_are_lazy():
     row = rs.reflection_row(5)
     assert rs._rows == {5: row}
     assert rs.reflection_row(5) is row
+
+
+def test_sum_rows_and_odd_masks_are_lazy():
+    rs = build_root_system(parse_type("E8"))
+    assert rs._sums == {}
+    assert "odd_masks" not in vars(rs)
+    row = rs.sum_row(7)
+    assert rs._sums == {7: row}
+    assert rs.sum_row(7) is row
+    assert rs.odd_masks is rs.odd_masks
+
+
+def _check_sum_rows(rs, pairs):
+    """Each sum row holds the index of the coordinate sum, or the
+    sentinel len(roots) where the sum is no root."""
+    for a, b in pairs:
+        c = tuple(x + y for x, y in zip(rs.roots[a], rs.roots[b]))
+        assert rs.sum_row(a)[b] == rs.root_index.get(c, len(rs.roots)), (a, b)
+
+
+@pytest.mark.parametrize("dt", all_types_up_to_rank(4), ids=str)
+def test_sum_rows_match_coordinate_addition(dt):
+    rs = build_root_system(dt)
+    m = len(rs.roots)
+    _check_sum_rows(rs, ((a, b) for a in range(m) for b in range(m)))
+    assert len(rs._sums) == m
+
+
+@given(st.sampled_from(sorted(_EXCEPTIONAL)), st.data())
+@settings(max_examples=30, deadline=None)
+def test_sum_rows_match_coordinate_addition_exceptional(label, data):
+    rs = _EXCEPTIONAL[label]
+    index = st.integers(0, len(rs.roots) - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=20))
+    _check_sum_rows(rs, pairs)
+
+
+@pytest.mark.parametrize("dt", all_types_up_to_rank(4), ids=str)
+def test_odd_mask_parity_is_the_coordinate_parity(dt):
+    """For every root and every marking, the parity of the marked bits of
+    the root's odd mask is the mod-2 sum of its marked coefficients."""
+    rs = build_root_system(dt)
+    for mask in range(1, 2**dt.rank):
+        marked = [i for i in range(dt.rank) if mask >> i & 1]
+        for v, odd in zip(rs.roots, rs.odd_masks):
+            want = sum(v[i] for i in marked) % 2
+            assert (odd & mask).bit_count() % 2 == want, (v, marked)
+
+
+@pytest.mark.parametrize("dt", all_types_up_to_rank(8), ids=str)
+def test_negation_reverses_the_index(dt):
+    """rs.roots is sorted, so -roots[i] is roots[len - 1 - i], and the
+    positive roots are its second half."""
+    rs = build_root_system(dt)
+    assert tuple(rs.roots[i] for i in rs.positive_indices) == rs.positive_roots
+    last = len(rs.roots) - 1
+    for i, v in enumerate(rs.roots):
+        assert rs.roots[last - i] == negate(v)
 
 
 def test_norms_match_pairing():

@@ -9,7 +9,7 @@ from flagample.cycle import neutral_fiber, parabolic_data
 from flagample.dynkin import all_types_up_to_rank, parse_type
 from flagample.errors import DegenerateGeometryError
 from flagample.pipeline import CaseSpec, run_case, sweep_cases
-from flagample.realform import compact_positive_roots, grade_roots, hermitian_data
+from flagample.realform import grade_roots, hermitian_data
 from flagample.rootsystem import build_root_system
 from flagample.snow import (
     ampleness,
@@ -20,6 +20,12 @@ from flagample.snow import (
     maximal_weights,
 )
 from flagample.weyl import SubsystemContext
+from test_realform import compact_positive_roots, roots_of
+
+
+def _k_pos(rs, g):
+    """K's positive roots, by index."""
+    return tuple(rs.root_index[v] for v in compact_positive_roots(rs, g))
 
 
 def _setup(label, marked, levi):
@@ -33,46 +39,43 @@ def _setup(label, marked, levi):
 
 def test_maximal_weights_a2_ball():
     rs, g, h, pd, fiber, inp = _setup("A2", {1}, {2})
-    k_pos = compact_positive_roots(rs, g)
-    assert maximal_weights(fiber, k_pos) == ((1, 1),)
+    assert roots_of(rs, maximal_weights(rs, fiber, _k_pos(rs, g))) == ((1, 1),)
 
 
 def test_maximal_weights_singleton_fiber():
     rs, g, h, pd, fiber, inp = _setup("A2", {1}, {1})
-    k_pos = compact_positive_roots(rs, g)
-    assert fiber.weights == ((1, 1),)
-    assert maximal_weights(fiber, k_pos) == ((1, 1),)
+    assert roots_of(rs, fiber.weights) == ((1, 1),)
+    assert roots_of(rs, maximal_weights(rs, fiber, _k_pos(rs, g))) == ((1, 1),)
 
 
 def test_maximal_weights_b2_quadric():
     rs, g, h, pd, fiber, inp = _setup("B2", {2}, {1})
-    k_pos = compact_positive_roots(rs, g)
-    assert set(fiber.weights) == {(0, 1), (1, 1)}
-    assert maximal_weights(fiber, k_pos) == ((1, 1),)
+    assert set(roots_of(rs, fiber.weights)) == {(0, 1), (1, 1)}
+    assert roots_of(rs, maximal_weights(rs, fiber, _k_pos(rs, g))) == ((1, 1),)
 
 
 def test_bruteforce_a2_ball():
-    *_, inp = _setup("A2", {1}, {2})
+    rs, *_, inp = _setup("A2", {1}, {2})
     length, witness, (mu, nu) = max_weyl_length_bruteforce(inp)
     assert length == 1
     assert witness.word == (0,)
-    assert mu == (1, 1) and nu == (1, 0)
+    assert rs.roots[mu] == (1, 1) and rs.roots[nu] == (1, 0)
 
 
 def test_bruteforce_a2_line():
-    *_, inp = _setup("A2", {1}, {1})
+    rs, *_, inp = _setup("A2", {1}, {1})
     length, witness, (mu, nu) = max_weyl_length_bruteforce(inp)
     assert length == 0
     assert witness.word == ()
-    assert mu == (1, 1) and nu == (1, 1)
+    assert rs.roots[mu] == (1, 1) and rs.roots[nu] == (1, 1)
 
 
 def test_bruteforce_b2_quadric():
-    *_, inp = _setup("B2", {2}, {1})
+    rs, *_, inp = _setup("B2", {2}, {1})
     length, witness, _ = max_weyl_length_bruteforce(inp)
     assert length == 1
     # witness is the reflection in a1 = the first sorted k-simple
-    assert inp.k_simples == ((1, 0), (1, 2))
+    assert roots_of(rs, inp.hermitian.k_context.simples) == ((1, 0), (1, 2))
     assert witness.word == (0,)
 
 
@@ -173,7 +176,7 @@ def test_fast_route_runs_one_orbit_search_per_maximal_weight(
     orbit = weyl.coset_orbit
 
     def counting_orbit(ctx, mu):
-        searched.append(mu)
+        searched.append(ctx.rs.roots[mu])
         return orbit(ctx, mu)
 
     for mod in (snow, weyl):
@@ -191,8 +194,7 @@ def test_witness_invariant():
     assert nu in fiber.weights
     assert res.witness.length == res.max_length
     # the witness really maps nu to mu
-    img = rs.roots[res.witness.action[rs.root_index[nu]]]
-    assert img == mu
+    assert res.witness.action[nu] == mu
 
 
 def test_identity_always_qualifies():
@@ -205,20 +207,19 @@ def test_closed_form_drops_a_swallowed_half():
     # A2 marked {1,2}, levi {1}: s_plus = {a1, -a2} lies inside q,
     # so only the other half's highest weight survives
     rs, g, h, pd, fiber, inp = _setup("A2", {1, 2}, {1})
-    assert set(h.s_plus) == {(1, 0), (0, -1)}
+    assert set(roots_of(rs, h.s_plus)) == {(1, 0), (0, -1)}
     assert set(pd.q_roots) >= set(h.s_plus)
-    assert closed_form_maximal_weights(g, h, pd) == ((0, 1),)
-    k_pos = compact_positive_roots(rs, g)
-    assert maximal_weights(fiber, k_pos) == ((0, 1),)
+    assert roots_of(rs, closed_form_maximal_weights(g, h, pd)) == ((0, 1),)
+    assert roots_of(rs, maximal_weights(rs, fiber, _k_pos(rs, g))) == ((0, 1),)
     res = ampleness(inp, verify=True)
-    assert res.max_weights == ((0, 1),)
+    assert roots_of(rs, res.max_weights) == ((0, 1),)
 
 
 def test_closed_form_keeps_both_halves():
     rs, g, h, pd, fiber, inp = _setup("A2", {1, 2}, set())
-    assert closed_form_maximal_weights(g, h, pd) == ((0, 1), (1, 0))
+    assert roots_of(rs, closed_form_maximal_weights(g, h, pd)) == ((0, 1), (1, 0))
     res = ampleness(inp, verify=True)
-    assert res.max_weights == ((0, 1), (1, 0))
+    assert roots_of(rs, res.max_weights) == ((0, 1), (1, 0))
 
 
 def test_rank_four_sweep_routes_and_verdicts():
@@ -271,7 +272,7 @@ def _check_highest_weights_on_k_simples(rs, marking, levis):
     g = grade_roots(rs, set(marking))
     h = hermitian_data(rs, g)
     k_pos = compact_positive_roots(rs, g)
-    noncompact = g.noncompact_roots
+    noncompact = set(roots_of(rs, g.noncompact_roots))
     reference = tuple(
         sorted(
             a
@@ -282,15 +283,15 @@ def _check_highest_weights_on_k_simples(rs, marking, levis):
             )
         )
     )
-    assert h.lambda_max_s == reference, (rs.dynkin, marking)
+    assert roots_of(rs, h.lambda_max_s) == reference, (rs.dynkin, marking)
     for levi in levis:
         try:
             pd = parabolic_data(rs, g, set(levi))
             fiber = neutral_fiber(pd, g)
         except DegenerateGeometryError:
             continue
-        assert maximal_weights(fiber, h.k_simples) == maximal_weights(
-            fiber, k_pos
+        assert maximal_weights(rs, fiber, h.k_context.simples) == maximal_weights(
+            rs, fiber, _k_pos(rs, g)
         ), (rs.dynkin, marking, levi)
 
 
@@ -340,7 +341,7 @@ def _reference_witness_pair(rs, element, lam, fiber_set):
     first mu in sorted order with element(nu) = mu for a fiber weight nu."""
     inv = weyl.invert(element.action)
     for mu in lam:
-        nu = rs.roots[inv[rs.root_index[mu]]]
+        nu = inv[mu]
         if nu in fiber_set:
             return mu, nu
     raise AssertionError("witness element matches no weight pair")
@@ -376,15 +377,13 @@ def test_route_pairs_when_the_witness_maps_onto_both_maximal_weights():
     of the two maximal weights, so each of them is a tied pair with the
     witness's word, and both routes must report the first."""
     rs, g, h, pd, fiber, inp = _setup("A3", {1, 3}, set())
-    assert inp.max_weights == ((0, 1, 1), (1, 1, 0))
+    assert roots_of(rs, inp.max_weights) == ((0, 1, 1), (1, 1, 0))
     for route in (max_weyl_length_fast, max_weyl_length_bruteforce):
         _, witness, pair_ = route(inp)
         assert witness.word == (0,)
-        images = {
-            rs.roots[witness.action[rs.root_index[nu]]] for nu in fiber.weights
-        }
+        images = {witness.action[nu] for nu in fiber.weights}
         assert set(inp.max_weights) <= images
-        assert pair_ == ((0, 1, 1), (0, 0, 1))
+        assert roots_of(rs, pair_) == ((0, 1, 1), (0, 0, 1))
 
 
 @pytest.mark.parametrize("dt", all_types_up_to_rank(4), ids=str)
@@ -420,12 +419,12 @@ def _reference_scan(inp):
     length in the searched set, the number of elements tied with it, and
     its pair (the first mu whose w^{-1}(mu) is a fiber weight)."""
     rs = inp.rs
-    fiber = {rs.root_index[a] for a in inp.fiber.weights}
+    fiber = set(inp.fiber.weights)
     found = []
-    for el in weyl.enumerate_weyl(rs, inp.k_simples):
+    for el in weyl.enumerate_weyl(rs, roots_of(rs, inp.hermitian.k_context.simples)):
         inv = weyl.invert(el.action)
-        images = [(mu, inv[rs.root_index[mu]]) for mu in inp.max_weights]
-        pair_ = next(((mu, rs.roots[v]) for mu, v in images if v in fiber), None)
+        images = [(mu, inv[mu]) for mu in inp.max_weights]
+        pair_ = next(((mu, v) for mu, v in images if v in fiber), None)
         if pair_ is not None:
             found.append((el, pair_))
     top = max(el.length for el, _ in found)

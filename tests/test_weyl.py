@@ -30,6 +30,11 @@ from flagample.weyl import (
 )
 
 
+def _context(rs, simples):
+    """The context of simple roots given by coordinates."""
+    return SubsystemContext(rs, [rs.root_index[g] for g in simples])
+
+
 @pytest.fixture(scope="module")
 def a2():
     return build_root_system(parse_type("A2"))
@@ -94,7 +99,7 @@ def test_group_order_refuses_a_non_simple_system(simples):
 
 def test_inversion_count_equals_word_length():
     rs = build_root_system(parse_type("B3"))
-    ctx = SubsystemContext(rs, rs.simple_roots)
+    ctx = _context(rs, rs.simple_roots)
     for el in enumerate_weyl(rs, rs.simple_roots):
         assert ctx.length_of_perm(el.action) == len(el.word)
 
@@ -149,8 +154,8 @@ def test_enumeration_cap_boundary(label):
     with pytest.raises(EnumerationCapError):
         enumerate_weyl(rs, rs.simple_roots, cap=order - 1)
     # the same boundary in the kernel itself
-    ctx = SubsystemContext(rs, rs.simple_roots)
-    args = (ctx.gen_perms, ctx.simple_indices, ctx.simple_indices, ctx.sub_sign)
+    ctx = _context(rs, rs.simple_roots)
+    args = (ctx.gen_perms, ctx.simples, ctx.simples, ctx.sub_sign)
     _, lengths, _ = kernels.enumerate_group(*args, order)
     assert len(lengths) == order
     with pytest.raises(OverflowError):
@@ -217,19 +222,17 @@ def test_kernel_matches_action_enumeration(dt):
     rs = build_root_system(dt)
     for marked in _all_markings(dt.rank):
         h = hermitian_data(rs, grade_roots(rs, marked))
-        ctx = SubsystemContext(rs, h.k_simples)
+        ctx = SubsystemContext(rs, h.k_context.simples)
         words, actions = _enumerate_by_actions(ctx)
-        els = enumerate_weyl(rs, h.k_simples)
+        els = enumerate_weyl(rs, [rs.roots[g] for g in ctx.simples])
         assert [e.word for e in els] == words, marked
         assert [e.action for e in els] == actions, marked
         reference = dict(zip(words, actions))
         assert len(reference) == len(actions)
 
-        positions = ctx.simple_indices + tuple(
-            rs.root_index[a] for a in h.lambda_max_s
-        )
+        positions = ctx.simples + h.lambda_max_s
         images, lengths, factors = kernels.enumerate_group(
-            ctx.gen_perms, ctx.simple_indices, positions, ctx.sub_sign, len(actions)
+            ctx.gen_perms, ctx.simples, positions, ctx.sub_sign, len(actions)
         )
         assert len(lengths) == len(actions), marked
         assert all(len(col) == len(actions) for col in images), marked
@@ -255,7 +258,7 @@ def test_kernel_count_is_the_product_of_the_levels(dt):
         h = hermitian_data(rs, grade_roots(rs, marked))
         ctx = h.k_context
         _, lengths, factors = kernels.enumerate_group(
-            ctx.gen_perms, ctx.simple_indices, (), ctx.sub_sign, DEFAULT_CAP
+            ctx.gen_perms, ctx.simples, (), ctx.sub_sign, DEFAULT_CAP
         )
         assert len(lengths) == math.prod(map(len, factors)) == h.k_order, marked
 
@@ -266,9 +269,9 @@ def test_kernel_words_are_canonical_e6(marked):
     canonical word, by greedy least left descent, is the kernel's word."""
     rs = build_root_system(parse_type("E6"))
     h = hermitian_data(rs, grade_roots(rs, marked))
-    ctx = SubsystemContext(rs, h.k_simples)
+    ctx = SubsystemContext(rs, h.k_context.simples)
     images, lengths, factors = kernels.enumerate_group(
-        ctx.gen_perms, ctx.simple_indices, ctx.identity, ctx.sub_sign, h.k_order
+        ctx.gen_perms, ctx.simples, ctx.identity, ctx.sub_sign, h.k_order
     )
     assert len(lengths) == h.k_order
     for i, row in enumerate(zip(*images)):
@@ -283,7 +286,7 @@ def _all_reduced_words(ctx, perm):
         return {()}
     inv = invert(perm)
     out = set()
-    for i, gi in enumerate(ctx.simple_indices):
+    for i, gi in enumerate(ctx.simples):
         if ctx.sub_sign[inv[gi]] < 0:
             rest = _all_reduced_words(ctx, compose(ctx.gen_perms[i], perm))
             out |= {(i,) + r for r in rest}
@@ -293,7 +296,7 @@ def _all_reduced_words(ctx, perm):
 @pytest.mark.parametrize("label", ["A2", "B2"])
 def test_words_are_lex_least_reduced(label):
     rs = build_root_system(parse_type(label))
-    ctx = SubsystemContext(rs, rs.simple_roots)
+    ctx = _context(rs, rs.simple_roots)
     for el in enumerate_weyl(rs, rs.simple_roots):
         words = _all_reduced_words(ctx, el.action)
         assert el.word == min(words)
@@ -376,7 +379,7 @@ def test_max_length_mapping_matches_oracle_everywhere(label):
 
 
 def test_orbit_stays_in_roots(b2):
-    ctx = SubsystemContext(b2, [(1, 0), (1, 2)])
+    ctx = _context(b2, [(1, 0), (1, 2)])
     for start in b2.roots:
         seen = {start}
         frontier = [start]
@@ -396,19 +399,18 @@ def _k_context(rs, marked):
 
 
 def _check_coset_maxima_by_enumeration(ctx, nus):
-    """Group the elements of the group by (nu, w(nu)), for each nu of
-    nus: each group has exactly one element of maximal length, and it is
-    the witness read off coset_orbit, whose keys are nu's orbit."""
+    """Group the elements of the group by (nu, w(nu)), for each root
+    index nu of nus: each group has exactly one element of maximal
+    length, and it is the witness read off coset_orbit, whose keys are
+    nu's orbit."""
     rs = ctx.rs
-    elements = enumerate_weyl(rs, ctx.simples)
+    elements = enumerate_weyl(rs, [rs.roots[g] for g in ctx.simples])
     orbits = {}
     for nu in nus:
-        nu_i = rs.root_index[nu]
         groups = {}
         for el in elements:
-            groups.setdefault(el.action[nu_i], []).append(el)
-        for mu_i, group in groups.items():
-            mu = rs.roots[mu_i]
+            groups.setdefault(el.action[nu], []).append(el)
+        for mu, group in groups.items():
             if mu not in orbits:
                 orbits[mu] = coset_orbit(ctx, mu)
             assert orbits[mu].keys() == groups.keys(), (mu, nu)
@@ -429,14 +431,14 @@ def test_coset_maximum_is_unique_and_is_the_witness(dt):
     search returns it."""
     rs = build_root_system(dt)
     contexts = [_k_context(rs, marked) for marked in _all_markings(dt.rank)]
-    contexts.append(SubsystemContext(rs, rs.simple_roots))
+    contexts.append(_context(rs, rs.simple_roots))
     for ctx in contexts:
-        _check_coset_maxima_by_enumeration(ctx, rs.roots)
+        _check_coset_maxima_by_enumeration(ctx, range(len(rs.roots)))
         # a root outside nu's orbit gives None
-        orbit = coset_orbit(ctx, rs.roots[0])
-        for nu in rs.roots:
-            if rs.root_index[nu] not in orbit:
-                assert _max_length_with_witness(ctx, rs.roots[0], nu, orbit) is None
+        orbit = coset_orbit(ctx, 0)
+        for nu in range(len(rs.roots)):
+            if nu not in orbit:
+                assert _max_length_with_witness(ctx, 0, nu, orbit) is None
 
 
 def _reference_w0_word(ctx):
@@ -448,14 +450,13 @@ def _reference_w0_word(ctx):
         sum(rs.roots[i][j] for i, s in ctx.sub_sign.items() if s > 0)
         for j in range(rs.rank)
     )
+    simples = [rs.roots[g] for g in ctx.simples]
     steps = []
     while True:
-        i = next(
-            (k for k, g in enumerate(ctx.simples) if pair(rs, v, g) > 0), None
-        )
+        i = next((k for k, g in enumerate(simples) if pair(rs, v, g) > 0), None)
         if i is None:
             return tuple(reversed(steps))
-        v = reflect(rs, v, ctx.simples[i])
+        v = reflect(rs, v, simples[i])
         steps.append(i)
 
 
@@ -479,7 +480,7 @@ def test_w0_word_matches_coordinate_walk(dt):
     """For K of every marking, and for the whole Weyl group."""
     rs = build_root_system(dt)
     contexts = [_k_context(rs, marked) for marked in _all_markings(dt.rank)]
-    contexts.append(SubsystemContext(rs, rs.simple_roots))
+    contexts.append(_context(rs, rs.simple_roots))
     for ctx in contexts:
         _check_w0_word(ctx)
 
@@ -507,16 +508,16 @@ def _marked_root(draw, labels):
 @settings(max_examples=30, deadline=None)
 def test_coset_maximum_is_unique_e6(case):
     label, marked, nu = case
-    _check_coset_maxima_by_enumeration(_cached_k_context(label, marked), [nu])
+    ctx = _cached_k_context(label, marked)
+    _check_coset_maxima_by_enumeration(ctx, [ctx.rs.root_index[nu]])
 
 
 def _reference_max_length_with_witness(ctx, mu, nu):
-    """The coset maximum and its witness by a search of nu's orbit: BFS
-    from nu until it has the whole orbit, then the tree path back from
-    w0(mu), with w0 in front."""
-    nu_i = ctx.rs.root_index[nu]
-    tree = {nu_i: (0, -1, -1)}
-    frontier = [nu_i]
+    """The coset maximum and its witness by a search of nu's orbit (root
+    indices): BFS from nu until it has the whole orbit, then the tree
+    path back from w0(mu), with w0 in front."""
+    tree = {nu: (0, -1, -1)}
+    frontier = [nu]
     while frontier:
         nxt = []
         for v in frontier:
@@ -526,7 +527,7 @@ def _reference_max_length_with_witness(ctx, mu, nu):
                     tree[w] = (tree[v][0] + 1, v, i)
                     nxt.append(w)
         frontier = nxt
-    target = ctx.apply_word(ctx.w0_word, ctx.rs.root_index[mu])
+    target = ctx.apply_word(ctx.w0_word, mu)
     if target not in tree:
         return None
     path = []
@@ -547,12 +548,13 @@ def test_witness_matches_search_from_nu(case, in_orbit, data):
     label, marked, nu = case
     ctx = _cached_k_context(label, marked)
     rs = ctx.rs
+    nu = rs.root_index[nu]
     if in_orbit:
         # nu's orbit is w0(mu)'s orbit for every mu in it
         orbit = coset_orbit(ctx, nu)
-        mu = rs.roots[data.draw(st.sampled_from(sorted(orbit)))]
+        mu = data.draw(st.sampled_from(sorted(orbit)))
     else:
-        mu = data.draw(st.sampled_from(rs.roots))
+        mu = rs.root_index[data.draw(st.sampled_from(rs.roots))]
     res = _max_length_with_witness(ctx, mu, nu, coset_orbit(ctx, mu))
     ref = _reference_max_length_with_witness(ctx, mu, nu)
     if ref is None:
