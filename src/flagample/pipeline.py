@@ -126,7 +126,7 @@ def run_case(spec: CaseSpec) -> Report:
     herm = hermitian_data(rs, grading)
     pd = parabolic_data(rs, grading, spec.levi)
     fiber = neutral_fiber(pd, grading)
-    inp = assemble_input(rs, grading, herm, pd, fiber)
+    inp = assemble_input(rs, herm, pd, fiber)
     amp = ampleness(inp, method=spec.method, verify=spec.verify, cap=spec.max_weyl)
     cls = classify(amp, pd, grading, herm)
     if cls.cross_check != CHECK_PASSED:

@@ -25,7 +25,7 @@ from operator import or_
 from .cycle import NeutralFiber, ParabolicData
 from .errors import EnumerationCapError, InternalInconsistencyError
 from .kernels import inverse_images, word_of
-from .realform import CompactnessGrading, HermitianData, highest_weights
+from .realform import HermitianData, highest_weights
 from .rootsystem import RootSystem
 from .weyl import (
     DEFAULT_CAP,
@@ -44,7 +44,6 @@ class AmplenessInput:
     """Everything the length search needs, assembled once per case."""
 
     rs: RootSystem
-    grading: CompactnessGrading
     hermitian: HermitianData
     parabolic: ParabolicData
     fiber: NeutralFiber
@@ -63,14 +62,12 @@ class AmplenessResult:
 
 def assemble_input(
     rs: RootSystem,
-    grading: CompactnessGrading,
     hermitian: HermitianData,
     parabolic: ParabolicData,
     fiber: NeutralFiber,
 ) -> AmplenessInput:
     return AmplenessInput(
         rs=rs,
-        grading=grading,
         hermitian=hermitian,
         parabolic=parabolic,
         fiber=fiber,
@@ -98,7 +95,6 @@ def maximal_weights(
 
 
 def closed_form_maximal_weights(
-    grading: CompactnessGrading,
     hermitian: HermitianData,
     parabolic: ParabolicData,
 ) -> tuple[int, ...]:
@@ -252,7 +248,7 @@ def ampleness(
     lam = inp.max_weights
     if not set(lam) <= set(inp.fiber.weights):
         raise InternalInconsistencyError("maximal weights escape the fiber")
-    closed = closed_form_maximal_weights(inp.grading, inp.hermitian, inp.parabolic)
+    closed = closed_form_maximal_weights(inp.hermitian, inp.parabolic)
     if closed != lam:
         raise InternalInconsistencyError(
             f"maximal weights disagree: combinatorial {lam} vs case analysis "

@@ -6,7 +6,9 @@ reflections of the designated subsystem.  A word (j1, ..., jk) denotes
 the composition s_{j1} o s_{j2} o ... o s_{jk} (rightmost applied first).
 The enumeration itself stores neither: it carries w^{-1} of a few roots
 and the length of each element, and each element's word is read off
-its factors (see `kernels`).
+its factors (see `kernels`).  The coset search holds an element w as
+w(rho) in the subsystem's weight coordinates, reads its word off that
+vector, and leaves the action to be built from the word when read.
 
 All lengths are taken with respect to the subsystem: the length of w is
 the number of subsystem-positive roots sent to subsystem-negative roots,
@@ -16,7 +18,6 @@ which equals the length of any reduced word for w.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import kernels
@@ -25,9 +26,9 @@ from .rootsystem import (
     RootSystem,
     SubsystemComponent,
     Weight,
-    coroot_pairing,
     indecomposables,
     orbit_components,
+    pair,
     require_closed,
     subsystem_orbit,
 )
@@ -39,16 +40,32 @@ Perm = tuple[int, ...]
 Orbit = dict[int, tuple[int, int]]
 
 
-@dataclass(frozen=True)
 class WeylElement:
     """Group element: canonical reduced word plus root-set permutation.
 
     Two elements are equal iff their actions coincide; the word is the
     lexicographically least reduced word in the subsystem's generators.
+    An element made from its word and a context alone builds its action
+    from the word when the action is first read.
     """
 
-    word: tuple[int, ...]
-    action: Perm
+    __slots__ = ("word", "_action", "_ctx")
+
+    def __init__(
+        self,
+        word: tuple[int, ...],
+        action: Perm | None = None,
+        ctx: "SubsystemContext | None" = None,
+    ):
+        self.word = word
+        self._action = action
+        self._ctx = ctx
+
+    @property
+    def action(self) -> Perm:
+        if self._action is None:
+            self._action = self._ctx.perm_of_word(self.word)
+        return self._action
 
     @property
     def length(self) -> int:
@@ -59,6 +76,9 @@ class WeylElement:
 
     def __hash__(self):
         return hash(self.action)
+
+    def __repr__(self):
+        return f"WeylElement(word={self.word})"
 
 
 def compose(a: Perm, b: Perm) -> Perm:
@@ -90,6 +110,14 @@ class SubsystemContext:
         self.cartan, self.coords = subsystem_orbit(rs, self.simples)
         self.sub_sign = {v: 1 if min(c) >= 0 else -1 for v, c in self.coords.items()}
         self.pos_count = sum(1 for s in self.sub_sign.values() if s > 0)
+        # for each simple i, its Dynkin neighbours j with cartan[j][i] =
+        # <gamma_i, gamma_j^vee>, the nonzero off-diagonal entries of
+        # column i: s_i changes no other weight coordinate than these and i
+        columns = tuple(zip(*self.cartan))
+        self.neighbours: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+            tuple((j, a) for j, a in enumerate(col) if j != i and a)
+            for i, col in enumerate(columns)
+        )
         self._w0_word: tuple[int, ...] | None = None
 
     @classmethod
@@ -111,39 +139,65 @@ class SubsystemContext:
         """Irreducible components, as `subsystem_components` gives them."""
         return orbit_components(self.rs, self.simples, self.cartan, self.coords)
 
+    # Weight coordinates: a weight v of the subsystem is the list p with
+    # p_j = <v, gamma_j^vee>, and s_i sends p_j to p_j - p_i cartan[j][i].
+
+    def reflect_weight(self, p: list[int], letters: Iterable[int]) -> None:
+        """Apply s_i to the weight coordinates p, in place, for each i of
+        letters in turn (the first letter is applied first)."""
+        neighbours = self.neighbours
+        for i in letters:
+            c = p[i]
+            p[i] = -c
+            for j, a in neighbours[i]:
+                p[j] -= c * a
+
+    def walk_down(self, p: list[int]) -> list[int]:
+        """Reflect the weight coordinates p, in place, in the first simple
+        i with p_i > 0 until there is none; the letters in the order
+        applied.  A bitmask holds the positive coordinates: a step on i
+        makes p_i negative and only raises the p_j of i's neighbours."""
+        neighbours = self.neighbours
+        mask = sum(1 << j for j, x in enumerate(p) if x > 0)
+        steps: list[int] = []
+        for _ in range(self.pos_count + 1):
+            if not mask:
+                return steps
+            i = (mask & -mask).bit_length() - 1
+            c = p[i]
+            p[i] = -c
+            mask ^= 1 << i
+            for j, a in neighbours[i]:
+                p[j] -= c * a
+                if p[j] > 0:
+                    mask |= 1 << j
+            steps.append(i)
+        raise InternalInconsistencyError("weight walk did not terminate")
+
     @property
     def w0_word(self) -> tuple[int, ...]:
         """A reduced word for the longest element of the subsystem group,
         found by walking 2 rho, the sum of the positive subsystem roots,
         into the antidominant chamber: each step reflects in the first
-        simple root gamma_i with <v, gamma_i^vee> > 0.
+        simple root gamma_i with <v, gamma_i^vee> > 0 (`walk_down`).
 
-        The walk runs in the weight coordinates p_j = <v, gamma_j^vee>,
-        where s_i sends p_j to p_j - p_i cartan[j][i].  Every p_j of
-        2 rho is 2 (Humphreys, *Introduction to Lie Algebras and
-        Representation Theory*, 10.2, Lemma B); the start is paired once
-        in ambient coordinates and checked against that, which ties the
-        positive system of sub_sign to the pairing."""
+        Every weight coordinate of 2 rho is 2 (Humphreys, *Introduction
+        to Lie Algebras and Representation Theory*, 10.2, Lemma B); the
+        start is paired once in ambient coordinates and checked against
+        that, (2 rho, gamma) = (gamma, gamma), which ties the positive
+        system of sub_sign to the pairing."""
         if self._w0_word is None:
             rs = self.rs
             positives = (rs.roots[i] for i, s in self.sub_sign.items() if s > 0)
             two_rho = tuple(map(sum, zip(*positives)))
-            p = [coroot_pairing(rs, two_rho, rs.roots[g]) for g in self.simples]
-            if any(x != 2 for x in p):
+            if any(
+                pair(rs, two_rho, rs.roots[g]) != rs.norms[g] for g in self.simples
+            ):
                 raise InternalInconsistencyError(
                     "sum of the positive subsystem roots is not 2 on every "
                     "simple coroot"
                 )
-            # columns[i][j] = cartan[j][i] = <gamma_i, gamma_j^vee>
-            columns = tuple(zip(*self.cartan))
-            steps: list[int] = []
-            while True:
-                i = next((k for k, x in enumerate(p) if x > 0), None)
-                if i is None:
-                    break
-                c = p[i]
-                p = [x - c * a for x, a in zip(p, columns[i])]
-                steps.append(i)
+            steps = self.walk_down([2] * len(self.simples))
             if len(steps) != self.pos_count:
                 raise InternalInconsistencyError(
                     "longest-element walk has wrong length"
@@ -163,33 +217,6 @@ class SubsystemContext:
         for i in reversed(word):
             p = compose(self.gen_perms[i], p)
         return p
-
-    def length_of_perm(self, p: Perm) -> int:
-        """Inversion count: subsystem-positive roots sent negative."""
-        return sum(
-            1
-            for i, s in self.sub_sign.items()
-            if s > 0 and self.sub_sign[p[i]] < 0
-        )
-
-    def canonical_word(self, p: Perm) -> tuple[int, ...]:
-        """Lexicographically least reduced word, by greedy least left
-        descent: i is a left descent of w iff w^{-1}(gamma_i) is a
-        subsystem-negative root."""
-        word: list[int] = []
-        # p^{-1}, kept up to date as p becomes s_i o p
-        inv = invert(p)
-        for _ in range(self.pos_count + 1):
-            if inv == self.identity:
-                return tuple(word)
-            i = next(
-                k
-                for k, gi in enumerate(self.simples)
-                if self.sub_sign[inv[gi]] < 0
-            )
-            word.append(i)
-            inv = compose(inv, self.gen_perms[i])
-        raise InternalInconsistencyError("canonical word did not terminate")
 
 
 def enumerate_weyl(
@@ -298,20 +325,26 @@ def _max_length_with_witness(
         path.append(gen)
         v = ctx.gen_perms[gen][v]
         gen = orbit[v][1]
-    raw_word = ctx.w0_word + tuple(reversed(path))
-    p = ctx.perm_of_word(raw_word)
     length = ctx.pos_count - dist
-    if ctx.length_of_perm(p) != length:
+    # w = w0 o u, held as -w(rho) in weight coordinates: the path letters
+    # spell u, then w0's letters are applied, rightmost first
+    q = [-1] * len(ctx.simples)
+    ctx.reflect_weight(q, path)
+    ctx.reflect_weight(q, reversed(ctx.w0_word))
+    # i is a left descent of w iff w^{-1}(gamma_i) is negative, iff
+    # <w(rho), gamma_i^vee> < 0, iff q_i > 0: stripping the first such i
+    # until none is left (`walk_down`) takes the greedy least left
+    # descent, which spells the canonical word, and ends at -rho
+    word = tuple(ctx.walk_down(q))
+    if len(word) != length:
         raise InternalInconsistencyError(
             "coset maximum length mismatch between routes"
         )
-    word = ctx.canonical_word(p)
-    if len(word) != length:
-        raise InternalInconsistencyError("canonical word length mismatch")
-    witness = WeylElement(word, p)
+    if any(x != -1 for x in q):
+        raise InternalInconsistencyError("canonical word does not reduce to rho")
     if ctx.apply_word(word, nu) != mu:
         raise InternalInconsistencyError("witness does not map nu to mu")
-    return length, witness
+    return length, WeylElement(word, ctx=ctx)
 
 
 def group_order_from_simples(rs: RootSystem, simples: Iterable[Weight]) -> int:

@@ -19,6 +19,7 @@ from flagample.rootsystem import build_root_system, subsystem_components
 from flagample.snow import closed_form_maximal_weights
 from flagample.weyl import SubsystemContext, enumerate_weyl
 from test_realform import compact_positive_roots, roots_of
+from test_weyl import length_of_perm
 
 SWEEP_TYPES = all_types_up_to_rank(3) + [DynkinType("D", 4), DynkinType("F", 4)]
 
@@ -127,7 +128,7 @@ def test_criterion_5_exhaustive_sweep(sweep):
         from flagample.cycle import parabolic_data
 
         pd = parabolic_data(rs, g, levi)
-        if rep.max_weights != roots_of(rs, closed_form_maximal_weights(g, h, pd)):
+        if rep.max_weights != roots_of(rs, closed_form_maximal_weights(h, pd)):
             failures.append(f"{tag}: closed-form lambda_max")
         # run_case(verify=True) already forced brute == fast per case
     ok = not failures and elapsed < 60.0
@@ -164,7 +165,7 @@ def test_criterion_6_weyl_infrastructure(sweep):
         ctx = SubsystemContext(rs, [rs.root_index[v] for v in simples])
         if len(elements) != expected:
             bad.append(f"{dt} m={marking}: order {len(elements)} != {expected}")
-        if any(ctx.length_of_perm(e.action) != e.length for e in elements):
+        if any(length_of_perm(ctx, e.action) != e.length for e in elements):
             bad.append(f"{dt} m={marking}: inversion length mismatch")
         checked += 1
     _line(

@@ -19,7 +19,7 @@ def _classified(label, marked, levi):
     h = hermitian_data(rs, g)
     pd = parabolic_data(rs, g, set(levi))
     fiber = neutral_fiber(pd, g)
-    amp = ampleness(assemble_input(rs, g, h, pd, fiber), verify=True)
+    amp = ampleness(assemble_input(rs, h, pd, fiber), verify=True)
     return amp, pd, classify(amp, pd, g, h)
 
 

@@ -86,7 +86,7 @@ def test_search_routes_agree(case):
     h = hermitian_data(rs, g)
     pd = parabolic_data(rs, g, levi)
     fiber = neutral_fiber(pd, g)
-    inp = assemble_input(rs, g, h, pd, fiber)
+    inp = assemble_input(rs, h, pd, fiber)
     bl, bw, bp = max_weyl_length_bruteforce(inp)
     fl, fw, fp = max_weyl_length_fast(inp)
     assert (bl, bw.word, bw.action, bp) == (fl, fw.word, fw.action, fp)

@@ -34,7 +34,7 @@ def _setup(label, marked, levi):
     h = hermitian_data(rs, g)
     pd = parabolic_data(rs, g, set(levi))
     fiber = neutral_fiber(pd, g)
-    return rs, g, h, pd, fiber, assemble_input(rs, g, h, pd, fiber)
+    return rs, g, h, pd, fiber, assemble_input(rs, h, pd, fiber)
 
 
 def test_maximal_weights_a2_ball():
@@ -209,7 +209,7 @@ def test_closed_form_drops_a_swallowed_half():
     rs, g, h, pd, fiber, inp = _setup("A2", {1, 2}, {1})
     assert set(roots_of(rs, h.s_plus)) == {(1, 0), (0, -1)}
     assert set(pd.q_roots) >= set(h.s_plus)
-    assert roots_of(rs, closed_form_maximal_weights(g, h, pd)) == ((0, 1),)
+    assert roots_of(rs, closed_form_maximal_weights(h, pd)) == ((0, 1),)
     assert roots_of(rs, maximal_weights(rs, fiber, _k_pos(rs, g))) == ((0, 1),)
     res = ampleness(inp, verify=True)
     assert roots_of(rs, res.max_weights) == ((0, 1),)
@@ -217,7 +217,7 @@ def test_closed_form_drops_a_swallowed_half():
 
 def test_closed_form_keeps_both_halves():
     rs, g, h, pd, fiber, inp = _setup("A2", {1, 2}, set())
-    assert roots_of(rs, closed_form_maximal_weights(g, h, pd)) == ((0, 1), (1, 0))
+    assert roots_of(rs, closed_form_maximal_weights(h, pd)) == ((0, 1), (1, 0))
     res = ampleness(inp, verify=True)
     assert roots_of(rs, res.max_weights) == ((0, 1), (1, 0))
 
@@ -238,7 +238,7 @@ def test_rank_four_sweep_routes_and_verdicts():
             h = hermitian_data(rs, g)
             pd = parabolic_data(rs, g, set(levi))
             fiber = neutral_fiber(pd, g)
-            inp = assemble_input(rs, g, h, pd, fiber)
+            inp = assemble_input(rs, h, pd, fiber)
             res = ampleness(inp, verify=True)  # fast vs brute force
             assert 0 <= res.ampleness <= pd.dim_c
             cls = classify(res, pd, g, h)
@@ -369,7 +369,7 @@ def _check_route_pairs_of_marking(rs, marking, levis, oracle_cap=None):
             fiber = neutral_fiber(pd, g)
         except DegenerateGeometryError:
             continue
-        _check_route_pairs(assemble_input(rs, g, h, pd, fiber), oracle_cap)
+        _check_route_pairs(assemble_input(rs, h, pd, fiber), oracle_cap)
 
 
 def test_route_pairs_when_the_witness_maps_onto_both_maximal_weights():

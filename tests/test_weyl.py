@@ -9,10 +9,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flagample import kernels
+from flagample import kernels, weyl
 from flagample.cycle import neutral_fiber, parabolic_data
 from flagample.dynkin import all_types_up_to_rank, parse_type
-from flagample.errors import EnumerationCapError, NotARootError, NotClosedError
+from flagample.errors import (
+    DegenerateGeometryError,
+    EnumerationCapError,
+    NotARootError,
+    NotClosedError,
+)
+from flagample.pipeline import CaseSpec, run_case, sweep_cases
 from flagample.realform import grade_roots, hermitian_data
 from flagample.rootsystem import build_root_system, pair, reflect
 from flagample.snow import assemble_input, max_weyl_length_bruteforce
@@ -28,11 +34,38 @@ from flagample.weyl import (
     invert,
     max_length_mapping,
 )
+from test_snow import _exceptional_case
 
 
 def _context(rs, simples):
     """The context of simple roots given by coordinates."""
     return SubsystemContext(rs, [rs.root_index[g] for g in simples])
+
+
+def length_of_perm(ctx, p):
+    """Reference length: subsystem-positive roots sent negative by the
+    root permutation p."""
+    return sum(
+        1 for i, s in ctx.sub_sign.items() if s > 0 and ctx.sub_sign[p[i]] < 0
+    )
+
+
+def canonical_word(ctx, p):
+    """Reference canonical word of the root permutation p: lexicographically
+    least reduced word, by greedy least left descent, i being a left
+    descent of w iff w^{-1}(gamma_i) is a subsystem-negative root."""
+    word = []
+    # p^{-1}, kept up to date as p becomes s_i o p
+    inv = invert(p)
+    for _ in range(ctx.pos_count + 1):
+        if inv == ctx.identity:
+            return tuple(word)
+        i = next(
+            k for k, gi in enumerate(ctx.simples) if ctx.sub_sign[inv[gi]] < 0
+        )
+        word.append(i)
+        inv = compose(inv, ctx.gen_perms[i])
+    raise AssertionError("canonical word did not terminate")
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +134,7 @@ def test_inversion_count_equals_word_length():
     rs = build_root_system(parse_type("B3"))
     ctx = _context(rs, rs.simple_roots)
     for el in enumerate_weyl(rs, rs.simple_roots):
-        assert ctx.length_of_perm(el.action) == len(el.word)
+        assert length_of_perm(ctx, el.action) == len(el.word)
 
 
 def test_element_equality_by_action(a2):
@@ -170,7 +203,7 @@ def test_bruteforce_cap_boundary(label, marked, monkeypatch):
     g = grade_roots(rs, marked)
     h = hermitian_data(rs, g)
     pd = parabolic_data(rs, g, ())
-    inp = assemble_input(rs, g, h, pd, neutral_fiber(pd, g))
+    inp = assemble_input(rs, h, pd, neutral_fiber(pd, g))
     assert h.k_order > 1
     max_weyl_length_bruteforce(inp, cap=h.k_order)
     with pytest.raises(EnumerationCapError):
@@ -276,7 +309,7 @@ def test_kernel_words_are_canonical_e6(marked):
     assert len(lengths) == h.k_order
     for i, row in enumerate(zip(*images)):
         word = kernels.word_of(factors, i)
-        assert ctx.canonical_word(invert(row)) == word
+        assert canonical_word(ctx, invert(row)) == word
         assert lengths[i] == len(word)
 
 
@@ -301,7 +334,7 @@ def test_words_are_lex_least_reduced(label):
         words = _all_reduced_words(ctx, el.action)
         assert el.word == min(words)
         assert all(len(w) == el.length for w in words)
-        assert ctx.canonical_word(el.action) == el.word
+        assert canonical_word(ctx, el.action) == el.word
 
 
 def _oracle_max_length(rs, simples, mu, nu):
@@ -536,13 +569,13 @@ def _reference_max_length_with_witness(ctx, mu, nu):
         path.append(tree[v][2])
         v = tree[v][1]
     p = ctx.perm_of_word(ctx.w0_word + tuple(path))
-    return ctx.pos_count - tree[target][0], WeylElement(ctx.canonical_word(p), p)
+    return ctx.pos_count - tree[target][0], WeylElement(canonical_word(ctx, p), p)
 
 
-@given(_marked_root(["E7", "E8"]), st.booleans(), st.data())
+@given(_marked_root(["E6", "E7", "E8"]), st.booleans(), st.data())
 @settings(max_examples=40, deadline=None)
 def test_witness_matches_search_from_nu(case, in_orbit, data):
-    """On E7 and E8, the witness read off the BFS tree of w0(mu) is the
+    """On E6, E7 and E8, the witness read off the BFS tree of w0(mu) is the
     one the BFS from nu builds, and a mu outside nu's orbit gives None
     on both routes."""
     label, marked, nu = case
@@ -574,3 +607,121 @@ def test_w0_word_matches_coordinate_walk_e7_e8(case):
     # a fresh context, so that the word is walked here and not cached
     ctx = _cached_k_context(label, marked)
     _check_w0_word(SubsystemContext(ctx.rs, ctx.simples))
+
+
+def _case_inputs(rs, cases):
+    """The search input of each (marking, levi) of cases whose geometry is
+    not degenerate, with K's data built once per marking."""
+    for marking in sorted({m for m, _ in cases}):
+        g = grade_roots(rs, set(marking))
+        h = hermitian_data(rs, g)
+        for levi in (l for m, l in cases if m == marking):
+            try:
+                pd = parabolic_data(rs, g, set(levi))
+                fiber = neutral_fiber(pd, g)
+            except DegenerateGeometryError:
+                continue
+            yield assemble_input(rs, h, pd, fiber)
+
+
+def _check_closed_form_coset_maxima(ctx, mus, nus):
+    """For every mu of mus and every nu of nus in the BFS orbit of w0(mu):
+    dist(nu, w0(mu)) is the number of positive roots alpha of K with
+    (nu, alpha) > 0, so the coset maximum pos_count - dist is the number
+    with (nu, alpha) <= 0.  Each mu is a highest weight of a K-module, so
+    w0(mu) is the antidominant weight of the orbit, and the shortest u
+    with u(nu) = w0(mu) is nu's minimal coset representative (Humphreys,
+    *Reflection Groups and Coxeter Groups*, 1.10; Bjorner-Brenti,
+    *Combinatorics of Coxeter Groups*, 2.4).  The sign is an index
+    comparison: s_alpha(nu) = nu - <nu, alpha^vee> alpha sorts below nu
+    iff (nu, alpha) > 0, the roots being sorted by their coordinates and
+    alpha positive.  Returns the number of pairs checked."""
+    rs = ctx.rs
+    rows = [rs.reflection_row(a) for a, s in ctx.sub_sign.items() if s > 0]
+    checked = 0
+    for mu in mus:
+        orbit = coset_orbit(ctx, mu)
+        for nu in nus:
+            if nu in orbit:
+                count = sum(1 for row in rows if row[nu] < nu)
+                assert orbit[nu][0] == count, (rs.dynkin, mu, nu)
+                checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("dt", all_types_up_to_rank(4), ids=str)
+def test_coset_maximum_closed_form_every_case(dt):
+    """Every pair the fast route's BFS finds, in every (marking, levi)."""
+    rs = build_root_system(dt)
+    checked = sum(
+        _check_closed_form_coset_maxima(
+            inp.hermitian.k_context, inp.max_weights, inp.fiber.weights
+        )
+        for inp in _case_inputs(rs, sweep_cases(dt))
+    )
+    assert checked > 0
+
+
+def test_coset_maximum_closed_form_e6():
+    """Every marking of E6, for every highest weight of the noncompact
+    module and every root in its orbit: the fiber weights and maximal
+    weights of any Levi set are among these."""
+    rs = build_root_system(parse_type("E6"))
+    for marking in _all_markings(6):
+        h = hermitian_data(rs, grade_roots(rs, marking))
+        nus = range(len(rs.roots))
+        assert _check_closed_form_coset_maxima(h.k_context, h.lambda_max_s, nus)
+
+
+@given(_exceptional_case(["E7", "E8"]))
+@settings(max_examples=30, deadline=None)
+def test_coset_maximum_closed_form_e7_e8(case):
+    label, marking, levi = case
+    for inp in _case_inputs(_cached_root_system(label), [(marking, levi)]):
+        _check_closed_form_coset_maxima(
+            inp.hermitian.k_context, inp.max_weights, inp.fiber.weights
+        )
+
+
+def _check_witnesses_against_reference(inp):
+    """For every pair (mu maximal, nu fiber weight), the witness read off
+    w(rho) has the length, word and action of the permutation reference;
+    a nu outside w0(mu)'s orbit gives None on both routes."""
+    ctx = inp.hermitian.k_context
+    for mu in inp.max_weights:
+        orbit = coset_orbit(ctx, mu)
+        for nu in inp.fiber.weights:
+            res = _max_length_with_witness(ctx, mu, nu, orbit)
+            ref = _reference_max_length_with_witness(ctx, mu, nu)
+            if ref is None:
+                assert res is None
+                continue
+            assert (res[0], res[1].word, res[1].action) == (
+                ref[0],
+                ref[1].word,
+                ref[1].action,
+            ), (ctx.rs.dynkin, mu, nu)
+
+
+@pytest.mark.parametrize("dt", all_types_up_to_rank(4), ids=str)
+def test_witness_matches_permutation_reference_every_case(dt):
+    rs = build_root_system(dt)
+    for inp in _case_inputs(rs, sweep_cases(dt)):
+        _check_witnesses_against_reference(inp)
+
+
+@pytest.mark.parametrize(
+    "label,marking,levi", [("E7", (7,), ()), ("E8", (1,), ()), ("A14", (1, 8), (2, 3))]
+)
+def test_fast_route_composes_no_permutation(label, marking, levi, monkeypatch):
+    """A case without the oracle builds no root permutation: the w0 walk
+    and every witness run in K's weight coordinates."""
+    spec = CaseSpec(parse_type(label), marking, levi)
+
+    def no_compose(*args):
+        raise AssertionError("a permutation was composed on the fast route")
+
+    with monkeypatch.context() as m:
+        m.setattr(weyl, "compose", no_compose)
+        got = run_case(spec)
+    assert got == run_case(spec)
