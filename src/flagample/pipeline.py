@@ -215,6 +215,15 @@ def _table_worker(spec: CaseSpec) -> dict:
     return row
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask
+    where the platform has one, else the host's CPU count."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is not None:
+        return len(affinity(0))
+    return os.cpu_count() or 1
+
+
 def run_table(
     dynkin: DynkinType,
     method: str = "auto",
@@ -224,9 +233,9 @@ def run_table(
     jobs: int = 1,
 ) -> list[dict]:
     """Evaluate every case of a type; rows come back in case order
-    regardless of parallelism.  The pool never exceeds the CPU count or
-    the number of cases.  A rank above MAX_TABLE_RANK is refused before
-    any case is built."""
+    regardless of parallelism.  The pool never exceeds the CPUs this
+    process may use or the number of cases.  A rank above MAX_TABLE_RANK
+    is refused before any case is built."""
     if dynkin.rank > MAX_TABLE_RANK:
         raise InvalidTypeError(
             f"table rank {dynkin.rank} out of bounds (1..{MAX_TABLE_RANK}): "
@@ -236,7 +245,7 @@ def run_table(
         CaseSpec(dynkin, m, l, method, verify, max_weyl)
         for m, l in sweep_cases(dynkin, dedupe=dedupe)
     ]
-    jobs = min(jobs, os.cpu_count() or 1, len(specs))
+    jobs = min(jobs, _usable_cpus(), len(specs))
     if jobs <= 1:
         return [_table_worker(s) for s in specs]
     # the pool machinery costs start-up time and memory: import on demand

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import mul
-from typing import AbstractSet, Iterable
+from functools import reduce
+from operator import mul, xor
+from typing import Iterable
 
 from .errors import (
     BadNodeError,
@@ -58,8 +59,12 @@ class HermitianData:
 
 
 def grade_roots(rs: RootSystem, marked: Iterable[int]) -> CompactnessGrading:
-    """Grade the roots by the mod-2 sum of their marked coefficients,
-    the parity of their odd marked coefficients."""
+    """Grade the roots by the mod-2 sum of their marked coefficients.
+
+    The sum is odd exactly when an odd number of marked nodes carry an
+    odd coefficient, so the noncompact roots are the symmetric
+    difference, over the marked nodes, of the roots with an odd
+    coefficient there (`RootSystem.odd_roots`)."""
     marked = frozenset(marked)
     if not marked:
         raise CompactFormError(
@@ -68,12 +73,10 @@ def grade_roots(rs: RootSystem, marked: Iterable[int]) -> CompactnessGrading:
     for i in marked:
         if not 1 <= i <= rs.rank:
             raise BadNodeError(f"node {i} outside 1..{rs.rank}")
-    mask = sum(1 << (i - 1) for i in marked)
+    odd = rs.odd_roots
     return CompactnessGrading(
         marked_simples=marked,
-        noncompact_roots=frozenset(
-            i for i, odd in enumerate(rs.odd_masks) if (odd & mask).bit_count() & 1
-        ),
+        noncompact_roots=reduce(xor, [odd[i - 1] for i in marked]),
     )
 
 
@@ -83,8 +86,8 @@ def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData
     K's data comes from one orbit pass: the context of the compact
     positive roots (`SubsystemContext.from_positive_roots`) finds K's
     simple roots, proves the compact roots reflection-closed, and gives
-    K's Cartan matrix and the coordinates of its roots, from which K's
-    components, their labels and |W(K)| are read.
+    K's Cartan matrix and the coordinates, signs and components of its
+    roots, from which K's components, their labels and |W(K)| are read.
 
     The center of k has two independent routes.  center_dim is the rank
     deficiency of the span of the compact roots, which K's simple system
@@ -154,15 +157,21 @@ def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData
 
 
 def highest_weights(
-    rs: RootSystem, weights: AbstractSet[int], k_roots: Iterable[int]
+    rs: RootSystem, weights: frozenset[int], k_roots: Iterable[int]
 ) -> tuple[int, ...]:
     """The roots of the set (by index) to which no root of k_roots can
-    be added inside the set, sorted.  A sum that is no root reads as
-    len(rs.roots) in the sum rows, which no set holds."""
-    rows = [rs.sum_row(g) for g in k_roots]
-    return tuple(
-        sorted(a for a in weights if all(row[a] not in weights for row in rows))
-    )
+    be added inside the set, sorted.
+
+    a + gamma lies in the set exactly when a is b - gamma for some b in
+    the set, so the roots blocked by gamma are the set's image under the
+    sum row of -gamma, which is roots[last - gamma] since rs.roots is
+    sorted.  A difference that is no root reads as len(rs.roots), which
+    no set holds."""
+    last = len(rs.roots) - 1
+    blocked: set[int] = set()
+    for g in k_roots:
+        blocked.update(map(rs.sum_row(last - g).__getitem__, weights))
+    return tuple(sorted(weights.difference(blocked)))
 
 
 def _central_functional(rs, marked) -> Weight:

@@ -14,8 +14,9 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from operator import add, mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import dynkin as dk
 from .dynkin import DynkinType
@@ -81,10 +82,36 @@ class RootSystem:
         return row
 
     @cached_property
-    def odd_masks(self) -> tuple[int, ...]:
-        """Each root's odd coefficients as a bitmask, bit i - 1 for node
-        i, built on first use."""
-        return tuple(sum(1 << i for i, x in enumerate(v) if x & 1) for v in self.roots)
+    def odd_roots(self) -> tuple[frozenset[int], ...]:
+        """For each node, the indices of the roots with an odd coefficient
+        there, built on first use."""
+        return tuple(
+            frozenset(a for a, v in enumerate(self.roots) if v[j] & 1)
+            for j in range(self.rank)
+        )
+
+    @cached_property
+    def root_keys(self) -> tuple[int, ...]:
+        """Each root packed into one integer, key(v) = sum_j v_j 2^(8j),
+        built on first use.  The packing is linear, and it is injective on
+        integer vectors whose coordinates are all below 128 in absolute
+        value: the highest nonzero coordinate of such a vector outweighs
+        all those below it.  Root coefficients are at most 6 in absolute
+        value (E8's highest root), which is checked here, so
+        key(u) - key(v) + s key(w) is 0 for roots u, v, w and |s| <= 3
+        exactly when u = v - s w: every coordinate of that combination is
+        at most 6 + 6 + 3 * 6 = 30."""
+        if max(map(abs, chain.from_iterable(self.roots)), default=0) > 6:
+            raise InternalInconsistencyError("root coefficient above 6")
+        return tuple(
+            sum(x << 8 * j for j, x in enumerate(v)) for v in self.roots
+        )
+
+    @cached_property
+    def positives_by_height(self) -> tuple[int, ...]:
+        """The indices of the positive roots in order of height, the sum
+        of the coordinates, built on first use."""
+        return tuple(sorted(self.positive_indices, key=lambda a: sum(self.roots[a])))
 
 
 def _reflection_row(rs: RootSystem, g: int) -> array:
@@ -120,11 +147,14 @@ def build_root_system(dynkin: DynkinType) -> RootSystem:
     queue = list(simples)
     while queue:
         v = queue.pop()
-        for i in range(n):
+        for i, row in enumerate(cartan):
             # s_i(v) = v - <v, alpha_i^vee> alpha_i, and <v, alpha_i^vee>
-            # is the pairing against row i of the Cartan matrix
-            c = sum(cartan[i][j] * v[j] for j in range(n))
-            w = tuple(v[j] - c if j == i else v[j] for j in range(n))
+            # is the pairing against row i of the Cartan matrix; s_i fixes
+            # v when it is 0
+            c = sum(map(mul, row, v))
+            if not c:
+                continue
+            w = v[:i] + (v[i] - c,) + v[i + 1 :]
             if w not in roots:
                 roots[w] = roots[v]
                 queue.append(w)
@@ -212,34 +242,69 @@ def indecomposables(
     by the height pass of `simple_system`, sorted, and the set itself.
     NotClosedError if an index is no positive root's.
 
-    The pairing test reads the reflection rows: rs.roots is sorted, so
+    The pass walks the root system's height order of its positive roots
+    (`RootSystem.positives_by_height`), built once per root system.  The
+    pairing test reads the reflection rows: rs.roots is sorted, so
     s_gamma(beta) = beta - <beta, gamma^vee> gamma comes before beta
     exactly when the pairing is positive."""
     pos = frozenset(pos)
-    if any(i not in rs.positive_indices for i in pos):
+    first = rs.positive_indices
+    if pos and (min(pos) < first.start or max(pos) >= first.stop):
         raise NotClosedError(f"not a set of positive roots of {rs.dynkin}")
     simples: list[int] = []
     rows = []
-    for b in sorted(pos, key=lambda i: sum(rs.roots[i])):
+    for b in filter(pos.__contains__, rs.positives_by_height):
         if all(row[b] >= b for row in rows):
             simples.append(b)
             rows.append(rs.reflection_row(b))
     return tuple(sorted(simples)), pos
 
 
-def subsystem_orbit(
-    rs: RootSystem, simples: Sequence[int]
-) -> tuple[tuple[tuple[int, ...], ...], dict[int, tuple[int, ...]]]:
+class SubsystemOrbit(NamedTuple):
+    """What one orbit pass over a subsystem finds (`subsystem_orbit`)."""
+
+    # cartan[i][j] = <gamma_j, gamma_i^vee> for the simples gamma_i
+    cartan: tuple[tuple[int, ...], ...]
+    # each orbit root (by index) with its coordinates in the simple basis
+    coords: dict[int, tuple[int, ...]]
+    # each orbit root's sign: 1 if its coordinates are >= 0, else -1
+    sign: dict[int, int]
+    # one entry per irreducible component, in order of its first simple:
+    # the positions of its simples and the indices of its positive roots
+    components: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+    @property
+    def pos_count(self) -> int:
+        """The number of positive roots."""
+        return sum(len(positives) for _, positives in self.components)
+
+
+def subsystem_orbit(rs: RootSystem, simples: Sequence[int]) -> SubsystemOrbit:
     """The Cartan matrix of the roots of index `simples`, cartan[i][j] =
     <gamma_j, gamma_i^vee>, and their orbit under their reflection rows:
-    each orbit root (by index) with its coordinates in that basis.
+    each orbit root (by index) with its coordinates in that basis, its
+    sign and its irreducible component.
 
     The coordinates ride along the orbit search: s_i changes only
     coordinate i, by minus shift, the pairing of the coordinates with
     row i of the Cartan matrix.  Each new root must equal its parent
     minus shift * gamma_i, so by induction from the simples every orbit
-    root is the combination its coordinates state."""
-    roots = rs.roots
+    root is the combination its coordinates state.  That check is one
+    integer comparison of packed keys (`RootSystem.root_keys`),
+    key(new) = key(parent) - shift * key(gamma_i), after a check that
+    |shift| <= 3, which holds for the pairing of a root with a coroot.
+    It is exact: it compares every coordinate, so it does not trust the
+    reflection row it re-proves.
+
+    The sign and the component ride along too.  A step s_i changes only
+    coordinate i, so the new root has its parent's sign unless the new
+    i-th coordinate has the opposite one; then the root has coordinates
+    of both signs (NotClosedError: the roots are no simple system)
+    unless the parent was +-gamma_i, whose image is its negative.  s_i
+    fixes every root outside gamma_i's component, so a root found from
+    a parent is in the parent's component, and the search runs one
+    component at a time."""
+    roots, keys = rs.roots, rs.root_keys
     gens = [rs.reflection_row(g) for g in simples]
     k = len(simples)
     # s_i(gamma_j) = gamma_j - cartan[i][j] gamma_i, read at a coordinate
@@ -253,26 +318,68 @@ def subsystem_orbit(
                 (roots[gj][t] - roots[gens[i][gj]][t]) // gamma[t] for gj in simples
             )
         )
+    gamma_keys = [keys[g] for g in simples]
     coords = {
         g: tuple(int(i == j) for j in range(k)) for i, g in enumerate(simples)
     }
-    queue = list(simples)
-    while queue:
-        v = queue.pop()
-        c = coords[v]
-        for i in range(k):
-            w = gens[i][v]
-            if w not in coords:
+    sign = dict.fromkeys(simples, 1)
+    components = []
+    for members in _linked(cartan):
+        queue = [simples[i] for i in members]
+        positives = queue[:]
+        while queue:
+            v = queue.pop()
+            c, s, key = coords[v], sign[v], keys[v]
+            for i, row in enumerate(gens):
+                w = row[v]
+                if w in coords:
+                    continue
                 shift = sum(map(mul, cartan[i], c))
-                gamma = roots[simples[i]]
-                step = [x - shift * y for x, y in zip(roots[v], gamma)]
-                if roots[w] != tuple(step):
+                if not -3 <= shift <= 3 or keys[w] != key - shift * gamma_keys[i]:
                     raise InternalInconsistencyError(
                         "subsystem root outside simple span"
                     )
-                coords[w] = c[:i] + (c[i] - shift,) + c[i + 1 :]
+                x = c[i] - shift
+                s_w = s
+                if x * s < 0:
+                    if any(c[:i]) or any(c[i + 1 :]):
+                        raise NotClosedError(
+                            "root with coordinates of both signs: not a "
+                            "simple system"
+                        )
+                    s_w = -s
+                sign[w] = s_w
+                if s_w > 0:
+                    positives.append(w)
+                coords[w] = c[:i] + (x,) + c[i + 1 :]
                 queue.append(w)
-    return tuple(cartan), coords
+        components.append((members, tuple(positives)))
+    orbit = SubsystemOrbit(tuple(cartan), coords, sign, tuple(components))
+    if 2 * orbit.pos_count != len(coords):
+        raise NotClosedError("the orbit is not its positive roots and their negatives")
+    return orbit
+
+
+def _linked(cartan) -> list[tuple[int, ...]]:
+    """The connected components of the Dynkin graph of a Cartan matrix,
+    as sorted positions, in order of their first position."""
+    k = len(cartan)
+    seen = [False] * k
+    out = []
+    for i in range(k):
+        if seen[i]:
+            continue
+        seen[i] = True
+        members, stack = [], [i]
+        while stack:
+            a = stack.pop()
+            members.append(a)
+            for b in range(k):
+                if not seen[b] and (cartan[a][b] or cartan[b][a]):
+                    seen[b] = True
+                    stack.append(b)
+        out.append(tuple(sorted(members)))
+    return out
 
 
 def require_closed(pos: frozenset[int], orbit) -> None:
@@ -290,9 +397,9 @@ def require_closed(pos: frozenset[int], orbit) -> None:
 def _closed_subsystem(rs: RootSystem, pos: Iterable[Weight]):
     # a vector that is no root gets -1, which indecomposables refuses
     simples, pos = indecomposables(rs, [rs.root_index.get(tuple(v), -1) for v in pos])
-    cartan, coords = subsystem_orbit(rs, simples)
-    require_closed(pos, coords)
-    return simples, cartan, coords
+    orbit = subsystem_orbit(rs, simples)
+    require_closed(pos, orbit.coords)
+    return simples, orbit
 
 
 @dataclass(frozen=True)
@@ -318,55 +425,20 @@ def subsystem_components(
 
 
 def orbit_components(
-    rs: RootSystem,
-    simples: tuple[int, ...],
-    cartan: tuple[tuple[int, ...], ...],
-    coords: dict[int, tuple[int, ...]],
+    rs: RootSystem, simples: tuple[int, ...], orbit: SubsystemOrbit
 ) -> tuple[SubsystemComponent, ...]:
     """Irreducible components of the subsystem with the given sorted
-    simple roots, from `subsystem_orbit`'s Cartan matrix and coordinates:
-    the connected components of the Cartan matrix, each with the positive
-    roots whose coordinates it supports.  NotClosedError if the roots are
-    not a simple system, that is if some root has coordinates of both
-    signs."""
-    k = len(simples)
-    comp_of = list(range(k))
-
-    def find(i):
-        while comp_of[i] != i:
-            comp_of[i] = comp_of[comp_of[i]]
-            i = comp_of[i]
-        return i
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if cartan[i][j]:
-                comp_of[find(i)] = find(j)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
-
-    # the support of a positive root is connected, so any nonzero
-    # coordinate names its component
-    comp_pos: dict[int, list[int]] = {r: [] for r in groups}
-    for v, c in coords.items():
-        if min(c) >= 0:
-            comp_pos[find(c.index(max(c)))].append(v)
-    if 2 * sum(map(len, comp_pos.values())) != len(coords):
-        raise NotClosedError(
-            "roots with coordinates of both signs: not a simple system"
-        )
-
+    simple roots, labelled from the simples and positive roots of each
+    component that `subsystem_orbit` found."""
     comps = []
-    for r, members in groups.items():
+    for members, positives in orbit.components:
         comp_simples = tuple(simples[i] for i in members)
-        label = _component_label(rs, comp_simples, comp_pos[r])
+        label = _component_label(rs, comp_simples, positives)
         comps.append(
             SubsystemComponent(
                 label=label,
                 rank=len(comp_simples),
-                num_roots=2 * len(comp_pos[r]),
+                num_roots=2 * len(positives),
                 order=_order_from_label(label),
                 simples=comp_simples,
             )

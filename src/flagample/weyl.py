@@ -106,10 +106,12 @@ class SubsystemContext:
             tuple(rs.reflection_row(g)) for g in self.simples
         )
         # the subsystem's Cartan matrix, and each of its roots (by index)
-        # with its coordinates in the simple basis, from one orbit pass
-        self.cartan, self.coords = subsystem_orbit(rs, self.simples)
-        self.sub_sign = {v: 1 if min(c) >= 0 else -1 for v, c in self.coords.items()}
-        self.pos_count = sum(1 for s in self.sub_sign.values() if s > 0)
+        # with its coordinates in the simple basis, its sign and its
+        # component, from one orbit pass
+        self.orbit = subsystem_orbit(rs, self.simples)
+        self.cartan, self.coords = self.orbit.cartan, self.orbit.coords
+        self.sub_sign = self.orbit.sign
+        self.pos_count = self.orbit.pos_count
         # for each simple i, its Dynkin neighbours j with cartan[j][i] =
         # <gamma_i, gamma_j^vee>, the nonzero off-diagonal entries of
         # column i: s_i changes no other weight coordinate than these and i
@@ -137,7 +139,7 @@ class SubsystemContext:
 
     def components(self) -> tuple[SubsystemComponent, ...]:
         """Irreducible components, as `subsystem_components` gives them."""
-        return orbit_components(self.rs, self.simples, self.cartan, self.coords)
+        return orbit_components(self.rs, self.simples, self.orbit)
 
     # Weight coordinates: a weight v of the subsystem is the list p with
     # p_j = <v, gamma_j^vee>, and s_i sends p_j to p_j - p_i cartan[j][i].

@@ -311,6 +311,70 @@ def test_w0_walk_from_a_wrong_start_exits_3(capsys, monkeypatch, label, noncompa
     assert "simple coroot" in err
 
 
+def _corrupt_k_row(label, noncompact, gamma, v, wrong):
+    """A fresh root system in which one entry of a reflection row of K is
+    wrong: s_gamma(v) points to the root `wrong`, and K's simple roots.
+    The wrong root agrees with the true image at gamma's first nonzero
+    coordinate, where K's Cartan matrix is read, and the rest of the
+    orbit search is consistent with it there: a check of each new root at
+    that one coordinate accepts the whole corrupt orbit.  K's simple
+    roots are found as before."""
+    from flagample.realform import grade_roots
+    from flagample.rootsystem import build_root_system, indecomposables
+
+    rs = build_root_system(parse_type(label))
+    index = rs.root_index
+    row = rs.reflection_row(index[gamma])
+    true = rs.roots[row[index[v]]]
+    t = next(j for j, x in enumerate(gamma) if x)
+    assert wrong != true and wrong[t] == true[t]
+    grading = grade_roots(rs, map(int, noncompact.split(",")))
+    compact = [a for a in rs.positive_indices if a not in grading.noncompact_roots]
+    simples, _ = indecomposables(rs, compact)
+    row[index[v]] = index[wrong]
+    assert indecomposables(rs, compact)[0] == simples
+    return rs, simples
+
+
+@pytest.mark.parametrize(
+    "label,noncompact,gamma,v,wrong",
+    [
+        ("A4", "1", (0, 0, 0, 1), (0, -1, -1, 0), (0, 0, 0, -1)),
+        ("B3", "1", (0, 1, 0), (0, 0, 1), (1, 1, 1)),
+        (
+            "E6",
+            "1",
+            (0, 0, 0, 0, 0, 1),
+            (0, 0, -1, -1, -1, 0),
+            (0, -1, -1, -2, -2, -1),
+        ),
+    ],
+)
+def test_orbit_pass_refuses_a_corrupt_reflection_row(
+    capsys, monkeypatch, label, noncompact, gamma, v, wrong
+):
+    """The orbit pass checks every new root against its parent on every
+    coordinate: a reflection row of K that is wrong off gamma's first
+    nonzero coordinate stops the context, and `compute` exits 3."""
+    from flagample import pipeline
+    from flagample.errors import InternalInconsistencyError
+    from flagample.weyl import SubsystemContext
+
+    case = (label, noncompact, gamma, v, wrong)
+    rs, simples = _corrupt_k_row(*case)
+    with pytest.raises(InternalInconsistencyError, match="simple span"):
+        SubsystemContext(rs, simples)
+
+    rs, _ = _corrupt_k_row(*case)
+    monkeypatch.setattr(pipeline, "_root_system", lambda series, rank: rs)
+    code, out, err = run(
+        capsys, "compute", "--type", label, "--noncompact", noncompact
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("internal inconsistency: ")
+    assert "simple span" in err
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -410,12 +474,29 @@ def test_table_jobs_clamped(monkeypatch, cpus, expected):
         def map(self, fn, items):
             return map(fn, items)
 
-    # run_table imports the pool class on demand
+    # run_table imports the pool class on demand; without an affinity
+    # mask it falls back to the host's CPU count
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.delattr(pipeline.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cpus)
     rows = pipeline.run_table(parse_type("A2"), jobs=1000)
     assert len(rows) == 9
     assert pools == ([expected] if expected > 1 else [])
+
+
+def test_table_jobs_bounded_by_affinity(monkeypatch):
+    """A process pinned to one CPU runs the table serially, whatever the
+    host's CPU count: no pool is imported, and the rows are the serial
+    run's."""
+    from flagample import pipeline
+    from flagample.dynkin import parse_type
+
+    serial = pipeline.run_table(parse_type("A3"))
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 64)
+    # an import of the pool module now fails
+    monkeypatch.setitem(sys.modules, "concurrent.futures", None)
+    assert pipeline.run_table(parse_type("A3"), jobs=4) == serial
 
 
 def test_verify_says_when_the_oracle_was_skipped(capsys):

@@ -296,21 +296,33 @@ def test_xi_separates_marked_simple(a2):
 def test_shared_k_data_matches_direct_route(dt):
     """hermitian_data's K simple system, components and |W(K)|, read off
     its one orbit pass, equal the direct computations and the all-pairs
-    reference."""
+    reference.  The signs the pass carries are the signs of the
+    coordinates, which are also the ambient signs, and the positive count
+    is the number of compact positive roots."""
     rs = build_root_system(dt)
+    first = rs.positive_indices.start
     for marked in _all_markings(dt.rank):
         g = grade_roots(rs, marked)
         h = hermitian_data(rs, g)
+        ctx = h.k_context
         k_pos = compact_positive_roots(rs, g)
         comps = reference_components(rs, k_pos)
-        k_simples = roots_of(rs, h.k_context.simples)
+        k_simples = roots_of(rs, ctx.simples)
         assert k_simples == reference_simple_system(rs, k_pos) == simple_system(
             rs, k_pos
         )
         assert h.k_type == ("×".join(c[0] for c in comps) or "0")
         assert h.k_order == math.prod(c[3] for c in comps)
         assert h.k_order == group_order_from_simples(rs, k_simples)
-        assert h.k_context.pos_count == len(k_pos)
+        assert ctx.pos_count == len(k_pos)
+        assert ctx.sub_sign.keys() == ctx.coords.keys()
+        for v, c in ctx.coords.items():
+            want = 1 if min(c) >= 0 else -1
+            assert ctx.sub_sign[v] == want == (1 if v >= first else -1), (marked, v)
+        assert tuple(
+            (c.label, c.rank, c.num_roots, c.order, roots_of(rs, c.simples))
+            for c in ctx.components()
+        ) == comps, (dt, marked)
 
 
 @pytest.mark.parametrize(

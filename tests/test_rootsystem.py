@@ -209,6 +209,16 @@ def test_simple_system_not_closed():
         simple_system(rs, [(2, 0)])  # not even a root
 
 
+def test_orbit_of_a_non_simple_pair_is_refused():
+    """alpha_1 and alpha_1 + alpha_2 pair positively, so they are no
+    simple system: s_1(alpha_1 + alpha_2) = alpha_2 reads as
+    -gamma_1 + gamma_2 in their basis, coordinates of both signs."""
+    rs = build_root_system(parse_type("A2"))
+    pair_ = [rs.root_index[(1, 0)], rs.root_index[(1, 1)]]
+    with pytest.raises(NotClosedError, match="both signs"):
+        SubsystemContext(rs, pair_).components()
+
+
 def negate(v):
     return tuple(-x for x in v)
 
@@ -396,21 +406,30 @@ def test_reflection_rows_are_lazy():
 
 
 def test_sum_rows_and_odd_masks_are_lazy():
+    """The sum rows and the per-root tables (odd roots per node, packed
+    keys, height order) are built on first use: set-up stays as it was."""
     rs = build_root_system(parse_type("E8"))
     assert rs._sums == {}
-    assert "odd_masks" not in vars(rs)
+    lazy = ("odd_roots", "root_keys", "positives_by_height")
+    assert not any(name in vars(rs) for name in lazy)
     row = rs.sum_row(7)
     assert rs._sums == {7: row}
     assert rs.sum_row(7) is row
-    assert rs.odd_masks is rs.odd_masks
+    for name in lazy:
+        assert getattr(rs, name) is getattr(rs, name)
 
 
 def _check_sum_rows(rs, pairs):
     """Each sum row holds the index of the coordinate sum, or the
-    sentinel len(roots) where the sum is no root."""
+    sentinel len(roots) where the sum is no root; where it is a root,
+    its packed key is the sum of the two keys."""
+    keys = rs.root_keys
     for a, b in pairs:
         c = tuple(x + y for x, y in zip(rs.roots[a], rs.roots[b]))
-        assert rs.sum_row(a)[b] == rs.root_index.get(c, len(rs.roots)), (a, b)
+        s = rs.sum_row(a)[b]
+        assert s == rs.root_index.get(c, len(rs.roots)), (a, b)
+        if s < len(rs.roots):
+            assert keys[s] == keys[a] + keys[b], (a, b)
 
 
 @pytest.mark.parametrize("dt", all_types_up_to_rank(4), ids=str)
@@ -421,25 +440,49 @@ def test_sum_rows_match_coordinate_addition(dt):
     assert len(rs._sums) == m
 
 
-@given(st.sampled_from(sorted(_EXCEPTIONAL)), st.data())
+_WIDE = {
+    label: build_root_system(parse_type(label))
+    for label in ("A64", "B64", "C64", "D64")
+}
+
+
+@given(st.sampled_from(sorted(_EXCEPTIONAL) + sorted(_WIDE)), st.data())
 @settings(max_examples=30, deadline=None)
 def test_sum_rows_match_coordinate_addition_exceptional(label, data):
-    rs = _EXCEPTIONAL[label]
+    rs = _EXCEPTIONAL.get(label) or _WIDE[label]
     index = st.integers(0, len(rs.roots) - 1)
     pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=20))
     _check_sum_rows(rs, pairs)
 
 
+@pytest.mark.parametrize(
+    "rs", [*_EXCEPTIONAL.values(), *_WIDE.values()], ids=lambda rs: str(rs.dynkin)
+)
+def test_root_keys_tell_roots_apart(rs):
+    """Every root has its own packed key, the key of a negative root is
+    the negated key, and every root coefficient is within the bound that
+    makes the keys injective on differences."""
+    keys = rs.root_keys
+    assert len(set(keys)) == len(keys)
+    last = len(keys) - 1
+    assert all(keys[last - a] == -keys[a] for a in range(len(keys)))
+    assert max(max(map(abs, v)) for v in rs.roots) <= 6
+
+
 @pytest.mark.parametrize("dt", all_types_up_to_rank(4), ids=str)
 def test_odd_mask_parity_is_the_coordinate_parity(dt):
-    """For every root and every marking, the parity of the marked bits of
-    the root's odd mask is the mod-2 sum of its marked coefficients."""
+    """For every root and every marking, the root lies in the symmetric
+    difference of the marked nodes' odd roots exactly when the mod-2 sum
+    of its marked coefficients is 1."""
     rs = build_root_system(dt)
     for mask in range(1, 2**dt.rank):
         marked = [i for i in range(dt.rank) if mask >> i & 1]
-        for v, odd in zip(rs.roots, rs.odd_masks):
+        odd = frozenset()
+        for i in marked:
+            odd = odd.symmetric_difference(rs.odd_roots[i])
+        for a, v in enumerate(rs.roots):
             want = sum(v[i] for i in marked) % 2
-            assert (odd & mask).bit_count() % 2 == want, (v, marked)
+            assert (a in odd) == (want == 1), (v, marked)
 
 
 @pytest.mark.parametrize("dt", all_types_up_to_rank(8), ids=str)
