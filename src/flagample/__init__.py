@@ -29,7 +29,6 @@ from .rootsystem import (
     build_root_system,
     pair,
     reflect,
-    simple_system,
 )
 from .snow import (
     AmplenessInput,
@@ -40,12 +39,7 @@ from .snow import (
     max_weyl_length_fast,
     maximal_weights,
 )
-from .weyl import (
-    DEFAULT_CAP,
-    WeylElement,
-    enumerate_weyl,
-    max_length_mapping,
-)
+from .weyl import DEFAULT_CAP
 
 __version__ = "0.1.0"
 
@@ -66,16 +60,13 @@ __all__ = [
     "ParabolicData",
     "Report",
     "RootSystem",
-    "WeylElement",
     "ampleness",
     "assemble_input",
     "backend_name",
     "build_root_system",
     "classify",
-    "enumerate_weyl",
     "grade_roots",
     "hermitian_data",
-    "max_length_mapping",
     "max_weyl_length_bruteforce",
     "max_weyl_length_fast",
     "maximal_weights",
@@ -86,5 +77,4 @@ __all__ = [
     "reflect",
     "run_case",
     "run_table",
-    "simple_system",
 ]

@@ -149,7 +149,7 @@ def run_case(spec: CaseSpec) -> Report:
         max_weights=tuple(rs.roots[i] for i in amp.max_weights),
         k_simples=tuple(rs.roots[i] for i in herm.k_context.simples),
         w0_max_length=amp.max_length,
-        witness_word=amp.witness.word,
+        witness_word=amp.witness,
         levi_correction=pd.levi_correction,
         ampleness=amp.ampleness,
         kind=cls.kind,

@@ -206,46 +206,24 @@ def reflect(rs: RootSystem, v: Sequence, gamma: Weight):
     return tuple(v[j] - c * gamma[j] for j in range(rs.rank))
 
 
-def simple_system(rs: RootSystem, pos: Iterable[Weight]) -> tuple[Weight, ...]:
-    """Simple roots of a positive subsystem.
-
-    `pos` must be the positive half of a reflection-closed subsystem of
-    rs.roots, so a set of positive roots; the result is its canonical
-    simple system, sorted.  NotClosedError otherwise.
-
-    Two passes, O(|pos| k) steps for k simple roots:
-
-    - The simple roots are the indecomposable elements of pos, found in
-      order of ambient height: beta is simple iff (beta, gamma) <= 0
-      for every simple gamma found so far.  A positive root beta of a
-      root system that is not simple has a simple gamma with
-      (beta, gamma) > 0 (else (beta, beta) <= 0), and then beta - gamma
-      is a positive root (Humphreys, *Introduction to Lie Algebras and
-      Representation Theory*, 9.4 and 10.2), so gamma is lower than beta
-      and was found first.  Two distinct simple roots have
-      (beta, gamma) <= 0.
-    - Closure is proven by one orbit of those roots under their
-      reflection rows (`subsystem_orbit`).  The orbit is W_D D for the
-      roots D found, and W_D D is reflection-closed: s_{wa} = w s_a w^-1.
-      It must equal pos and -pos exactly.  If pos is the positive half
-      of a closed subsystem, D is its simple system and W_D D is the
-      whole subsystem (Humphreys, 10.3); if pos and -pos are not closed,
-      they cannot be the closed set W_D D.
-    """
-    return tuple(rs.roots[g] for g in _closed_subsystem(rs, pos)[0])
-
-
 def indecomposables(
     rs: RootSystem, pos: Iterable[int]
 ) -> tuple[tuple[int, ...], frozenset[int]]:
-    """The simple roots of a set of positive roots, all by index, found
-    by the height pass of `simple_system`, sorted, and the set itself.
-    NotClosedError if an index is no positive root's.
+    """The simple roots of a set of positive roots, all by index, sorted,
+    and the set itself.  NotClosedError if an index is no positive
+    root's.
 
-    The pass walks the root system's height order of its positive roots
-    (`RootSystem.positives_by_height`), built once per root system.  The
-    pairing test reads the reflection rows: rs.roots is sorted, so
-    s_gamma(beta) = beta - <beta, gamma^vee> gamma comes before beta
+    If pos is the positive half of a closed subsystem, its simple roots
+    are its indecomposable elements, found here in order of ambient
+    height: beta is simple iff (beta, gamma) <= 0 for every simple gamma
+    found so far.  A positive root beta that is not simple has a simple
+    gamma with (beta, gamma) > 0 (else (beta, beta) <= 0), and then
+    beta - gamma is a positive root (Humphreys, *Introduction to Lie
+    Algebras and Representation Theory*, 9.4 and 10.2), so gamma is
+    lower than beta and was found first.  The pass walks
+    `RootSystem.positives_by_height`, built once per root system, and
+    reads the pairing test off the reflection rows: rs.roots is sorted,
+    so s_gamma(beta) = beta - <beta, gamma^vee> gamma comes before beta
     exactly when the pairing is positive."""
     pos = frozenset(pos)
     first = rs.positive_indices
@@ -386,20 +364,15 @@ def require_closed(pos: frozenset[int], orbit) -> None:
     """NotClosedError unless the orbit of the simple roots of `pos` (root
     indices of positive roots) is pos and -pos exactly.  The orbit holds
     -v = s_v(v) with each root v, so it suffices that it holds pos and
-    has twice its size."""
+    has twice its size.  This proves closure: the orbit W_D D of the
+    roots D that `indecomposables` found is reflection-closed, as
+    s_{wa} = w s_a w^-1, and it is the whole subsystem when pos is the
+    positive half of one (Humphreys, 10.3)."""
     if len(orbit) != 2 * len(pos) or not pos <= orbit.keys():
         raise NotClosedError(
             "subset not reflection-closed: the orbit of its simple roots "
             "is not the subset and its negatives"
         )
-
-
-def _closed_subsystem(rs: RootSystem, pos: Iterable[Weight]):
-    # a vector that is no root gets -1, which indecomposables refuses
-    simples, pos = indecomposables(rs, [rs.root_index.get(tuple(v), -1) for v in pos])
-    orbit = subsystem_orbit(rs, simples)
-    require_closed(pos, orbit.coords)
-    return simples, orbit
 
 
 @dataclass(frozen=True)
@@ -411,17 +384,6 @@ class SubsystemComponent:
     num_roots: int
     order: int  # Weyl group order
     simples: tuple[int, ...]  # root indices
-
-
-def subsystem_components(
-    rs: RootSystem, positives: Iterable[Weight]
-) -> tuple[SubsystemComponent, ...]:
-    """Classify a closed positive subsystem, given by coordinates, into
-    irreducible components.
-
-    The label of each component is its abstract Dynkin type (so a D3
-    component reports as A3, a C2 as B2)."""
-    return orbit_components(rs, *_closed_subsystem(rs, positives))
 
 
 def orbit_components(

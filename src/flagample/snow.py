@@ -27,14 +27,7 @@ from .errors import EnumerationCapError, InternalInconsistencyError
 from .kernels import inverse_images, word_of
 from .realform import HermitianData, highest_weights
 from .rootsystem import RootSystem
-from .weyl import (
-    DEFAULT_CAP,
-    WeylElement,
-    _enumerate,
-    _max_length_with_witness,
-    coset_orbit,
-    invert,
-)
+from .weyl import DEFAULT_CAP, _enumerate, _max_length_with_witness, coset_orbit
 
 METHODS = ("auto", "bruteforce", "fast")
 
@@ -54,7 +47,7 @@ class AmplenessInput:
 class AmplenessResult:
     ampleness: int
     max_length: int
-    witness: WeylElement
+    witness: tuple[int, ...]  # canonical word, 0-based indices into K's simples
     witness_pair: tuple[int, int]  # (mu maximal, nu fiber weight)
     max_weights: tuple[int, ...]
     routes: tuple[str, ...]  # search routes that ran, primary first
@@ -131,7 +124,7 @@ def closed_form_maximal_weights(
 
 def max_weyl_length_bruteforce(
     inp: AmplenessInput, cap: int = DEFAULT_CAP
-) -> tuple[int, WeylElement, tuple[int, int]]:
+) -> tuple[int, tuple[int, ...], tuple[int, int]]:
     """Scan the whole group; oracle for the fast search.
 
     w is in the searched set iff w^{-1}(mu) is a fiber weight for some
@@ -139,11 +132,13 @@ def max_weyl_length_bruteforce(
     weights.  The elements come in the kernel's block order, so the
     winner is picked explicitly: the greatest length among the elements
     in the set, then the least canonical word among those of that
-    length; only its action is built.  Its pair is read off the images
-    it already carries: the first mu whose w^{-1}(mu) is a fiber weight,
-    with nu that image.  A group larger than cap is refused before the
-    enumeration starts, by the order |W(K)| that K's classification
-    gives.
+    length.  The winner's word is checked against the images it
+    carries: w^{-1} of K's simple roots, read off its factors, and of
+    the maximal weights, read off the scanned columns, must be those
+    the word spells.  Its pair is read off the same images: the first
+    mu whose w^{-1}(mu) is a fiber weight, with nu that image.  A group
+    larger than cap is refused before the enumeration starts, by the
+    order |W(K)| that K's classification gives.
     """
     if inp.hermitian.k_order > cap:
         raise EnumerationCapError(
@@ -175,23 +170,21 @@ def max_weyl_length_bruteforce(
     word, best = min((word_of(factors, i), i) for i in tied)
 
     # the winner's images from its factors and from the scanned columns
-    # must be those of the action its word spells
-    action = ctx.perm_of_word(word)
-    inv = invert(action)
+    # must be those its word spells: w^{-1} is the reversed word
     row = tuple(col[best] for col in images)
-    if tuple(inv[p] for p in ctx.simples + lam) != (
+    if tuple(ctx.apply_word(word[::-1], p) for p in ctx.simples + lam) != (
         inverse_images(factors, best, ctx.simples) + row
     ):
         raise InternalInconsistencyError(
             "enumerated inverse images disagree with the witness's action"
         )
     pair_ = next((mu, v) for mu, v in zip(lam, row) if v in fiber)
-    return top, WeylElement(word, action), pair_
+    return top, word, pair_
 
 
 def max_weyl_length_fast(
     inp: AmplenessInput,
-) -> tuple[int, WeylElement, tuple[int, int]]:
+) -> tuple[int, tuple[int, ...], tuple[int, int]]:
     """Coset-by-coset search; no group enumeration.
 
     For each pair (mu maximal, nu fiber weight) the elements mapping nu
@@ -224,7 +217,7 @@ def max_weyl_length_fast(
     for mu, nu, length in lengths:
         if length == top:
             _, witness = _max_length_with_witness(ctx, mu, nu, orbits[mu])
-            if best is None or witness.word < best[0].word:
+            if best is None or witness < best[0]:
                 best = witness, (mu, nu)
     witness, pair_ = best
     return top, witness, pair_
@@ -273,8 +266,9 @@ def ampleness(
         # pair is tied at the maximum and has witness w.  The first mu
         # with w^{-1}(mu) in the fiber (the brute-force pair) is
         # therefore the first tied pair that has w's word (the fast pair).
+        # The word names the element, so equal words are equal elements.
         a, b = results["fast"], results["bruteforce"]
-        if a[0] != b[0] or a[1] != b[1] or a[1].word != b[1].word or a[2] != b[2]:
+        if a != b:
             raise InternalInconsistencyError(
                 f"search methods disagree: fast {a[:1]} vs brute force {b[:1]}"
             )
@@ -285,7 +279,7 @@ def ampleness(
         raise InternalInconsistencyError(
             f"ampleness {value} outside 0..dim_C={inp.parabolic.dim_c}"
         )
-    if witness.length != max_length:
+    if len(witness) != max_length:
         raise InternalInconsistencyError("witness length mismatch")
     return AmplenessResult(
         ampleness=value,

@@ -1,14 +1,13 @@
 """Weyl groups of root subsystems: enumeration, lengths, coset maxima.
 
-Elements are represented by their action on the full root set (a
-permutation of root indices) together with a reduced word in the simple
-reflections of the designated subsystem.  A word (j1, ..., jk) denotes
-the composition s_{j1} o s_{j2} o ... o s_{jk} (rightmost applied first).
-The enumeration itself stores neither: it carries w^{-1} of a few roots
-and the length of each element, and each element's word is read off
-its factors (see `kernels`).  The coset search holds an element w as
-w(rho) in the subsystem's weight coordinates, reads its word off that
-vector, and leaves the action to be built from the word when read.
+An element is named by its canonical word, the lexicographically least
+reduced word in the simple reflections of the designated subsystem, a
+plain tuple of generator positions.  A word (j1, ..., jk) denotes the
+composition s_{j1} o s_{j2} o ... o s_{jk} (rightmost applied first).
+The enumeration carries w^{-1} of a few roots and the length of each
+element, and each element's word is read off its factors (see
+`kernels`).  The coset search holds an element w as w(rho) in the
+subsystem's weight coordinates and reads its word off that vector.
 
 All lengths are taken with respect to the subsystem: the length of w is
 the number of subsystem-positive roots sent to subsystem-negative roots,
@@ -21,7 +20,7 @@ import math
 from typing import Iterable, Sequence
 
 from . import kernels
-from .errors import EnumerationCapError, InternalInconsistencyError, NotARootError
+from .errors import EnumerationCapError, InternalInconsistencyError
 from .rootsystem import (
     RootSystem,
     SubsystemComponent,
@@ -35,62 +34,8 @@ from .rootsystem import (
 
 DEFAULT_CAP = 10_000_000
 
-Perm = tuple[int, ...]
 # root index -> (distance, generator that reached it); see coset_orbit
 Orbit = dict[int, tuple[int, int]]
-
-
-class WeylElement:
-    """Group element: canonical reduced word plus root-set permutation.
-
-    Two elements are equal iff their actions coincide; the word is the
-    lexicographically least reduced word in the subsystem's generators.
-    An element made from its word and a context alone builds its action
-    from the word when the action is first read.
-    """
-
-    __slots__ = ("word", "_action", "_ctx")
-
-    def __init__(
-        self,
-        word: tuple[int, ...],
-        action: Perm | None = None,
-        ctx: "SubsystemContext | None" = None,
-    ):
-        self.word = word
-        self._action = action
-        self._ctx = ctx
-
-    @property
-    def action(self) -> Perm:
-        if self._action is None:
-            self._action = self._ctx.perm_of_word(self.word)
-        return self._action
-
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
-    def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.action == other.action
-
-    def __hash__(self):
-        return hash(self.action)
-
-    def __repr__(self):
-        return f"WeylElement(word={self.word})"
-
-
-def compose(a: Perm, b: Perm) -> Perm:
-    """(a o b)(x) = a(b(x))."""
-    return kernels.reader(b)(a)
-
-
-def invert(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
 
 
 class SubsystemContext:
@@ -100,9 +45,8 @@ class SubsystemContext:
     def __init__(self, rs: RootSystem, simples: Iterable[int]):
         self.rs = rs
         self.simples = tuple(sorted(simples))
-        m = len(rs.roots)
-        self.identity: Perm = tuple(range(m))
-        self.gen_perms: tuple[Perm, ...] = tuple(
+        # each simple reflection as a permutation of the root indices
+        self.gen_perms: tuple[tuple[int, ...], ...] = tuple(
             tuple(rs.reflection_row(g)) for g in self.simples
         )
         # the subsystem's Cartan matrix, and each of its roots (by index)
@@ -127,8 +71,8 @@ class SubsystemContext:
         cls, rs: RootSystem, positives: Iterable[int]
     ) -> "SubsystemContext":
         """The context of the closed subsystem whose positive roots have
-        the indices `positives`: its simple roots by `simple_system`'s
-        height pass, and the closure proof on the orbit the context
+        the indices `positives`: its simple roots by the height pass of
+        `indecomposables`, and the closure proof on the orbit the context
         computes anyway.
         NotClosedError if the positives are not the positive half of a
         reflection-closed subsystem."""
@@ -138,7 +82,8 @@ class SubsystemContext:
         return ctx
 
     def components(self) -> tuple[SubsystemComponent, ...]:
-        """Irreducible components, as `subsystem_components` gives them."""
+        """Irreducible components, labelled by their abstract Dynkin type
+        (so a D3 component reports as A3, a C2 as B2)."""
         return orbit_components(self.rs, self.simples, self.orbit)
 
     # Weight coordinates: a weight v of the subsystem is the list p with
@@ -214,29 +159,6 @@ class SubsystemContext:
             v = self.gen_perms[i][v]
         return v
 
-    def perm_of_word(self, word: Sequence[int]) -> Perm:
-        p = self.identity
-        for i in reversed(word):
-            p = compose(self.gen_perms[i], p)
-        return p
-
-
-def enumerate_weyl(
-    rs: RootSystem, simples: Iterable[Weight], cap: int = DEFAULT_CAP
-) -> list[WeylElement]:
-    """Every element of the reflection group generated by the simple
-    system, exactly once, ordered by length with ties broken by the
-    lexicographic order of the canonical reduced words."""
-    ctx = SubsystemContext(rs, map(rs.root_index.__getitem__, simples))
-    images, _, factors = _enumerate(ctx, ctx.identity, cap)
-    # images tracks every root, so each row is w^{-1}
-    out = [
-        WeylElement(kernels.word_of(factors, i), invert(row))
-        for i, row in enumerate(zip(*images))
-    ]
-    out.sort(key=lambda e: (e.length, e.word))
-    return out
-
 
 def _enumerate(
     ctx: SubsystemContext, tracked: Sequence[int], cap: int
@@ -289,32 +211,12 @@ def coset_orbit(ctx: SubsystemContext, mu: int) -> Orbit:
     return out
 
 
-def max_length_mapping(
-    rs: RootSystem, simples: Iterable[Weight], mu: Sequence, nu: Sequence
-) -> int | None:
-    """Largest subsystem length of an element w with w(nu) = mu, or None
-    when mu is not in the orbit of nu.
-
-    nu must be a root (NotARootError otherwise); a mu that is not a root
-    lies in no root orbit, so it gives None.  The maximum is read off
-    `coset_orbit`.
-    """
-    ctx = SubsystemContext(rs, map(rs.root_index.__getitem__, simples))
-    mu_i, nu_i = rs.root_index.get(tuple(mu)), rs.root_index.get(tuple(nu))
-    if nu_i is None:
-        raise NotARootError(f"{tuple(nu)} is not a root of {rs.dynkin}")
-    if mu_i is None:
-        return None
-    res = _max_length_with_witness(ctx, mu_i, nu_i, coset_orbit(ctx, mu_i))
-    return None if res is None else res[0]
-
-
 def _max_length_with_witness(
     ctx: SubsystemContext, mu: int, nu: int, orbit: Orbit
-) -> tuple[int, WeylElement] | None:
+) -> tuple[int, tuple[int, ...]] | None:
     """The longest element mapping the root of index nu to that of index
-    mu, with its length, from `orbit` = coset_orbit(ctx, mu); None when
-    nu is not in it."""
+    mu, as its length and canonical word, from `orbit` =
+    coset_orbit(ctx, mu); None when nu is not in it."""
     hit = orbit.get(nu)
     if hit is None:
         return None
@@ -346,7 +248,7 @@ def _max_length_with_witness(
         raise InternalInconsistencyError("canonical word does not reduce to rho")
     if ctx.apply_word(word, nu) != mu:
         raise InternalInconsistencyError("witness does not map nu to mu")
-    return length, WeylElement(word, ctx=ctx)
+    return length, word
 
 
 def group_order_from_simples(rs: RootSystem, simples: Iterable[Weight]) -> int:

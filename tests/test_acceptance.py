@@ -15,11 +15,16 @@ import pytest
 from flagample.dynkin import DynkinType, all_types_up_to_rank
 from flagample.pipeline import CaseSpec, run_case, sweep_cases
 from flagample.realform import grade_roots
-from flagample.rootsystem import build_root_system, subsystem_components
+from flagample.rootsystem import build_root_system
 from flagample.snow import closed_form_maximal_weights
-from flagample.weyl import SubsystemContext, enumerate_weyl
+from flagample.weyl import SubsystemContext
+from reference import (
+    enumerate_weyl,
+    length_of_perm,
+    simple_system,
+    subsystem_components,
+)
 from test_realform import compact_positive_roots, roots_of
-from test_weyl import length_of_perm
 
 SWEEP_TYPES = all_types_up_to_rank(3) + [DynkinType("D", 4), DynkinType("F", 4)]
 
@@ -155,8 +160,6 @@ def test_criterion_6_weyl_infrastructure(sweep):
         k_pos = compact_positive_roots(rs, g)
         if not k_pos:
             continue
-        from flagample.rootsystem import simple_system
-
         simples = simple_system(rs, k_pos)
         expected = 1
         for comp in subsystem_components(rs, k_pos):

@@ -244,15 +244,58 @@ def _lengthen(route):
     return longer
 
 
+def _reword(route):
+    """Another word of the same length: each letter one generator on."""
+
+    def reworded(*args):
+        length, witness, pair = route(*args)
+        return length, tuple(i + 1 for i in witness), pair
+
+    return reworded
+
+
+def _swap_pair(route):
+    def swapped(*args):
+        length, witness, (mu, nu) = route(*args)
+        return length, witness, (nu, mu)
+
+    return swapped
+
+
+def _shorten(route):
+    """The witness one letter shorter than the length it is reported at."""
+
+    def shortened(*args):
+        length, witness, pair = route(*args)
+        return length, witness[:-1], pair
+
+    return shortened
+
+
+# what each breaker must make the run report
+_DISAGREEMENT = {
+    _flip_verdict: "disagrees with the structural test",
+    _lengthen: "search methods disagree",
+    _reword: "search methods disagree",
+    _swap_pair: "search methods disagree",
+}
+
+
 @pytest.mark.parametrize(
     "module,name,breaker",
     [
         ("pipeline", "classify", _flip_verdict),
         ("snow", "max_weyl_length_fast", _lengthen),
         ("snow", "max_weyl_length_bruteforce", _lengthen),
+        ("snow", "max_weyl_length_fast", _reword),
+        ("snow", "max_weyl_length_fast", _swap_pair),
     ],
 )
 def test_route_disagreement_exits_3(capsys, monkeypatch, module, name, breaker):
+    """A route whose length, word or pair differs from the other's, or a
+    verdict the structural test refutes, ends a verified run with exit 3
+    and no output.  The A2 {1} full flag has witness s1 and a pair of two
+    distinct roots, so every breaker changes its answer."""
     mod = importlib.import_module(f"flagample.{module}")
     monkeypatch.setattr(mod, name, breaker(getattr(mod, name)))
     for argv in (
@@ -262,6 +305,73 @@ def test_route_disagreement_exits_3(capsys, monkeypatch, module, name, breaker):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, ""), argv
         assert err.startswith("internal inconsistency: ")
+        assert _DISAGREEMENT[breaker] in err, (argv, err)
+
+
+def test_short_witness_exits_3(capsys, monkeypatch):
+    """The fast route alone, its witness one letter short of its length:
+    no second route runs to compare it with, and the length check stops
+    the run."""
+    snow = importlib.import_module("flagample.snow")
+    route = snow.max_weyl_length_fast
+    monkeypatch.setattr(snow, "max_weyl_length_fast", _shorten(route))
+    for argv in (
+        ["compute", "--type", "A2", "--noncompact", "1"],
+        ["table", "--type", "A2", "--format", "json"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err == "internal inconsistency: witness length mismatch\n", argv
+
+
+def _corrupt_inverse_images(snow, monkeypatch):
+    """w^{-1} of K's first simple root, read off the winner's factors,
+    moved on to the next root index."""
+    images = snow.inverse_images
+
+    def corrupt(*args):
+        out = images(*args)
+        return (out[0] + 1,) + out[1:]
+
+    monkeypatch.setattr(snow, "inverse_images", corrupt)
+
+
+def _corrupt_columns(snow, monkeypatch):
+    """Every scanned image that is a fiber weight moved on to the next
+    fiber weight: which elements hit the fiber, and so the winner, stay
+    the same, but the winner's images are not those its word spells."""
+    scan, enumerate_ = snow.max_weyl_length_bruteforce, snow._enumerate
+    shift = {}
+
+    def scan_with_shift(inp, *args):
+        fiber = inp.fiber.weights
+        shift.clear()
+        shift.update(zip(fiber, fiber[1:] + fiber[:1]))
+        return scan(inp, *args)
+
+    def corrupt(*args):
+        images, lengths, factors = enumerate_(*args)
+        return [[shift.get(v, v) for v in col] for col in images], lengths, factors
+
+    monkeypatch.setattr(snow, "max_weyl_length_bruteforce", scan_with_shift)
+    monkeypatch.setattr(snow, "_enumerate", corrupt)
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_inverse_images, _corrupt_columns])
+def test_enumeration_disagreeing_with_the_word_exits_3(capsys, monkeypatch, corrupt):
+    """The oracle checks its winner's word against the images the
+    enumeration carries for it: a wrong entry in either stops the run."""
+    corrupt(importlib.import_module("flagample.snow"), monkeypatch)
+    for argv in (
+        ["compute", "--type", "A2", "--noncompact", "1", "--verify"],
+        ["table", "--type", "A2", "--verify", "--format", "json"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err == (
+            "internal inconsistency: enumerated inverse images disagree with "
+            "the witness's action\n"
+        ), argv
 
 
 

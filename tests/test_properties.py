@@ -2,13 +2,14 @@
 
 import itertools
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flagample.cycle import neutral_fiber, parabolic_data
 from flagample.dynkin import DynkinType, diagram_automorphisms
 from flagample.errors import DegenerateGeometryError
-from flagample.pipeline import CaseSpec, run_case
+from flagample.pipeline import CaseSpec, run_case, run_table
 from flagample.realform import grade_roots, hermitian_data
 from flagample.rootsystem import build_root_system, reflect
 from flagample.snow import (
@@ -16,7 +17,8 @@ from flagample.snow import (
     max_weyl_length_bruteforce,
     max_weyl_length_fast,
 )
-from flagample.weyl import SubsystemContext, enumerate_weyl, max_length_mapping
+from flagample.weyl import SubsystemContext
+from reference import enumerate_weyl, max_length_mapping, simple_system
 from test_realform import compact_positive_roots, roots_of
 
 _TYPES = [
@@ -89,7 +91,7 @@ def test_search_routes_agree(case):
     inp = assemble_input(rs, h, pd, fiber)
     bl, bw, bp = max_weyl_length_bruteforce(inp)
     fl, fw, fp = max_weyl_length_fast(inp)
-    assert (bl, bw.word, bw.action, bp) == (fl, fw.word, fw.action, fp)
+    assert (bl, bw, bp) == (fl, fw, fp)
 
 
 @given(_case(), st.data())
@@ -99,8 +101,6 @@ def test_max_length_mapping_against_scan(case, data):
     k_pos = compact_positive_roots(rs, grade_roots(rs, marked))
     if not k_pos:
         return
-    from flagample.rootsystem import simple_system
-
     simples = simple_system(rs, k_pos)
     mu = data.draw(st.sampled_from(rs.roots))
     nu = data.draw(st.sampled_from(rs.roots))
@@ -120,8 +120,6 @@ def test_weyl_orbit_of_root_stays_in_roots(case):
     k_pos = compact_positive_roots(rs, grade_roots(rs, marked))
     if not k_pos:
         return
-    from flagample.rootsystem import simple_system
-
     ctx = SubsystemContext(rs, [rs.root_index[g] for g in simple_system(rs, k_pos)])
     root_set = set(rs.roots)
     for start in rs.roots:
@@ -227,3 +225,67 @@ def test_verified_case_invariants(case):
     q_cap_s = set(parabolic_data(rs, g, levi).q_roots) & set(g.noncompact_roots)
     one_half = q_cap_s <= set(h.s_plus) or q_cap_s <= set(h.s_minus)
     assert (rep.kind == "ProductOverHSS") == (h.center_dim > 0 and one_half)
+
+
+# D3 = A3 and C2 = B2: each node of the first type (1-based) and the node
+# of the second that the Dynkin diagram isomorphism sends it to
+_ISOMORPHIC = [("D3", "A3", (2, 1, 3)), ("C2", "B2", (2, 1))]
+# the real forms each isomorphism identifies, by their printed names
+_SAME_FORM = {
+    "so(2,4)": "su(2,2)",
+    "so*(6)": "su(3,1)",
+    "sp(2,ℝ)": "so(2,3)",
+    "sp(1,1)": "so(4,1)",
+}
+
+
+def _iso_fields(report, name, move):
+    """Everything a row states that does not depend on the presentation:
+    weights as sets, each weight with its coordinates moved by `move`."""
+    if report is None:
+        return None
+    return (
+        name(report.realform_name),
+        report.k_type,
+        report.center_dim,
+        (report.dim_z, report.dim_c, report.rank_e),
+        frozenset(map(move, report.e0_weights)),
+        frozenset(map(move, report.max_weights)),
+        report.w0_max_length,
+        report.levi_correction,
+        report.ampleness,
+        report.kind,
+        report.concavity_degree,
+    )
+
+
+@pytest.mark.parametrize(
+    "source,target,nodes", _ISOMORPHIC, ids=[f"{s}-{t}" for s, t, _ in _ISOMORPHIC]
+)
+def test_isomorphic_presentations_agree(source, target, nodes):
+    """Two presentations of one simple algebra give the same table: each
+    row of the source, with its marking and Levi set moved by the node
+    map, states what the target's row states, up to the names of the
+    real forms the isomorphism identifies."""
+
+    def move(v):
+        out = [0] * len(v)
+        for i, x in enumerate(v):
+            out[nodes[i] - 1] = x
+        return tuple(out)
+
+    def key(row, image=lambda i: i):
+        block = row["input"]
+        return tuple(
+            tuple(sorted(map(image, block[part]))) for part in ("noncompact", "levi")
+        )
+
+    want = {
+        key(row): (row["status"], _iso_fields(row["report"], str, tuple))
+        for row in run_table(DynkinType(target[0], int(target[1:])))
+    }
+    rows = run_table(DynkinType(source[0], int(source[1:])))
+    assert len(rows) == len(want)
+    for row in rows:
+        got = (row["status"], _iso_fields(row["report"], _SAME_FORM.get, move))
+        assert got == want[key(row, lambda i: nodes[i - 1])], row["input"]

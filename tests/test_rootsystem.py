@@ -14,10 +14,9 @@ from flagample.rootsystem import (
     build_root_system,
     pair,
     reflect,
-    simple_system,
-    subsystem_components,
 )
 from flagample.weyl import SubsystemContext
+from reference import simple_system, subsystem_components
 
 
 def _model(label):
