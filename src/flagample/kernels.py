@@ -12,9 +12,24 @@ and W_m is one block per representative u of level m, each block being
 W_{m-1} multiplied by u on the right.
 
 An element w is not stored as a permutation.  The kernel carries only
-the images under w^{-1} of the tracked positions.  Since (x u)^{-1}(p)
-= u^{-1}(x^{-1}(p)), a whole block is one gather of u^{-1} over the
-previous level's images: no per-element hashing.
+the images under w^{-1} of the tracked positions, one byte string per
+tracked position with one byte per element, each byte a root index.
+Each representative holds u^{-1} as a byte string too.  Since
+(x u)^{-1}(p) = u^{-1}(x^{-1}(p)), a whole block is one
+`bytes.translate` of the previous level's column through u^{-1}, and a
+new representative u s_j is one translate of u^{-1} through s_j, since
+(u s_j)^{-1} = s_j u^{-1}: no per-element Python object and no hashing.
+Lengths are bytes as well, one per element.
+
+A byte holds an index only below 256, so the kernel refuses a root
+system of more than 256 roots with OverflowError, before it builds any
+element, as it refuses an element longer than 255.  No case under the
+enumeration cap reaches that bound: the smallest types of each
+classical series with more than 256 roots are A16, B12, C12 and D12,
+every one- and two-node marking of these has |W(K)| of at least
+4.79 x 10^8 (checked in the tests), against the default cap of 10^7,
+and the smallest |W(K)| of a series only grows with its rank.  E8, the
+largest exceptional type, has 240 roots.
 
 Words: the left descents of x u among s_0..s_{m-2} are those of x, and
 s_{m-1} has the largest index, so the lexicographically least reduced
@@ -32,13 +47,13 @@ first.  This is not (length, word) order.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
 from typing import Mapping, Sequence
 
-Perm = tuple[int, ...]
-# one level's coset representatives u, each (least word, u^{-1}),
-# identity first
-Level = tuple[tuple[tuple[int, ...], Perm], ...]
+# one level's coset representatives u, each (least word, u^{-1} as the
+# byte string of root indices), identity first
+Level = tuple[tuple[tuple[int, ...], bytes], ...]
+
+POSITIONS = 256  # root indices that fit in a byte
 
 
 def backend_name() -> str:
@@ -46,12 +61,18 @@ def backend_name() -> str:
     return "python"
 
 
-def reader(positions: tuple[int, ...]):
-    """g -> tuple(g[p] for p in positions); an itemgetter (in C) unless
-    that would return a bare item instead of a tuple."""
-    if len(positions) > 1:
-        return itemgetter(*positions)
-    return lambda g: tuple(g[p] for p in positions)
+def _table(perm: bytes) -> bytes:
+    """perm, a byte string of at most 256 root indices, as a
+    `bytes.translate` table: byte p goes to perm[p]."""
+    return perm + bytes(POSITIONS - len(perm))
+
+
+_BYTES = bytes(range(POSITIONS))
+
+
+def _plus(shift: int) -> bytes:
+    """The translate table adding shift to every byte below 256 - shift."""
+    return _BYTES[shift:] + bytes(shift)
 
 
 def enumerate_group(
@@ -60,17 +81,18 @@ def enumerate_group(
     tracked: Sequence[int],
     sign: Mapping[int, int],
     cap: int,
-) -> tuple[list[list[int]], bytearray, list[Level]]:
+) -> tuple[list[bytearray], bytearray, list[Level]]:
     """Enumerate the reflection group generated by `gens`.
 
     gens: the simple reflections s_0..s_{k-1} of a root system, as
-        permutations of its root indices range(n).
+        permutations of its root indices range(n), n <= 256.
     simple_positions: the index of the simple root of each generator.
     tracked: the positions whose inverse images the caller reads.
     sign: sign[v] > 0 iff v is a positive root, for every root v of the
         root system that gens generate.
     cap: OverflowError is raised iff the group has more elements, before
-        any element is built.
+        any element is built.  So it is, first of all, when n > 256: a
+        root index must fit in a byte (see the module docstring).
 
     Returns (images, lengths, factors).  images[j][i] is w^{-1} of
     tracked[j] for element i, lengths[i] is its length, and factors
@@ -78,11 +100,14 @@ def enumerate_group(
     docstring), from which `word_of` and `inverse_images` read any one
     element.
     """
-    gens = [tuple(g) for g in gens]
-    simples = tuple(simple_positions)
+    if any(len(g) > POSITIONS for g in gens):
+        raise OverflowError(f"group enumeration exceeded {POSITIONS} positions")
+    identity = bytes(range(len(gens[0]))) if gens else b""
+    gens = [_table(bytes(g)) for g in gens]
+    simples = bytes(simple_positions)
     negative = {v for v, s in sign.items() if s < 0}
     factors = [
-        _coset_representatives(gens[:m], simples, negative)
+        _coset_representatives(identity, gens[:m], simples, negative)
         for m in range(1, len(gens) + 1)
     ]
     order = math.prod(map(len, factors))
@@ -93,26 +118,27 @@ def enumerate_group(
     if sum(len(level[-1][0]) for level in factors) > 255:
         raise OverflowError("group enumeration exceeded element length 255")
 
-    images = [[p] for p in tracked]  # W_0 = {e} fixes every position
+    # W_0 = {e} fixes every position
+    images = [bytearray((p,)) for p in tracked]
     lengths = bytearray(1)
     for level in factors:
-        gathers = [reader(tuple(col)) for col in images]
+        bases = [bytes(col) for col in images]
         base = bytes(lengths)
         for word, u_inv in level[1:]:
-            for col, gather in zip(images, gathers):
-                col += gather(u_inv)  # (x u)^{-1}(p) = u^{-1}(x^{-1}(p))
+            step = _table(u_inv)
+            for col, prev in zip(images, bases):
+                col += prev.translate(step)  # (x u)^{-1}(p) = u^{-1}(x^{-1}(p))
             # + len(word) on every byte; no byte wraps, by the check above
-            shift = len(word)
-            lengths += base.translate(bytes(range(shift, 256)) + bytes(shift))
+            lengths += base.translate(_plus(len(word)))
     return images, lengths, factors
 
 
 def _coset_representatives(
-    gens: list[Perm], simples: tuple[int, ...], negative: set[int]
+    identity: bytes, gens: list[bytes], simples: bytes, negative: set[int]
 ) -> Level:
     """Minimal representatives u of the right cosets of W_{m-1} in W_m,
     m = len(gens), in breadth-first order from the identity, each as
-    (least word, u^{-1}).
+    (least word, u^{-1}); gens are the generators' translate tables.
 
     A child u s_j is kept only when none of (u s_j)^{-1}(gamma_i),
     i < m - 1, is in `negative`, the negative roots: then it has no left
@@ -120,19 +146,19 @@ def _coset_representatives(
     the last letter, so each is reached from its parent, and first along
     its least word."""
     m = len(gens)
-    reps = [((), tuple(range(len(gens[0]))))]
+    reps = [((), identity)]
     # u^{-1} of the simple roots determines u
     at_simples = [simples]
     seen = {simples}
     for idx, (word, u_inv) in enumerate(reps):  # grows while iterating
-        at = reader(at_simples[idx])
+        at = at_simples[idx]
         for j, g in enumerate(gens):
-            key = at(g)  # (u s_j)^{-1} = s_j u^{-1}
+            key = at.translate(g)  # (u s_j)^{-1} = s_j u^{-1}
             if key in seen or not negative.isdisjoint(key[: m - 1]):
                 continue
             seen.add(key)
             at_simples.append(key)
-            reps.append((word + (j,), reader(u_inv)(g)))
+            reps.append((word + (j,), u_inv.translate(g)))
     return tuple(reps)
 
 

@@ -19,8 +19,6 @@ Weights are roots, named by their index in the sorted `RootSystem.roots`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from operator import or_
 
 from .cycle import NeutralFiber, ParabolicData
 from .errors import EnumerationCapError, InternalInconsistencyError
@@ -129,16 +127,21 @@ def max_weyl_length_bruteforce(
 
     w is in the searched set iff w^{-1}(mu) is a fiber weight for some
     maximal mu, so the enumeration carries only w^{-1} of the maximal
-    weights.  The elements come in the kernel's block order, so the
-    winner is picked explicitly: the greatest length among the elements
-    in the set, then the least canonical word among those of that
-    length.  The winner's word is checked against the images it
-    carries: w^{-1} of K's simple roots, read off its factors, and of
-    the maximal weights, read off the scanned columns, must be those
-    the word spells.  Its pair is read off the same images: the first
-    mu whose w^{-1}(mu) is a fiber weight, with nu that image.  A group
-    larger than cap is refused before the enumeration starts, by the
-    order |W(K)| that K's classification gives.
+    weights, each column a byte string of root indices, one byte per
+    element.  One `bytes.translate` per column marks the elements whose
+    image is a fiber weight, and the lengths of the marked elements are
+    kept by one integer AND.  The elements come in the kernel's block
+    order, so the winner is picked explicitly: the greatest length among
+    the elements in the set, found by byte search, then the least
+    canonical word among those of that length.  The identity, which
+    fixes every maximal weight, must be in the set.  The winner's word
+    is checked against the images it carries: w^{-1} of K's simple
+    roots, read off its factors, and of the maximal weights, read off
+    the scanned columns, must be those the word spells.  Its pair is
+    read off the same images: the first mu whose w^{-1}(mu) is a fiber
+    weight, with nu that image.  A group larger than cap is refused
+    before the enumeration starts, by the order |W(K)| that K's
+    classification gives.
     """
     if inp.hermitian.k_order > cap:
         raise EnumerationCapError(
@@ -150,23 +153,33 @@ def max_weyl_length_bruteforce(
     fiber = frozenset(inp.fiber.weights)
     images, lengths, factors = _enumerate(ctx, lam, cap)
 
-    # hit[i] is 1 iff element i sends some maximal weight into the fiber
-    hit = b""
+    # byte i of hit, little-endian, is 255 iff element i sends some
+    # maximal weight into the fiber, else 0; element 0 is the identity
+    in_fiber = bytearray(256)
+    for v in fiber:
+        in_fiber[v] = 255
+    hit = 0
     for col in images:
-        found = map(fiber.__contains__, col)
-        hit = bytes(map(or_, hit, found) if hit else found)
-    top = max(compress(lengths, hit), default=None)
-    if top is None:
+        hit |= int.from_bytes(col.translate(in_fiber), "little")
+    if not hit & 255:
         raise InternalInconsistencyError(
             "identity not in the search set: maximal weights escape the fiber"
         )
-    # the elements of length top, each found by a C-level search
-    tied = []
-    i = lengths.find(top)
-    while i >= 0:
-        if hit[i]:
+    # each element's length if it is in the set, else 0
+    kept = (hit & int.from_bytes(lengths, "little")).to_bytes(
+        len(lengths), "little"
+    )
+    # the greatest length in the set and every element of that length,
+    # each found by a C-level byte search; if no element of the set is
+    # longer than 0, the identity alone is its maximum
+    top = next((t for t in range(ctx.pos_count, 0, -1) if t in kept), 0)
+    tied = [0]
+    if top:
+        tied = []
+        i = kept.find(top)
+        while i >= 0:
             tied.append(i)
-        i = lengths.find(top, i + 1)
+            i = kept.find(top, i + 1)
     word, best = min((word_of(factors, i), i) for i in tied)
 
     # the winner's images from its factors and from the scanned columns
@@ -267,11 +280,13 @@ def ampleness(
         # with w^{-1}(mu) in the fiber (the brute-force pair) is
         # therefore the first tied pair that has w's word (the fast pair).
         # The word names the element, so equal words are equal elements.
-        a, b = results["fast"], results["bruteforce"]
-        if a != b:
-            raise InternalInconsistencyError(
-                f"search methods disagree: fast {a[:1]} vs brute force {b[:1]}"
-            )
+        fields = ("length", "witness word", "(mu, nu) pair")
+        for field, a, b in zip(fields, results["fast"], results["bruteforce"]):
+            if a != b:
+                raise InternalInconsistencyError(
+                    f"search methods disagree on the {field}: fast {a} vs "
+                    f"brute force {b}"
+                )
 
     max_length, witness, pair_ = primary
     value = max_length - inp.parabolic.levi_correction

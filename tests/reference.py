@@ -4,13 +4,17 @@ The library names a Weyl element by its canonical word alone.  The
 tests check that word against the element's full action on the root
 set, a permutation of root indices built here from the word, and reach
 the library's index-based subsystem routines through the coordinate
-entry points below.
+entry points below.  `list_scan` is the brute-force oracle's scan on
+columns of Python ints, against which the library's byte scan is
+checked.
 """
 
+from itertools import compress
+from operator import or_
 from typing import NamedTuple
 
 from flagample import kernels
-from flagample.errors import NotARootError
+from flagample.errors import InternalInconsistencyError, NotARootError
 from flagample.rootsystem import (
     indecomposables,
     orbit_components,
@@ -144,3 +148,36 @@ def subsystem_components(rs, pos):
     """The irreducible components of the closed subsystem with positive
     half `pos` (coordinates), as the library labels them."""
     return orbit_components(rs, *_closed_subsystem(rs, pos))
+
+
+def list_scan(inp, cap=DEFAULT_CAP):
+    """(length, word, pair) of the brute-force oracle, scanning the
+    kernel's columns as lists of ints: membership per element by a set
+    lookup, the hit flags OR-ed per column, the top length by max() over
+    the hit elements, ties broken by the least canonical word, and the
+    pair the first mu whose w^{-1}(mu) is a fiber weight."""
+    ctx = inp.hermitian.k_context
+    lam = inp.max_weights
+    fiber = frozenset(inp.fiber.weights)
+    images, lengths, factors = _enumerate(ctx, lam, cap)
+    images = [list(col) for col in images]
+
+    # hit[i] is 1 iff element i sends some maximal weight into the fiber
+    hit = b""
+    for col in images:
+        found = map(fiber.__contains__, col)
+        hit = bytes(map(or_, hit, found) if hit else found)
+    top = max(compress(lengths, hit), default=None)
+    if top is None:
+        raise InternalInconsistencyError(
+            "identity not in the search set: maximal weights escape the fiber"
+        )
+    tied = []
+    i = lengths.find(top)
+    while i >= 0:
+        if hit[i]:
+            tied.append(i)
+        i = lengths.find(top, i + 1)
+    word, best = min((kernels.word_of(factors, i), i) for i in tied)
+    row = tuple(col[best] for col in images)
+    return top, word, next((mu, v) for mu, v in zip(lam, row) if v in fiber)

@@ -275,9 +275,9 @@ def _shorten(route):
 # what each breaker must make the run report
 _DISAGREEMENT = {
     _flip_verdict: "disagrees with the structural test",
-    _lengthen: "search methods disagree",
-    _reword: "search methods disagree",
-    _swap_pair: "search methods disagree",
+    _lengthen: "search methods disagree on the length: fast ",
+    _reword: "search methods disagree on the witness word: fast ",
+    _swap_pair: "search methods disagree on the (mu, nu) pair: fast ",
 }
 
 
@@ -336,25 +336,37 @@ def _corrupt_inverse_images(snow, monkeypatch):
     monkeypatch.setattr(snow, "inverse_images", corrupt)
 
 
+def _rewrite_columns(snow, monkeypatch, rewrite):
+    """The oracle scans rewrite(inp, col) for each column of images the
+    enumeration carries, inp being the case's AmplenessInput."""
+    scan, enumerate_ = snow.max_weyl_length_bruteforce, snow._enumerate
+    case = []
+
+    def scan_of_case(inp, *args):
+        case[:] = [inp]
+        return scan(inp, *args)
+
+    def rewritten(*args):
+        images, lengths, factors = enumerate_(*args)
+        return [rewrite(case[0], col) for col in images], lengths, factors
+
+    monkeypatch.setattr(snow, "max_weyl_length_bruteforce", scan_of_case)
+    monkeypatch.setattr(snow, "_enumerate", rewritten)
+
+
 def _corrupt_columns(snow, monkeypatch):
     """Every scanned image that is a fiber weight moved on to the next
     fiber weight: which elements hit the fiber, and so the winner, stay
     the same, but the winner's images are not those its word spells."""
-    scan, enumerate_ = snow.max_weyl_length_bruteforce, snow._enumerate
-    shift = {}
 
-    def scan_with_shift(inp, *args):
+    def shift(inp, col):
         fiber = inp.fiber.weights
-        shift.clear()
-        shift.update(zip(fiber, fiber[1:] + fiber[:1]))
-        return scan(inp, *args)
+        table = bytearray(range(256))
+        for v, w in zip(fiber, fiber[1:] + fiber[:1]):
+            table[v] = w
+        return bytearray(col.translate(table))
 
-    def corrupt(*args):
-        images, lengths, factors = enumerate_(*args)
-        return [[shift.get(v, v) for v in col] for col in images], lengths, factors
-
-    monkeypatch.setattr(snow, "max_weyl_length_bruteforce", scan_with_shift)
-    monkeypatch.setattr(snow, "_enumerate", corrupt)
+    _rewrite_columns(snow, monkeypatch, shift)
 
 
 @pytest.mark.parametrize("corrupt", [_corrupt_inverse_images, _corrupt_columns])
@@ -371,6 +383,31 @@ def test_enumeration_disagreeing_with_the_word_exits_3(capsys, monkeypatch, corr
         assert err == (
             "internal inconsistency: enumerated inverse images disagree with "
             "the witness's action\n"
+        ), argv
+
+
+def test_identity_off_the_fiber_exits_3(capsys, monkeypatch):
+    """The identity's byte of every scanned column moved to a root outside
+    the fiber: the identity, which maps each maximal weight to itself,
+    has left the search set, and the oracle refuses the scan."""
+
+    def identity_off(inp, col):
+        fiber = set(inp.fiber.weights)
+        col = bytearray(col)
+        col[0] = next(v for v in range(256) if v not in fiber)
+        return col
+
+    snow = importlib.import_module("flagample.snow")
+    _rewrite_columns(snow, monkeypatch, identity_off)
+    for argv in (
+        ["compute", "--type", "A2", "--noncompact", "1", "--verify"],
+        ["table", "--type", "A2", "--verify", "--format", "json"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err == (
+            "internal inconsistency: identity not in the search set: maximal "
+            "weights escape the fiber\n"
         ), argv
 
 

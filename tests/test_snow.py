@@ -20,7 +20,7 @@ from flagample.snow import (
     maximal_weights,
 )
 from flagample.weyl import SubsystemContext
-from reference import enumerate_weyl, invert, perm_of_word
+from reference import enumerate_weyl, invert, list_scan, perm_of_word
 from test_realform import compact_positive_roots, roots_of
 
 
@@ -468,3 +468,36 @@ def test_bruteforce_breaks_ties_by_the_least_word(label, marked, levi):
     assert (length, witness, action, pair_) == (
         top, want.word, want.action, want_pair
     )
+
+
+def _check_byte_scan_of_marking(rs, marking, levis):
+    """The oracle's byte scan gives the list scan's (length, word, pair)."""
+    g = grade_roots(rs, set(marking))
+    h = hermitian_data(rs, g)
+    for levi in levis:
+        try:
+            pd = parabolic_data(rs, g, set(levi))
+            fiber = neutral_fiber(pd, g)
+        except DegenerateGeometryError:
+            continue
+        inp = assemble_input(rs, h, pd, fiber)
+        assert max_weyl_length_bruteforce(inp) == list_scan(inp), (
+            rs.dynkin, marking, levi
+        )
+
+
+@pytest.mark.parametrize("dt", all_types_up_to_rank(4), ids=str)
+def test_byte_scan_matches_list_scan_every_case(dt):
+    rs = build_root_system(dt)
+    cases = sweep_cases(dt)
+    for marking in sorted({m for m, _ in cases}):
+        _check_byte_scan_of_marking(
+            rs, marking, [l for m, l in cases if m == marking]
+        )
+
+
+def test_byte_scan_matches_list_scan_e6():
+    """Every marking of E6, full flag."""
+    rs = build_root_system(parse_type("E6"))
+    for marking in sorted({m for m, _ in sweep_cases(rs.dynkin)}):
+        _check_byte_scan_of_marking(rs, marking, [()])

@@ -175,6 +175,44 @@ def test_enumeration_cap_boundary(label):
         kernels.enumerate_group(*args, order - 1)
 
 
+def test_kernel_refuses_more_than_256_positions(monkeypatch):
+    """Root indices are bytes: a reflection of 257 positions is refused
+    before any element, coset representative included, is built, and
+    one of 256 positions is enumerated."""
+    swap = (1, 0) + tuple(range(2, 256))
+    args = ([0], [0], {0: 1, 1: -1}, DEFAULT_CAP)
+    _, lengths, _ = kernels.enumerate_group([swap], *args)
+    assert lengths == bytearray((0, 1))
+
+    def no_element(*args):
+        raise AssertionError("built an element of a refused group")
+
+    monkeypatch.setattr(kernels, "_coset_representatives", no_element)
+    with pytest.raises(OverflowError, match="256 positions"):
+        kernels.enumerate_group([swap + (256,)], *args)
+
+
+@pytest.mark.parametrize("label", ["A16", "B12", "C12", "D12"])
+def test_no_type_beyond_256_roots_reaches_the_oracle(label):
+    """The smallest type of each classical series with more than 256
+    roots: every one- and two-node marking gives |W(K)| over the
+    enumeration cap, so the oracle is refused from k_order before the
+    kernel could meet the byte bound."""
+    rs = build_root_system(parse_type(label))
+    assert len(rs.roots) > 256
+    nodes = range(1, rs.rank + 1)
+    for marked in itertools.chain(
+        itertools.combinations(nodes, 1), itertools.combinations(nodes, 2)
+    ):
+        g = grade_roots(rs, marked)
+        h = hermitian_data(rs, g)
+        assert h.k_order > DEFAULT_CAP, marked
+    pd = parabolic_data(rs, g, ())
+    inp = assemble_input(rs, h, pd, neutral_fiber(pd, g))
+    with pytest.raises(EnumerationCapError, match=r"^\|W\(K\)\|="):
+        max_weyl_length_bruteforce(inp)
+
+
 @pytest.mark.parametrize(
     "label,marked", [("B3", (1,)), ("C4", (2,)), ("D4", (1, 3)), ("E6", (1,))]
 )
