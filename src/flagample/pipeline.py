@@ -251,5 +251,7 @@ def run_table(
     # the pool machinery costs start-up time and memory: import on demand
     from concurrent.futures import ProcessPoolExecutor
 
+    # a task per marking, not per case: handing one case over costs more
+    # than running it
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_table_worker, specs))
+        return list(pool.map(_table_worker, specs, chunksize=2**dynkin.rank - 1))

@@ -22,6 +22,7 @@ from .errors import (
     CompactFormError,
     DegenerateGradingError,
     InternalInconsistencyError,
+    NotClosedError,
 )
 from .rootsystem import RootSystem, Weight
 from .weyl import SubsystemContext
@@ -87,7 +88,7 @@ def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData
     positive roots (`SubsystemContext.from_positive_roots`) finds K's
     simple roots, proves the compact roots reflection-closed, and gives
     K's Cartan matrix and the coordinates, signs and components of its
-    roots, from which K's components, their labels and |W(K)| are read.
+    roots, from which the labels of K's components and |W(K)| are read.
 
     The center of k has two independent routes.  center_dim is the rank
     deficiency of the span of the compact roots, which K's simple system
@@ -102,10 +103,14 @@ def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData
     functional, and the xi-positive noncompact roots form s_plus.
     """
     noncompact = grading.noncompact_roots
-    ctx = SubsystemContext.from_positive_roots(
-        rs, (i for i in rs.positive_indices if i not in noncompact)
-    )
-    comps = ctx.components()
+    try:
+        ctx = SubsystemContext.from_positive_roots(
+            rs, (i for i in rs.positive_indices if i not in noncompact)
+        )
+        labels = ctx.labels()
+    except NotClosedError as exc:
+        # K's roots, of even marked sum, are always closed: a refusal is a bug
+        raise InternalInconsistencyError(str(exc)) from None
     center_dim = rs.rank - len(ctx.simples)
     if center_dim not in (0, 1):
         raise DegenerateGradingError(
@@ -116,8 +121,6 @@ def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData
     # root for each simple root gamma of K: their root vectors generate
     # n_K+, and a + gamma, when a root, is noncompact
     lam_max = highest_weights(rs, noncompact, ctx.simples)
-
-    k_type = "×".join(c.label for c in comps) if comps else "0"
 
     xi = _central_functional(rs, grading.marked_simples)
     if any(sum(map(mul, rs.roots[g], xi)) for g in ctx.simples) == (center_dim == 1):
@@ -143,15 +146,14 @@ def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData
         if set(s_minus) != {last - a for a in s_plus}:
             raise InternalInconsistencyError("xi-halves are not opposite")
 
-    kname = _real_form_name(rs, grading, center_dim, comps, k_type)
     return HermitianData(
         center_dim=center_dim,
         s_plus=s_plus,
         s_minus=s_minus,
         lambda_max_s=lam_max,
-        k_type=k_type,
-        kname=kname,
-        k_order=math.prod(c.order for c in comps),
+        k_type="×".join(labels) or "0",
+        kname=_real_form_name(rs, grading, center_dim, labels),
+        k_order=ctx.order(),
         k_context=ctx,
     )
 
@@ -200,10 +202,9 @@ def _central_functional(rs, marked) -> Weight:
     return tuple(sign[i] if i + 1 in marked else 0 for i in range(rs.rank))
 
 
-def _real_form_name(rs, grading, center_dim, comps, k_type) -> str:
+def _real_form_name(rs, grading, center_dim, labels) -> str:
     series, n = rs.dynkin.series, rs.dynkin.rank
     cnt = len(rs.roots) - len(grading.noncompact_roots)
-    labels = tuple(sorted(c.label for c in comps))
 
     if series == "A":
         total = n + 1
@@ -241,7 +242,7 @@ def _real_form_name(rs, grading, center_dim, comps, k_type) -> str:
                 if p >= q and 2 * p * (p - 1) + 2 * q * (q - 1) == cnt:
                     return f"so({2 * p},{2 * q})"
     else:
-        key = (series, n, labels, center_dim)
+        key = (series, n, tuple(sorted(labels)), center_dim)
         table = {
             ("G", 2, ("A1", "A1"), 0): "g2(2) (split)",
             ("F", 4, ("B4",), 0): "f4(-20)",
@@ -258,4 +259,4 @@ def _real_form_name(rs, grading, center_dim, comps, k_type) -> str:
             return table[key]
 
     suffix = "⊕ℝ" if center_dim == 1 else ""
-    return f"{series.lower()}{n}({k_type}{suffix})"
+    return f"{series.lower()}{n}({'×'.join(labels) or '0'}{suffix})"

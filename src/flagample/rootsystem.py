@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from operator import add, mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from . import dynkin as dk
 from .dynkin import DynkinType
@@ -63,8 +63,8 @@ class RootSystem:
 
     def reflection_row(self, g: int) -> array:
         """Indices of s_gamma(v) for every root v, where gamma is the
-        root of index g.  Each row is built on first use and kept, as a
-        compact unsigned array."""
+        root of index g.  Each row is built on first use and kept, as an
+        array of 16-bit entries: no type accepted has 2^16 roots."""
         row = self._rows.get(g)
         if row is None:
             row = self._rows[g] = _reflection_row(self, g)
@@ -78,7 +78,7 @@ class RootSystem:
         if row is None:
             alpha, get, m = self.roots[a], self.root_index.get, len(self.roots)
             row = [get(tuple(map(add, alpha, v)), m) for v in self.roots]
-            row = self._sums[a] = array("H" if m < 1 << 16 else "L", row)
+            row = self._sums[a] = array("H", row)
         return row
 
     @cached_property
@@ -128,7 +128,7 @@ def _reflection_row(rs: RootSystem, g: int) -> array:
                 "non-integral coroot pairing between roots"
             )
         row.append(index[tuple(x - c * y for x, y in zip(v, gamma))] if c else i)
-    return array("H" if len(row) <= 1 << 16 else "L", row)
+    return array("H", row)
 
 
 def build_root_system(dynkin: DynkinType) -> RootSystem:
@@ -238,30 +238,13 @@ def indecomposables(
     return tuple(sorted(simples)), pos
 
 
-class SubsystemOrbit(NamedTuple):
-    """What one orbit pass over a subsystem finds (`subsystem_orbit`)."""
-
-    # cartan[i][j] = <gamma_j, gamma_i^vee> for the simples gamma_i
-    cartan: tuple[tuple[int, ...], ...]
-    # each orbit root (by index) with its coordinates in the simple basis
-    coords: dict[int, tuple[int, ...]]
-    # each orbit root's sign: 1 if its coordinates are >= 0, else -1
-    sign: dict[int, int]
-    # one entry per irreducible component, in order of its first simple:
-    # the positions of its simples and the indices of its positive roots
-    components: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-    @property
-    def pos_count(self) -> int:
-        """The number of positive roots."""
-        return sum(len(positives) for _, positives in self.components)
-
-
-def subsystem_orbit(rs: RootSystem, simples: Sequence[int]) -> SubsystemOrbit:
-    """The Cartan matrix of the roots of index `simples`, cartan[i][j] =
-    <gamma_j, gamma_i^vee>, and their orbit under their reflection rows:
-    each orbit root (by index) with its coordinates in that basis, its
-    sign and its irreducible component.
+def subsystem_orbit(rs: RootSystem, simples: Sequence[int], gens: Sequence) -> tuple:
+    """The orbit of the roots of index `simples` under their reflection
+    rows `gens`, as the plain tuple (cartan, coords, sign, parts): their
+    Cartan matrix, cartan[i][j] = <gamma_j, gamma_i^vee>; each orbit root
+    (by index) with its coordinates in that basis and its sign, 1 if they
+    are >= 0, else -1; and per irreducible component, in order of its
+    first simple, the positions of its simples and its positive roots.
 
     The coordinates ride along the orbit search: s_i changes only
     coordinate i, by minus shift, the pairing of the coordinates with
@@ -281,9 +264,9 @@ def subsystem_orbit(rs: RootSystem, simples: Sequence[int]) -> SubsystemOrbit:
     unless the parent was +-gamma_i, whose image is its negative.  s_i
     fixes every root outside gamma_i's component, so a root found from
     a parent is in the parent's component, and the search runs one
-    component at a time."""
+    component at a time.  NotClosedError also unless the orbit is its
+    positive roots and their negatives."""
     roots, keys = rs.roots, rs.root_keys
-    gens = [rs.reflection_row(g) for g in simples]
     k = len(simples)
     # s_i(gamma_j) = gamma_j - cartan[i][j] gamma_i, read at a coordinate
     # where gamma_i is nonzero
@@ -301,7 +284,7 @@ def subsystem_orbit(rs: RootSystem, simples: Sequence[int]) -> SubsystemOrbit:
         g: tuple(int(i == j) for j in range(k)) for i, g in enumerate(simples)
     }
     sign = dict.fromkeys(simples, 1)
-    components = []
+    parts = []
     for members in _linked(cartan):
         queue = [simples[i] for i in members]
         positives = queue[:]
@@ -331,11 +314,10 @@ def subsystem_orbit(rs: RootSystem, simples: Sequence[int]) -> SubsystemOrbit:
                     positives.append(w)
                 coords[w] = c[:i] + (x,) + c[i + 1 :]
                 queue.append(w)
-        components.append((members, tuple(positives)))
-    orbit = SubsystemOrbit(tuple(cartan), coords, sign, tuple(components))
-    if 2 * orbit.pos_count != len(coords):
+        parts.append((members, tuple(positives)))
+    if 2 * sum(len(positives) for _, positives in parts) != len(coords):
         raise NotClosedError("the orbit is not its positive roots and their negatives")
-    return orbit
+    return tuple(cartan), coords, sign, tuple(parts)
 
 
 def _linked(cartan) -> list[tuple[int, ...]]:
@@ -375,39 +357,6 @@ def require_closed(pos: frozenset[int], orbit) -> None:
         )
 
 
-@dataclass(frozen=True)
-class SubsystemComponent:
-    """One irreducible component of a closed subsystem."""
-
-    label: str  # e.g. "A3", "B2"
-    rank: int
-    num_roots: int
-    order: int  # Weyl group order
-    simples: tuple[int, ...]  # root indices
-
-
-def orbit_components(
-    rs: RootSystem, simples: tuple[int, ...], orbit: SubsystemOrbit
-) -> tuple[SubsystemComponent, ...]:
-    """Irreducible components of the subsystem with the given sorted
-    simple roots, labelled from the simples and positive roots of each
-    component that `subsystem_orbit` found."""
-    comps = []
-    for members, positives in orbit.components:
-        comp_simples = tuple(simples[i] for i in members)
-        label = _component_label(rs, comp_simples, positives)
-        comps.append(
-            SubsystemComponent(
-                label=label,
-                rank=len(comp_simples),
-                num_roots=2 * len(positives),
-                order=_order_from_label(label),
-                simples=comp_simples,
-            )
-        )
-    return tuple(sorted(comps, key=lambda c: (-c.rank, c.label)))
-
-
 def _component_label(rs, simples, comp_pos) -> str:
     """comp_pos holds the indices of the component's positive roots."""
     r = len(simples)
@@ -432,7 +381,3 @@ def _component_label(rs, simples, comp_pos) -> str:
     if (r, n_roots) in {(6, 72), (7, 126), (8, 240)}:
         return f"E{r}"
     raise NotClosedError(f"unrecognized subsystem of rank {r} with {n_roots} roots")
-
-
-def _order_from_label(label: str) -> int:
-    return dk.weyl_order(label[0], int(label[1:]))

@@ -20,13 +20,13 @@ import math
 from typing import Iterable, Sequence
 
 from . import kernels
+from .dynkin import weyl_order
 from .errors import EnumerationCapError, InternalInconsistencyError
 from .rootsystem import (
     RootSystem,
-    SubsystemComponent,
     Weight,
+    _component_label,
     indecomposables,
-    orbit_components,
     pair,
     require_closed,
     subsystem_orbit,
@@ -49,13 +49,13 @@ class SubsystemContext:
         self.gen_perms: tuple[tuple[int, ...], ...] = tuple(
             tuple(rs.reflection_row(g)) for g in self.simples
         )
-        # the subsystem's Cartan matrix, and each of its roots (by index)
-        # with its coordinates in the simple basis, its sign and its
-        # component, from one orbit pass
-        self.orbit = subsystem_orbit(rs, self.simples)
-        self.cartan, self.coords = self.orbit.cartan, self.orbit.coords
-        self.sub_sign = self.orbit.sign
-        self.pos_count = self.orbit.pos_count
+        # the subsystem's Cartan matrix, each of its roots (by index) with
+        # its coordinates in the simple basis and its sign, and each
+        # component's simples and positive roots, from one orbit pass
+        self.cartan, self.coords, self.sub_sign, self.parts = subsystem_orbit(
+            rs, self.simples, self.gen_perms
+        )
+        self.pos_count = sum(len(positives) for _, positives in self.parts)
         # for each simple i, its Dynkin neighbours j with cartan[j][i] =
         # <gamma_i, gamma_j^vee>, the nonzero off-diagonal entries of
         # column i: s_i changes no other weight coordinate than these and i
@@ -65,6 +65,7 @@ class SubsystemContext:
             for i, col in enumerate(columns)
         )
         self._w0_word: tuple[int, ...] | None = None
+        self._labels: tuple[str, ...] | None = None
 
     @classmethod
     def from_positive_roots(
@@ -81,10 +82,21 @@ class SubsystemContext:
         require_closed(pos, ctx.coords)
         return ctx
 
-    def components(self) -> tuple[SubsystemComponent, ...]:
-        """Irreducible components, labelled by their abstract Dynkin type
-        (so a D3 component reports as A3, a C2 as B2)."""
-        return orbit_components(self.rs, self.simples, self.orbit)
+    def labels(self) -> tuple[str, ...]:
+        """The labels of the irreducible components, by abstract Dynkin
+        type (so a D3 component reports as A3, a C2 as B2), larger rank
+        first and then by label; found on first use and kept."""
+        if self._labels is None:
+            comps = sorted(
+                (-len(members), _component_label(self.rs, members, positives))
+                for members, positives in self.parts
+            )
+            self._labels = tuple(label for _, label in comps)
+        return self._labels
+
+    def order(self) -> int:
+        """|W|, the product of the Weyl group orders of the components."""
+        return math.prod(weyl_order(c[0], int(c[1:])) for c in self.labels())
 
     # Weight coordinates: a weight v of the subsystem is the list p with
     # p_j = <v, gamma_j^vee>, and s_i sends p_j to p_j - p_i cartan[j][i].
@@ -254,5 +266,4 @@ def _max_length_with_witness(
 def group_order_from_simples(rs: RootSystem, simples: Iterable[Weight]) -> int:
     """Order of the generated reflection group, via the classification of
     the subsystem into irreducible components."""
-    ctx = SubsystemContext(rs, map(rs.root_index.__getitem__, simples))
-    return math.prod(c.order for c in ctx.components())
+    return SubsystemContext(rs, map(rs.root_index.__getitem__, simples)).order()

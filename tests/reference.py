@@ -4,7 +4,8 @@ The library names a Weyl element by its canonical word alone.  The
 tests check that word against the element's full action on the root
 set, a permutation of root indices built here from the word, and reach
 the library's index-based subsystem routines through the coordinate
-entry points below.  `list_scan` is the brute-force oracle's scan on
+entry points below, and rebuild a subsystem's components from the
+parts of its orbit pass.  `list_scan` is the brute-force oracle's scan on
 columns of Python ints, against which the library's byte scan is
 checked.
 """
@@ -14,13 +15,9 @@ from operator import or_
 from typing import NamedTuple
 
 from flagample import kernels
+from flagample.dynkin import weyl_order
 from flagample.errors import InternalInconsistencyError, NotARootError
-from flagample.rootsystem import (
-    indecomposables,
-    orbit_components,
-    require_closed,
-    subsystem_orbit,
-)
+from flagample.rootsystem import _component_label
 from flagample.weyl import (
     DEFAULT_CAP,
     SubsystemContext,
@@ -131,23 +128,56 @@ def max_length_mapping(rs, simples, mu, nu):
 
 def _closed_subsystem(rs, pos):
     # a vector that is no root gets -1, which indecomposables refuses
-    simples, pos = indecomposables(rs, [rs.root_index.get(tuple(v), -1) for v in pos])
-    orbit = subsystem_orbit(rs, simples)
-    require_closed(pos, orbit.coords)
-    return simples, orbit
+    return SubsystemContext.from_positive_roots(
+        rs, [rs.root_index.get(tuple(v), -1) for v in pos]
+    )
 
 
 def simple_system(rs, pos):
     """The sorted simple roots (coordinates) of the positive half `pos`
     of a reflection-closed subsystem, by the library's height pass and
     orbit proof; NotClosedError if pos is no such half."""
-    return tuple(rs.roots[g] for g in _closed_subsystem(rs, pos)[0])
+    return tuple(rs.roots[g] for g in _closed_subsystem(rs, pos).simples)
+
+
+class Component(NamedTuple):
+    """One irreducible component of a closed subsystem."""
+
+    label: str  # e.g. "A3", "B2"
+    rank: int
+    num_roots: int
+    order: int  # Weyl group order
+    simples: tuple  # coordinates
+
+
+def label_order(label):
+    """The Weyl group order of a component label such as "B3"."""
+    return weyl_order(label[0], int(label[1:]))
+
+
+def components(ctx):
+    """The context's irreducible components, read off the parts of its
+    orbit pass and labelled as the library labels them, larger rank
+    first and then by label; their labels are ctx.labels()."""
+    rs = ctx.rs
+    comps = []
+    for members, positives in ctx.parts:
+        simples = tuple(rs.roots[ctx.simples[i]] for i in members)
+        label = _component_label(rs, simples, positives)
+        comps.append(
+            Component(
+                label, len(members), 2 * len(positives), label_order(label), simples
+            )
+        )
+    comps.sort(key=lambda c: (-c.rank, c.label))
+    assert tuple(c.label for c in comps) == ctx.labels()
+    return tuple(comps)
 
 
 def subsystem_components(rs, pos):
     """The irreducible components of the closed subsystem with positive
     half `pos` (coordinates), as the library labels them."""
-    return orbit_components(rs, *_closed_subsystem(rs, pos))
+    return components(_closed_subsystem(rs, pos))
 
 
 def list_scan(inp, cap=DEFAULT_CAP):

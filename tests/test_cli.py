@@ -502,7 +502,8 @@ def test_orbit_pass_refuses_a_corrupt_reflection_row(
 ):
     """The orbit pass checks every new root against its parent on every
     coordinate: a reflection row of K that is wrong off gamma's first
-    nonzero coordinate stops the context, and `compute` exits 3."""
+    nonzero coordinate stops the context, and `compute` and `table`
+    exit 3 (the table's first case has the same marking)."""
     from flagample import pipeline
     from flagample.errors import InternalInconsistencyError
     from flagample.weyl import SubsystemContext
@@ -514,12 +515,92 @@ def test_orbit_pass_refuses_a_corrupt_reflection_row(
 
     rs, _ = _corrupt_k_row(*case)
     monkeypatch.setattr(pipeline, "_root_system", lambda series, rank: rs)
-    code, out, err = run(
-        capsys, "compute", "--type", label, "--noncompact", noncompact
-    )
-    assert (code, out) == (3, "")
-    assert err.startswith("internal inconsistency: ")
-    assert "simple span" in err
+    for argv in (
+        ["compute", "--type", label, "--noncompact", noncompact],
+        ["table", "--type", label, "--format", "json"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err == "internal inconsistency: subsystem root outside simple span\n"
+
+
+def _identity_rows(monkeypatch):
+    """Every reflection row the identity: each simple root of K is found
+    simple, and the orbit of K's simples is the simples alone, not twice
+    as many roots as it has positive ones.  A library caller gets the
+    same refusal as NotClosedError."""
+    from array import array
+
+    from flagample.errors import NotClosedError
+    from flagample.rootsystem import RootSystem, build_root_system
+    from flagample.weyl import SubsystemContext
+
+    def identity(rs, g):
+        return array("H", range(len(rs.roots)))
+
+    monkeypatch.setattr(RootSystem, "reflection_row", identity)
+    rs = build_root_system(parse_type("A2"))
+    with pytest.raises(NotClosedError, match="^the orbit is not its positive"):
+        SubsystemContext(rs, [rs.positive_indices.start])
+
+
+def _run_on(monkeypatch, rs, **changes):
+    """Every case runs on the fresh root system rs with some of its
+    tables replaced."""
+    from flagample import pipeline
+
+    rs = dataclasses.replace(rs, **changes)
+    monkeypatch.setattr(pipeline, "_root_system", lambda series, rank: rs)
+
+
+def _long_root_in_a2(monkeypatch):
+    """A3 with alpha_2 + alpha_3 of norm 4: K of the marking {1} has the
+    six roots of A2, but of two lengths, and no label fits."""
+    from flagample.rootsystem import build_root_system
+
+    rs = build_root_system(parse_type("A3"))
+    norms = list(rs.norms)
+    norms[rs.root_index[(0, 1, 1)]] = 4
+    _run_on(monkeypatch, rs, norms=tuple(norms))
+
+
+def _coefficient_seven(monkeypatch):
+    """A1 with its roots read as -7 and 7, of the same parity: the
+    packed keys of the orbit pass refuse them.  K of A1 {1} has no
+    roots, so nothing reads a root before the pass."""
+    from flagample.rootsystem import build_root_system
+
+    _run_on(monkeypatch, build_root_system(parse_type("A1")), roots=((-7,), (7,)))
+
+
+@pytest.mark.parametrize(
+    "corrupt,label,noncompact,message",
+    [
+        (
+            _identity_rows,
+            "A3",
+            "2",
+            "the orbit is not its positive roots and their negatives",
+        ),
+        (_long_root_in_a2, "A3", "1", "unrecognized subsystem of rank 2 with 6 roots"),
+        (_coefficient_seven, "A1", "1", "root coefficient above 6"),
+    ],
+)
+def test_orbit_pass_faults_exit_3(
+    capsys, monkeypatch, corrupt, label, noncompact, message
+):
+    """K's compact roots are always closed, so a refusal of them is a
+    fault of the program: `compute` and `table` exit 3 with no output
+    and the site's own message (the table's first case has the marking
+    {1}), not exit 1 as for a caller's arbitrary subset."""
+    corrupt(monkeypatch)
+    for argv in (
+        ["compute", "--type", label, "--noncompact", noncompact],
+        ["table", "--type", label, "--format", "json"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err == f"internal inconsistency: {message}\n", argv
 
 
 @pytest.mark.parametrize(
@@ -618,7 +699,8 @@ def test_table_jobs_clamped(monkeypatch, cpus, expected):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
+            pools.append(chunksize)
             return map(fn, items)
 
     # run_table imports the pool class on demand; without an affinity
@@ -628,7 +710,19 @@ def test_table_jobs_clamped(monkeypatch, cpus, expected):
     monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cpus)
     rows = pipeline.run_table(parse_type("A2"), jobs=1000)
     assert len(rows) == 9
-    assert pools == ([expected] if expected > 1 else [])
+    # a task is one marking's three Levi subsets
+    assert pools == ([expected, 3] if expected > 1 else [])
+
+
+def test_table_jobs_give_the_serial_rows():
+    """A pool of two runs the deduplicated D4 table in tasks of one
+    marking each, and its rows are the serial run's, in order."""
+    from flagample import pipeline
+    from flagample.dynkin import parse_type
+
+    d4 = parse_type("D4")
+    serial = pipeline.run_table(d4, dedupe=True)
+    assert pipeline.run_table(d4, dedupe=True, jobs=2) == serial
 
 
 def test_table_jobs_bounded_by_affinity(monkeypatch):

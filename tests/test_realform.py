@@ -14,7 +14,7 @@ from flagample.realform import (
 )
 from flagample.rootsystem import build_root_system, pair
 from flagample.weyl import group_order_from_simples
-from reference import enumerate_weyl, simple_system, subsystem_components
+from reference import components, enumerate_weyl, simple_system, subsystem_components
 from test_rootsystem import reference_components, reference_simple_system
 
 
@@ -315,10 +315,8 @@ def test_shared_k_data_matches_direct_route(dt):
         for v, c in ctx.coords.items():
             want = 1 if min(c) >= 0 else -1
             assert ctx.sub_sign[v] == want == (1 if v >= first else -1), (marked, v)
-        assert tuple(
-            (c.label, c.rank, c.num_roots, c.order, roots_of(rs, c.simples))
-            for c in ctx.components()
-        ) == comps, (dt, marked)
+        assert components(ctx) == comps, (dt, marked)
+        assert ctx.labels() == tuple(c[0] for c in comps)
 
 
 @pytest.mark.parametrize(

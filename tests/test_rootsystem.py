@@ -1,22 +1,22 @@
 """Root generation checked against independent classical coordinate models."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagample.dynkin import all_types_up_to_rank, parse_type
-from flagample.errors import NotARootError, NotClosedError
-from flagample.rootsystem import (
-    _component_label,
-    _order_from_label,
-    build_root_system,
-    pair,
-    reflect,
+from flagample.dynkin import (
+    MAX_CLASSICAL_RANK,
+    all_types_up_to_rank,
+    parse_type,
+    root_count,
 )
+from flagample.errors import NotARootError, NotClosedError
+from flagample.rootsystem import _component_label, build_root_system, pair, reflect
 from flagample.weyl import SubsystemContext
-from reference import simple_system, subsystem_components
+from reference import components, label_order, simple_system, subsystem_components
 
 
 def _model(label):
@@ -215,7 +215,7 @@ def test_orbit_of_a_non_simple_pair_is_refused():
     rs = build_root_system(parse_type("A2"))
     pair_ = [rs.root_index[(1, 0)], rs.root_index[(1, 1)]]
     with pytest.raises(NotClosedError, match="both signs"):
-        SubsystemContext(rs, pair_).components()
+        SubsystemContext(rs, pair_).labels()
 
 
 def negate(v):
@@ -276,7 +276,7 @@ def reference_components(rs, pos):
         comp_pos = [v for v in orbit if rs.roots[v] in pos]
         comp_simples = tuple(simples[i] for i in members)
         label = _component_label(rs, comp_simples, comp_pos)
-        order = _order_from_label(label)
+        order = label_order(label)
         out.append((label, len(members), 2 * len(comp_pos), order, comp_simples))
     assert sum(c[2] for c in out) == 2 * len(pos)
     return tuple(sorted(out, key=lambda c: (-c[1], c[0])))
@@ -334,11 +334,9 @@ def test_simple_system_matches_all_pairs_reference(args):
         return
     simples, comps, ctx = (route() for route in routes)
     assert simples == tuple(rs.roots[g] for g in ctx.simples) == expected
-    assert tuple(
-        (c.label, c.rank, c.num_roots, c.order, tuple(rs.roots[g] for g in c.simples))
-        for c in comps
-    ) == reference_components(rs, pos)
-    assert ctx.components() == comps
+    assert comps == components(ctx) == reference_components(rs, pos)
+    assert ctx.labels() == tuple(c.label for c in comps)
+    assert ctx.order() == math.prod(c.order for c in comps)
 
 
 def test_simple_system_refuses_negative_roots():
@@ -402,6 +400,16 @@ def test_reflection_rows_are_lazy():
     row = rs.reflection_row(5)
     assert rs._rows == {5: row}
     assert rs.reflection_row(5) is row
+
+
+def test_row_entries_fit_in_16_bits():
+    """Reflection and sum rows are arrays of 16-bit root indices, and a
+    sum row also holds the sentinel len(roots): every type accepted has
+    fewer than 2^16 roots, the most at its largest rank."""
+    counts = [root_count(dt) for dt in all_types_up_to_rank(MAX_CLASSICAL_RANK)]
+    assert max(counts) == root_count(parse_type(f"B{MAX_CLASSICAL_RANK}")) < 1 << 16
+    rs = build_root_system(parse_type("E8"))
+    assert rs.reflection_row(0).typecode == rs.sum_row(0).typecode == "H"
 
 
 def test_sum_rows_and_odd_masks_are_lazy():
