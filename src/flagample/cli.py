@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring as _encode_str
 
 from .dynkin import parse_type
 from .errors import (
@@ -249,8 +250,54 @@ def _fmt_witness(word) -> str:
     return "*".join(f"s{i + 1}" for i in word) if word else "e"
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False)
+def _json_text(obj, depth: int, int_lists: dict) -> str:
+    """`obj` as `json.dumps(obj, indent=2, ensure_ascii=False)` writes it
+    `depth` levels deep, byte for byte.  With `indent`, json.dumps falls
+    back to its pure-Python encoder; here each container is one
+    `str.join` and strings go through the C `encode_basestring`.  Only
+    the types `Report.to_json_dict` emits are accepted (dict with str
+    keys, list, str, int, bool, None); anything else is a TypeError.
+
+    Integer lists (coordinates, node lists, witness words) make up most
+    of a table, and their text depends only on the list and the depth:
+    it is cached in `int_lists`, which the caller keeps for one output."""
+    kind = type(obj)
+    if kind is str:
+        return _encode_str(obj)
+    if kind is int:
+        return str(obj)
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    if kind is list:
+        if not obj:
+            return "[]"
+        if all(type(x) is int for x in obj):
+            key = (depth, *obj)
+            text = int_lists.get(key)
+            if text is None:
+                inner = ",\n" + "  " * (depth + 1)
+                text = int_lists[key] = (
+                    f"[{inner[1:]}{inner.join(map(str, obj))}\n{'  ' * depth}]"
+                )
+            return text
+        inner = ",\n" + "  " * (depth + 1)
+        items = inner.join([_json_text(x, depth + 1, int_lists) for x in obj])
+        return f"[{inner[1:]}{items}\n{'  ' * depth}]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = ",\n" + "  " * (depth + 1)
+        # encode_basestring raises TypeError on a key that is not a str
+        items = inner.join(
+            [
+                f"{_encode_str(k)}: {_json_text(v, depth + 1, int_lists)}"
+                for k, v in obj.items()
+            ]
+        )
+        return f"{{{inner[1:]}{items}\n{'  ' * depth}}}"
+    raise TypeError(f"cannot write a {kind.__name__} as JSON")
 
 
 def _fmt_node_set(nodes) -> str:
@@ -311,35 +358,37 @@ def _row_cells(row: dict) -> list[str]:
     return cells
 
 
-def _table_text(rows: list[dict]) -> str:
+def _table_text(rows: list[dict], write) -> None:
+    """Aligned columns: every row's cells are needed for the widths
+    before the first line is written."""
     grid = [list(_TABLE_COLUMNS)] + [_row_cells(r) for r in rows]
     widths = [max(len(r[c]) for r in grid) for c in range(len(_TABLE_COLUMNS))]
-    out = []
     for r in grid:
-        out.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
-    return "\n".join(out)
+        write("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n")
 
 
-def _table_tsv(rows: list[dict]) -> str:
-    out = ["\t".join(_TABLE_COLUMNS)]
-    out += ["\t".join(_row_cells(r)) for r in rows]
-    return "\n".join(out)
+def _table_tsv(rows: list[dict], write) -> None:
+    write("\t".join(_TABLE_COLUMNS) + "\n")
+    for r in rows:
+        write("\t".join(_row_cells(r)) + "\n")
 
 
-def _table_json(dynkin, rows: list[dict]) -> str:
-    payload = {
-        "series": dynkin.series,
-        "rank": dynkin.rank,
-        "rows": [
-            {
-                "input": r["input"],
-                "status": r["status"],
-                "report": r["report"].to_json_dict() if r["report"] else None,
-            }
-            for r in rows
-        ],
-    }
-    return _dump_json(payload)
+def _table_json(dynkin, rows: list[dict], write) -> None:
+    """The table as one JSON object {series, rank, rows}, written row by
+    row: each row's dict is built, rendered, written and dropped."""
+    int_lists: dict = {}
+    series = _json_text(dynkin.series, 1, int_lists)
+    write(f'{{\n  "series": {series},\n  "rank": {dynkin.rank},\n  "rows": [')
+    sep = "\n    "
+    for r in rows:
+        row = {
+            "input": r["input"],
+            "status": r["status"],
+            "report": r["report"].to_json_dict() if r["report"] else None,
+        }
+        write(sep + _json_text(row, 2, int_lists))
+        sep = ",\n    "
+    write("\n  ]\n}\n" if rows else "]\n}\n")
 
 
 def _oracle_skipped(rep: Report, verify: bool) -> bool:
@@ -357,10 +406,11 @@ def _cmd_compute(args) -> int:
             file=sys.stderr,
         )
     if args.format == "json":
-        print(_dump_json(report.to_json_dict()))
+        print(_json_text(report.to_json_dict(), 0, {}))
     elif args.format == "tsv":
         inp = input_block(report.series, report.rank, report.noncompact, report.levi)
-        print(_table_tsv([{"input": inp, "status": "ok", "report": report}]))
+        row = {"input": inp, "status": "ok", "report": report}
+        _table_tsv([row], sys.stdout.write)
     else:
         print(_report_text(report))
     return 0
@@ -389,12 +439,15 @@ def _cmd_table(args) -> int:
             f" (|W(K)| > --max-weyl {args.max_weyl})",
             file=sys.stderr,
         )
+    # every row has run before the first byte goes out, so a failure in
+    # any case exits 3 with empty stdout
+    write = sys.stdout.write
     if args.format == "json":
-        print(_table_json(dynkin, rows))
+        _table_json(dynkin, rows, write)
     elif args.format == "tsv":
-        print(_table_tsv(rows))
+        _table_tsv(rows, write)
     else:
-        print(_table_text(rows))
+        _table_text(rows, write)
     return 0
 
 

@@ -142,16 +142,21 @@ def build_root_system(dynkin: DynkinType) -> RootSystem:
     )
 
     simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    # the nonzero entries (j, A_ij) of each Cartan row: the diagonal 2 and
+    # at most three Dynkin neighbours, so a pairing is O(1), not O(n)
+    sparse_rows = [tuple((j, a) for j, a in enumerate(row) if a) for row in cartan]
     # every root with its norm, which reflections preserve: (a_i, a_i) = B_ii
     roots: dict[Weight, int] = {v: pairing[i][i] for i, v in enumerate(simples)}
     queue = list(simples)
     while queue:
         v = queue.pop()
-        for i, row in enumerate(cartan):
+        for i, entries in enumerate(sparse_rows):
             # s_i(v) = v - <v, alpha_i^vee> alpha_i, and <v, alpha_i^vee>
             # is the pairing against row i of the Cartan matrix; s_i fixes
             # v when it is 0
-            c = sum(map(mul, row, v))
+            c = 0
+            for j, a in entries:
+                c += a * v[j]
             if not c:
                 continue
             w = v[:i] + (v[i] - c,) + v[i + 1 :]

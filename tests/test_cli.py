@@ -12,6 +12,7 @@ import flagample
 from flagample import cli
 from flagample.cli import EXIT_BROKEN_PIPE, main
 from flagample.dynkin import MAX_CLASSICAL_RANK, parse_type
+from flagample.errors import InternalInconsistencyError
 
 
 def run(capsys, *argv):
@@ -322,6 +323,29 @@ def test_short_witness_exits_3(capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, ""), argv
         assert err == "internal inconsistency: witness length mismatch\n", argv
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv", "text"])
+def test_failure_in_the_last_row_leaves_stdout_empty(capsys, monkeypatch, fmt):
+    """Rows are written only after every case has run: a fault in the
+    last case of the sweep, after eight good rows, still exits 3 with
+    nothing on stdout."""
+    pipeline = importlib.import_module("flagample.pipeline")
+    last = pipeline.sweep_cases(parse_type("A2"))[-1]
+    real_run_case = pipeline.run_case
+    seen = []
+
+    def failing_last(spec):
+        seen.append((spec.noncompact, spec.levi))
+        if seen[-1] == last:
+            raise InternalInconsistencyError("planted fault in the last row")
+        return real_run_case(spec)
+
+    monkeypatch.setattr(pipeline, "run_case", failing_last)
+    code, out, err = run(capsys, "table", "--type", "A2", "--format", fmt)
+    assert (code, out) == (3, "")
+    assert err == "internal inconsistency: planted fault in the last row\n"
+    assert len(seen) == 9 and seen[-1] == last
 
 
 def _corrupt_inverse_images(snow, monkeypatch):
