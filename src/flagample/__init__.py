@@ -8,7 +8,7 @@ symmetric space or as pseudoconcave of degree dim C - a(E).
 """
 
 from .classify import Classification, classify
-from .cycle import NeutralFiber, ParabolicData, neutral_fiber, parabolic_data
+from .cycle import ParabolicData, neutral_fiber, parabolic_data
 from .dynkin import DynkinType, parse_type
 from .errors import (
     BadInputError,
@@ -37,7 +37,6 @@ from .snow import (
     assemble_input,
     max_weyl_length_bruteforce,
     max_weyl_length_fast,
-    maximal_weights,
 )
 from .weyl import DEFAULT_CAP
 
@@ -56,7 +55,6 @@ __all__ = [
     "FlagampleError",
     "HermitianData",
     "InternalInconsistencyError",
-    "NeutralFiber",
     "ParabolicData",
     "Report",
     "RootSystem",
@@ -69,7 +67,6 @@ __all__ = [
     "hermitian_data",
     "max_weyl_length_bruteforce",
     "max_weyl_length_fast",
-    "maximal_weights",
     "neutral_fiber",
     "pair",
     "parabolic_data",

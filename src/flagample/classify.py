@@ -3,9 +3,9 @@ pseudoconcave of a computed degree.
 
 The verdict itself is the test a(E) = dim C.  An independent structural
 test (k has a center and the parabolic's noncompact part sits inside one
-xi-half) must agree.  A disagreement is recorded in cross_check, never
-repaired, and the pipeline turns it into an InternalInconsistencyError,
-since the two tests are provably equivalent and a mismatch means a bug.
+xi-half) must agree.  A disagreement is never repaired: the two tests
+are provably equivalent, so a mismatch means a bug, and `classify`
+raises InternalInconsistencyError.
 """
 
 from __future__ import annotations
@@ -13,21 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cycle import ParabolicData
+from .errors import InternalInconsistencyError
 from .realform import CompactnessGrading, HermitianData
 from .snow import AmplenessResult
 
 KIND_PRODUCT = "ProductOverHSS"
 KIND_PSEUDOCONCAVE = "Pseudoconcave"
 
-CHECK_PASSED = "passed"
-CHECK_FAILED = "failed"
-
 
 @dataclass(frozen=True)
 class Classification:
     kind: str
     concavity_degree: int  # dim C - a(E); 0 in the product case
-    cross_check: str
     notes: str
 
 
@@ -37,28 +34,30 @@ def classify(
     grading: CompactnessGrading,
     hermitian: HermitianData,
 ) -> Classification:
-    """Classify the flag domain cut out by one pipeline run."""
-    product = amp.ampleness == pd.dim_c
-    degree = pd.dim_c - amp.ampleness
+    """Classify the flag domain cut out by one pipeline run, after
+    checking the verdict against the structural test."""
+    kind = KIND_PRODUCT if amp.ampleness == pd.dim_c else KIND_PSEUDOCONCAVE
 
-    q_cap_s = {v for v in pd.q_roots if v in grading.noncompact_roots}
     if hermitian.center_dim == 1:
-        in_minus = q_cap_s <= set(hermitian.s_minus)
-        in_plus = q_cap_s <= set(hermitian.s_plus)
-        direct = in_minus or in_plus
-        if in_minus:
+        # q cap s never lies in s_plus: q holds every negative root, -a_m
+        # among them for the lowest marked node m, which is noncompact
+        # with xi(-a_m) = -1, so it is in s_minus and not in s_plus
+        q_cap_s = {v for v in pd.q_roots if v in grading.noncompact_roots}
+        direct = q_cap_s <= set(hermitian.s_minus)
+        if direct:
             notes = "q cap s contained in s_minus"
-        elif in_plus:
-            notes = "q cap s contained in s_plus"
         else:
             notes = "q cap s meets both xi-halves"
     else:
         direct = False
         notes = "k has no center"
+    if direct != (kind == KIND_PRODUCT):
+        raise InternalInconsistencyError(
+            f"verdict {kind} disagrees with the structural test ({notes})"
+        )
 
     return Classification(
-        kind=KIND_PRODUCT if product else KIND_PSEUDOCONCAVE,
-        concavity_degree=degree,
-        cross_check=CHECK_PASSED if direct == product else CHECK_FAILED,
+        kind=kind,
+        concavity_degree=pd.dim_c - amp.ampleness,
         notes=notes,
     )

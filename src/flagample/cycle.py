@@ -25,24 +25,11 @@ from .rootsystem import RootSystem
 class ParabolicData:
     """Root data of the parabolic and the dimensions it determines."""
 
-    levi_nodes: frozenset[int]  # 1-based
     q_roots: tuple[int, ...]
     tangent_weights: tuple[int, ...]  # positive roots outside the Levi span
     dim_z: int
     dim_c: int
     levi_correction: int  # dim P - dim B for P = K cap Q, B a Borel of K
-
-
-@dataclass(frozen=True)
-class NeutralFiber:
-    """Weight multiset of the neutral fiber; multiplicity-free, so a
-    sorted tuple."""
-
-    weights: tuple[int, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.weights)
 
 
 def parabolic_data(
@@ -67,7 +54,6 @@ def parabolic_data(
     dim_c = sum(1 for v in tangent if v not in noncompact)
     levi_correction = sum(1 for v in in_levi if v not in noncompact)
     return ParabolicData(
-        levi_nodes=levi,
         q_roots=q_roots,
         tangent_weights=tuple(tangent),
         dim_z=len(tangent),
@@ -76,8 +62,12 @@ def parabolic_data(
     )
 
 
-def neutral_fiber(pd: ParabolicData, grading: CompactnessGrading) -> NeutralFiber:
-    """Weights of the neutral fiber: the noncompact tangent weights."""
+def neutral_fiber(
+    pd: ParabolicData, grading: CompactnessGrading
+) -> tuple[int, ...]:
+    """Weights of the neutral fiber: the noncompact tangent weights, in
+    sorted order.  They are multiplicity-free, so rank E is their
+    number."""
     weights = tuple(
         v for v in pd.tangent_weights if v in grading.noncompact_roots
     )
@@ -86,4 +76,4 @@ def neutral_fiber(pd: ParabolicData, grading: CompactnessGrading) -> NeutralFibe
             "no noncompact root outside the Levi span: the cycle fills Z "
             "and there is no flag-domain geometry to classify"
         )
-    return NeutralFiber(weights=weights)
+    return weights

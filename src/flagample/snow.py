@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cycle import NeutralFiber, ParabolicData
+from .cycle import ParabolicData
 from .errors import EnumerationCapError, InternalInconsistencyError
 from .kernels import inverse_images, word_of
 from .realform import HermitianData, highest_weights
@@ -34,10 +34,9 @@ METHODS = ("auto", "bruteforce", "fast")
 class AmplenessInput:
     """Everything the length search needs, assembled once per case."""
 
-    rs: RootSystem
     hermitian: HermitianData
     parabolic: ParabolicData
-    fiber: NeutralFiber
+    fiber: tuple[int, ...]  # fiber weights, sorted
     max_weights: tuple[int, ...]  # maximal fiber weights, sorted
 
 
@@ -47,7 +46,6 @@ class AmplenessResult:
     max_length: int
     witness: tuple[int, ...]  # canonical word, 0-based indices into K's simples
     witness_pair: tuple[int, int]  # (mu maximal, nu fiber weight)
-    max_weights: tuple[int, ...]
     routes: tuple[str, ...]  # search routes that ran, primary first
 
 
@@ -55,34 +53,29 @@ def assemble_input(
     rs: RootSystem,
     hermitian: HermitianData,
     parabolic: ParabolicData,
-    fiber: NeutralFiber,
+    fiber: tuple[int, ...],
 ) -> AmplenessInput:
-    return AmplenessInput(
-        rs=rs,
-        hermitian=hermitian,
-        parabolic=parabolic,
-        fiber=fiber,
-        max_weights=maximal_weights(rs, fiber, hermitian.k_context.simples),
-    )
-
-
-def maximal_weights(
-    rs: RootSystem, fiber: NeutralFiber, k_roots: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Fiber weights to which no root of k_roots can be added inside the
-    fiber's weight set; k_roots is K's simple system or all of its
-    positive roots, with the same answer.
+    """The case's search input, with its maximal fiber weights: those to
+    which no simple root of K can be added inside the fiber.
 
     All weight multiplicities are one, and bracketing a root vector by a
     compact root vector is nonzero whenever the target is a root, so this
     maximality is exactly membership in the top layer of the module: the
     maximal weights are the negatives of the U-invariant weights of the
-    dual fiber.  The simple roots of K suffice because their root vectors
-    generate n_K+, and the fiber is closed under adding a positive
-    compact root whenever the sum is a root (the sum stays positive,
-    noncompact and outside the Levi span).
+    dual fiber.  The simple roots of K suffice, with the same answer as
+    all of its positive roots, because their root vectors generate n_K+,
+    and the fiber is closed under adding a positive compact root whenever
+    the sum is a root (the sum stays positive, noncompact and outside the
+    Levi span).
     """
-    return highest_weights(rs, frozenset(fiber.weights), k_roots)
+    return AmplenessInput(
+        hermitian=hermitian,
+        parabolic=parabolic,
+        fiber=fiber,
+        max_weights=highest_weights(
+            rs, frozenset(fiber), hermitian.k_context.simples
+        ),
+    )
 
 
 def closed_form_maximal_weights(
@@ -150,7 +143,7 @@ def max_weyl_length_bruteforce(
         )
     ctx = inp.hermitian.k_context
     lam = inp.max_weights
-    fiber = frozenset(inp.fiber.weights)
+    fiber = frozenset(inp.fiber)
     images, lengths, factors = _enumerate(ctx, lam, cap)
 
     # byte i of hit, little-endian, is 255 iff element i sends some
@@ -217,7 +210,7 @@ def max_weyl_length_fast(
     orbits = {mu: coset_orbit(ctx, mu) for mu in lam}
     lengths = []
     for mu, orbit in orbits.items():
-        for nu in inp.fiber.weights:  # sorted
+        for nu in inp.fiber:  # sorted
             hit = orbit.get(nu)
             if hit is not None:
                 lengths.append((mu, nu, ctx.pos_count - hit[0]))
@@ -252,7 +245,7 @@ def ampleness(
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     lam = inp.max_weights
-    if not set(lam) <= set(inp.fiber.weights):
+    if not set(lam) <= set(inp.fiber):
         raise InternalInconsistencyError("maximal weights escape the fiber")
     closed = closed_form_maximal_weights(inp.hermitian, inp.parabolic)
     if closed != lam:
@@ -301,6 +294,5 @@ def ampleness(
         max_length=max_length,
         witness=witness,
         witness_pair=pair_,
-        max_weights=lam,
         routes=tuple(results),
     )

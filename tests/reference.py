@@ -188,7 +188,7 @@ def list_scan(inp, cap=DEFAULT_CAP):
     pair the first mu whose w^{-1}(mu) is a fiber weight."""
     ctx = inp.hermitian.k_context
     lam = inp.max_weights
-    fiber = frozenset(inp.fiber.weights)
+    fiber = frozenset(inp.fiber)
     images, lengths, factors = _enumerate(ctx, lam, cap)
     images = [list(col) for col in images]
 

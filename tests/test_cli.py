@@ -234,7 +234,12 @@ def test_table_text_aligned(capsys):
 
 
 def _flip_verdict(classify):
-    return lambda *args: dataclasses.replace(classify(*args), cross_check="failed")
+    """The verdict read from an a(E) one below the one the search found."""
+
+    def flipped(amp, *args):
+        return classify(dataclasses.replace(amp, ampleness=amp.ampleness - 1), *args)
+
+    return flipped
 
 
 def _lengthen(route):
@@ -273,12 +278,19 @@ def _shorten(route):
     return shortened
 
 
-# what each breaker must make the run report
+# what each breaker must make the run report, by the function it breaks;
+# on the A2 {1} full flag the witness is (0,) and the pair (5, 4)
 _DISAGREEMENT = {
-    _flip_verdict: "disagrees with the structural test",
-    _lengthen: "search methods disagree on the length: fast ",
-    _reword: "search methods disagree on the witness word: fast ",
-    _swap_pair: "search methods disagree on the (mu, nu) pair: fast ",
+    ("classify", _flip_verdict): "verdict Pseudoconcave disagrees with the "
+    "structural test (q cap s contained in s_minus)",
+    ("max_weyl_length_fast", _lengthen): "search methods disagree on the "
+    "length: fast 2 vs brute force 1",
+    ("max_weyl_length_bruteforce", _lengthen): "search methods disagree on "
+    "the length: fast 1 vs brute force 2",
+    ("max_weyl_length_fast", _reword): "search methods disagree on the "
+    "witness word: fast (1,) vs brute force (0,)",
+    ("max_weyl_length_fast", _swap_pair): "search methods disagree on the "
+    "(mu, nu) pair: fast (4, 5) vs brute force (5, 4)",
 }
 
 
@@ -305,8 +317,42 @@ def test_route_disagreement_exits_3(capsys, monkeypatch, module, name, breaker):
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, ""), argv
-        assert err.startswith("internal inconsistency: ")
-        assert _DISAGREEMENT[breaker] in err, (argv, err)
+        assert err == f"internal inconsistency: {_DISAGREEMENT[name, breaker]}\n"
+
+
+def _ignore_parabolic(closed_form):
+    """The case analysis's maximal weights with no half swallowed by the
+    parabolic: both xi-halves' highest weights whenever k has a center."""
+    return lambda hermitian, parabolic: hermitian.lambda_max_s
+
+
+@pytest.mark.parametrize(
+    "name,breaker,message",
+    [
+        (
+            "closed_form_maximal_weights",
+            _ignore_parabolic,
+            "maximal weights disagree: combinatorial (5,) vs case analysis "
+            "(1, 5) (root indices)",
+        ),
+        ("max_weyl_length_fast", _lengthen, "ampleness 2 outside 0..dim_C=1"),
+    ],
+    ids=["maximal-weights", "ampleness-range"],
+)
+def test_unverified_check_exits_3(capsys, monkeypatch, name, breaker, message):
+    """Checks that need no second search route: on the A2 {1} full flag
+    (dim C = 1, Levi correction 0) a case analysis that keeps the
+    xi-half q swallows, of highest weight -a1, or a fast route one
+    longer stops the run before the witness-length check."""
+    snow = importlib.import_module("flagample.snow")
+    monkeypatch.setattr(snow, name, breaker(getattr(snow, name)))
+    for argv in (
+        ["compute", "--type", "A2", "--noncompact", "1"],
+        ["table", "--type", "A2", "--format", "json"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err == f"internal inconsistency: {message}\n", argv
 
 
 def test_short_witness_exits_3(capsys, monkeypatch):
@@ -384,7 +430,7 @@ def _corrupt_columns(snow, monkeypatch):
     the same, but the winner's images are not those its word spells."""
 
     def shift(inp, col):
-        fiber = inp.fiber.weights
+        fiber = inp.fiber
         table = bytearray(range(256))
         for v, w in zip(fiber, fiber[1:] + fiber[:1]):
             table[v] = w
@@ -416,7 +462,7 @@ def test_identity_off_the_fiber_exits_3(capsys, monkeypatch):
     has left the search set, and the oracle refuses the scan."""
 
     def identity_off(inp, col):
-        fiber = set(inp.fiber.weights)
+        fiber = set(inp.fiber)
         col = bytearray(col)
         col[0] = next(v for v in range(256) if v not in fiber)
         return col

@@ -142,8 +142,8 @@ def test_dimension_bookkeeping(case):
     g = grade_roots(rs, marked)
     pd = parabolic_data(rs, g, levi)
     fiber = neutral_fiber(pd, g)
-    assert pd.dim_z == pd.dim_c + fiber.rank
-    assert 1 <= fiber.rank <= pd.dim_z
+    assert pd.dim_z == pd.dim_c + len(fiber)
+    assert 1 <= len(fiber) <= pd.dim_z
 
 
 @given(_case())

@@ -375,7 +375,9 @@ def test_center_has_two_routes(dt):
     the marked ones and +1 on the lowest marked node.  It kills K's
     simple roots exactly when the compact roots have rank deficiency 1;
     then it is +1 on s_plus and -1 on s_minus, the scalars by which the
-    center acts on p+ and p-."""
+    center acts on p+ and p-.  So -a_m, a_m the lowest marked simple
+    root, is in s_minus: every parabolic holds it, which is why the
+    verdict's structural test never finds q cap s inside s_plus."""
     rs = build_root_system(dt)
     for marked in _all_markings(dt.rank):
         xi = _central_functional(rs, frozenset(marked))
@@ -393,6 +395,9 @@ def test_center_has_two_routes(dt):
             plus, minus = roots_of(rs, h.s_plus), roots_of(rs, h.s_minus)
             assert {_xi_value(xi, a) for a in plus} == {1}, (dt, marked)
             assert {_xi_value(xi, a) for a in minus} == {-1}, (dt, marked)
+            m = min(marked)
+            low = rs.root_index[tuple(-1 if i == m else 0 for i in range(1, rs.rank + 1))]
+            assert low in h.s_minus and low not in h.s_plus, (dt, marked)
 
 
 # The E7 markings whose K is E6 x T.  The label route names that K "C6"

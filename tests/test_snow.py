@@ -9,7 +9,7 @@ from flagample.cycle import neutral_fiber, parabolic_data
 from flagample.dynkin import all_types_up_to_rank, parse_type
 from flagample.errors import DegenerateGeometryError
 from flagample.pipeline import CaseSpec, run_case, sweep_cases
-from flagample.realform import grade_roots, hermitian_data
+from flagample.realform import grade_roots, hermitian_data, highest_weights
 from flagample.rootsystem import build_root_system
 from flagample.snow import (
     ampleness,
@@ -17,7 +17,6 @@ from flagample.snow import (
     closed_form_maximal_weights,
     max_weyl_length_bruteforce,
     max_weyl_length_fast,
-    maximal_weights,
 )
 from flagample.weyl import SubsystemContext
 from reference import enumerate_weyl, invert, list_scan, perm_of_word
@@ -27,6 +26,12 @@ from test_realform import compact_positive_roots, roots_of
 def _k_pos(rs, g):
     """K's positive roots, by index."""
     return tuple(rs.root_index[v] for v in compact_positive_roots(rs, g))
+
+
+def _maximal_over_k_pos(rs, g, fiber):
+    """The fiber weights to which no positive root of K can be added
+    inside the fiber."""
+    return highest_weights(rs, frozenset(fiber), _k_pos(rs, g))
 
 
 def _setup(label, marked, levi):
@@ -40,19 +45,19 @@ def _setup(label, marked, levi):
 
 def test_maximal_weights_a2_ball():
     rs, g, h, pd, fiber, inp = _setup("A2", {1}, {2})
-    assert roots_of(rs, maximal_weights(rs, fiber, _k_pos(rs, g))) == ((1, 1),)
+    assert roots_of(rs, _maximal_over_k_pos(rs, g, fiber)) == ((1, 1),)
 
 
 def test_maximal_weights_singleton_fiber():
     rs, g, h, pd, fiber, inp = _setup("A2", {1}, {1})
-    assert roots_of(rs, fiber.weights) == ((1, 1),)
-    assert roots_of(rs, maximal_weights(rs, fiber, _k_pos(rs, g))) == ((1, 1),)
+    assert roots_of(rs, fiber) == ((1, 1),)
+    assert roots_of(rs, _maximal_over_k_pos(rs, g, fiber)) == ((1, 1),)
 
 
 def test_maximal_weights_b2_quadric():
     rs, g, h, pd, fiber, inp = _setup("B2", {2}, {1})
-    assert set(roots_of(rs, fiber.weights)) == {(0, 1), (1, 1)}
-    assert roots_of(rs, maximal_weights(rs, fiber, _k_pos(rs, g))) == ((1, 1),)
+    assert set(roots_of(rs, fiber)) == {(0, 1), (1, 1)}
+    assert roots_of(rs, _maximal_over_k_pos(rs, g, fiber)) == ((1, 1),)
 
 
 def test_bruteforce_a2_ball():
@@ -192,8 +197,8 @@ def test_witness_invariant():
     rs, g, h, pd, fiber, inp = _setup("A2", {1}, set())
     res = ampleness(inp)
     mu, nu = res.witness_pair
-    assert mu in res.max_weights
-    assert nu in fiber.weights
+    assert mu in inp.max_weights
+    assert nu in fiber
     assert type(res.witness) is tuple
     assert all(type(i) is int for i in res.witness)
     assert len(res.witness) == res.max_length
@@ -214,16 +219,16 @@ def test_closed_form_drops_a_swallowed_half():
     assert set(roots_of(rs, h.s_plus)) == {(1, 0), (0, -1)}
     assert set(pd.q_roots) >= set(h.s_plus)
     assert roots_of(rs, closed_form_maximal_weights(h, pd)) == ((0, 1),)
-    assert roots_of(rs, maximal_weights(rs, fiber, _k_pos(rs, g))) == ((0, 1),)
-    res = ampleness(inp, verify=True)
-    assert roots_of(rs, res.max_weights) == ((0, 1),)
+    assert roots_of(rs, _maximal_over_k_pos(rs, g, fiber)) == ((0, 1),)
+    assert roots_of(rs, inp.max_weights) == ((0, 1),)
+    ampleness(inp, verify=True)
 
 
 def test_closed_form_keeps_both_halves():
     rs, g, h, pd, fiber, inp = _setup("A2", {1, 2}, set())
     assert roots_of(rs, closed_form_maximal_weights(h, pd)) == ((0, 1), (1, 0))
-    res = ampleness(inp, verify=True)
-    assert roots_of(rs, res.max_weights) == ((0, 1), (1, 0))
+    assert roots_of(rs, inp.max_weights) == ((0, 1), (1, 0))
+    ampleness(inp, verify=True)
 
 
 def test_rank_four_sweep_routes_and_verdicts():
@@ -245,8 +250,9 @@ def test_rank_four_sweep_routes_and_verdicts():
             inp = assemble_input(rs, h, pd, fiber)
             res = ampleness(inp, verify=True)  # fast vs brute force
             assert 0 <= res.ampleness <= pd.dim_c
-            cls = classify(res, pd, g, h)
-            assert cls.cross_check == "passed", (label, marking, levi)
+            cls = classify(res, pd, g, h)  # raises on a disagreement
+            contained = cls.notes == "q cap s contained in s_minus"
+            assert (cls.kind == KIND_PRODUCT) == contained, (label, marking, levi)
             if cls.kind == KIND_PRODUCT:
                 assert h.center_dim == 1, (label, marking, levi)
 
@@ -270,9 +276,9 @@ def test_pullback_correction_route():
 
 
 def _check_highest_weights_on_k_simples(rs, marking, levis):
-    """hermitian_data's lambda_max_s and maximal_weights, which try only
-    K's simple roots, agree with the definition over all of K's positive
-    roots."""
+    """hermitian_data's lambda_max_s and assemble_input's maximal
+    weights, which try only K's simple roots, agree with the definition
+    over all of K's positive roots."""
     g = grade_roots(rs, set(marking))
     h = hermitian_data(rs, g)
     k_pos = compact_positive_roots(rs, g)
@@ -294,9 +300,12 @@ def _check_highest_weights_on_k_simples(rs, marking, levis):
             fiber = neutral_fiber(pd, g)
         except DegenerateGeometryError:
             continue
-        assert maximal_weights(rs, fiber, h.k_context.simples) == maximal_weights(
-            rs, fiber, _k_pos(rs, g)
-        ), (rs.dynkin, marking, levi)
+        inp = assemble_input(rs, h, pd, fiber)
+        assert inp.max_weights == _maximal_over_k_pos(rs, g, fiber), (
+            rs.dynkin,
+            marking,
+            levi,
+        )
 
 
 @pytest.mark.parametrize("dt", all_types_up_to_rank(4), ids=str)
@@ -357,13 +366,13 @@ def _check_route_pairs(inp, oracle_cap=None):
     routes = [max_weyl_length_fast]
     if oracle_cap is None or inp.hermitian.k_order <= oracle_cap:
         routes.append(max_weyl_length_bruteforce)
-    fiber_set = frozenset(inp.fiber.weights)
+    fiber_set = frozenset(inp.fiber)
     for route in routes:
         _, witness, pair_ = route(inp)
         want = _reference_witness_pair(
             inp.hermitian.k_context, witness, inp.max_weights, fiber_set
         )
-        assert pair_ == want, (route.__name__, inp.rs.dynkin, pair_, want)
+        assert pair_ == want, (route.__name__, inp.hermitian.k_context.rs.dynkin, pair_, want)
 
 
 def _check_route_pairs_of_marking(rs, marking, levis, oracle_cap=None):
@@ -388,7 +397,7 @@ def test_route_pairs_when_the_witness_maps_onto_both_maximal_weights():
         _, witness, pair_ = route(inp)
         assert witness == (0,)
         action = perm_of_word(h.k_context, witness)
-        images = {action[nu] for nu in fiber.weights}
+        images = {action[nu] for nu in fiber}
         assert set(inp.max_weights) <= images
         assert roots_of(rs, pair_) == ((0, 1, 1), (0, 0, 1))
 
@@ -425,8 +434,8 @@ def _reference_scan(inp):
     come in (length, word) order: the first element of the greatest
     length in the searched set, the number of elements tied with it, and
     its pair (the first mu whose w^{-1}(mu) is a fiber weight)."""
-    rs = inp.rs
-    fiber = set(inp.fiber.weights)
+    rs = inp.hermitian.k_context.rs
+    fiber = set(inp.fiber)
     found = []
     for el in enumerate_weyl(rs, roots_of(rs, inp.hermitian.k_context.simples)):
         inv = invert(el.action)

@@ -673,7 +673,7 @@ def test_coset_maximum_closed_form_every_case(dt):
     rs = build_root_system(dt)
     checked = sum(
         _check_closed_form_coset_maxima(
-            inp.hermitian.k_context, inp.max_weights, inp.fiber.weights
+            inp.hermitian.k_context, inp.max_weights, inp.fiber
         )
         for inp in _case_inputs(rs, sweep_cases(dt))
     )
@@ -697,7 +697,7 @@ def test_coset_maximum_closed_form_e7_e8(case):
     label, marking, levi = case
     for inp in _case_inputs(_cached_root_system(label), [(marking, levi)]):
         _check_closed_form_coset_maxima(
-            inp.hermitian.k_context, inp.max_weights, inp.fiber.weights
+            inp.hermitian.k_context, inp.max_weights, inp.fiber
         )
 
 
@@ -708,7 +708,7 @@ def _check_witnesses_against_reference(inp):
     ctx = inp.hermitian.k_context
     for mu in inp.max_weights:
         orbit = coset_orbit(ctx, mu)
-        for nu in inp.fiber.weights:
+        for nu in inp.fiber:
             res = _max_length_with_witness(ctx, mu, nu, orbit)
             ref = _reference_max_length_with_witness(ctx, mu, nu)
             if ref is None:
