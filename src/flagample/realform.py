@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import mul, xor
+from itertools import compress
+from operator import add, mul, xor
 from typing import Iterable
 
 from .errors import (
@@ -84,11 +85,11 @@ def grade_roots(rs: RootSystem, marked: Iterable[int]) -> CompactnessGrading:
 def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData:
     """Detect Hermitian type and split the noncompact roots.
 
-    K's data comes from one orbit pass: the context of the compact
-    positive roots (`SubsystemContext.from_positive_roots`) finds K's
-    simple roots, proves the compact roots reflection-closed, and gives
-    K's Cartan matrix and the coordinates, signs and components of its
-    roots, from which the labels of K's components and |W(K)| are read.
+    K's data is read off the compact positive roots in one pass: their
+    context (`SubsystemContext`) finds K's simple roots, proves the
+    compact roots reflection-closed by checks on index sets, and gives
+    K's Cartan matrix and the signs and components of its roots, from
+    which the labels of K's components and |W(K)| are read.
 
     The center of k has two independent routes.  center_dim is the rank
     deficiency of the span of the compact roots, which K's simple system
@@ -104,8 +105,8 @@ def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData
     """
     noncompact = grading.noncompact_roots
     try:
-        ctx = SubsystemContext.from_positive_roots(
-            rs, (i for i in rs.positive_indices if i not in noncompact)
+        ctx = SubsystemContext(
+            rs, frozenset(rs.positive_indices).difference(noncompact)
         )
         labels = ctx.labels()
     except NotClosedError as exc:
@@ -132,18 +133,21 @@ def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData
 
     s_plus = s_minus = ()
     if center_dim == 1:
-        plus, minus = [], []
-        for a in sorted(noncompact):
-            p = sum(map(mul, rs.roots[a], xi))
-            if p == 0:
-                raise DegenerateGradingError(
-                    "central functional kills a noncompact root"
-                )
-            (plus if p > 0 else minus).append(a)
-        s_plus, s_minus = tuple(plus), tuple(minus)
+        # xi on every root, one column of coefficients per node it is
+        # nonzero on, and each half read off its sign
+        values = [0] * len(rs.roots)
+        for column, x in zip(rs.columns, xi):
+            if x:
+                values = list(map(add, values, map(x.__mul__, column)))
+        order = sorted(noncompact)
+        at = list(map(values.__getitem__, order))
+        s_plus = tuple(compress(order, map((0).__lt__, at)))
+        s_minus = tuple(compress(order, map((0).__gt__, at)))
+        if len(s_plus) + len(s_minus) != len(order):
+            raise DegenerateGradingError("central functional kills a noncompact root")
         # rs.roots is sorted, so -roots[a] is roots[last - a]
         last = len(rs.roots) - 1
-        if set(s_minus) != {last - a for a in s_plus}:
+        if set(s_minus) != set(map(last.__sub__, s_plus)):
             raise InternalInconsistencyError("xi-halves are not opposite")
 
     return HermitianData(

@@ -5,7 +5,10 @@ element handled here lies in the root lattice, so integer coordinates
 are exact.  The inner product is v^T B w with B = diag(d) * A for the
 minimal symmetrizer d, which makes all coroot pairings exact integers.
 The roots are kept sorted in `RootSystem.roots`, and the rest of the
-pipeline names a root by its index there.
+pipeline names a root by its index there.  A reflection row is built on
+first use, every entry of it is proven then, and it is kept read-only;
+a subsystem's data is read off its positive roots with checks on index
+sets (`closed_subsystem`), which trust the proven rows.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from operator import add, mul
+from itertools import chain, compress
+from operator import add, itemgetter, lt, mul, sub
 from typing import Iterable, Sequence
 
 from . import dynkin as dk
@@ -40,8 +43,9 @@ class RootSystem:
     # aligned with positive_roots
     support_masks: tuple[int, ...]
     root_index: dict[Weight, int] = field(repr=False)
-    # reflection and sum rows built so far, by root index
-    _rows: dict[int, array] = field(default_factory=dict, repr=False)
+    # reflection rows (read-only, proven) and sum rows built so far, by
+    # root index
+    _rows: dict[int, memoryview] = field(default_factory=dict, repr=False)
     _sums: dict[int, array] = field(default_factory=dict, repr=False)
 
     @property
@@ -61,13 +65,14 @@ class RootSystem:
         negative root sorts before every positive one."""
         return range(len(self.positive_roots), len(self.roots))
 
-    def reflection_row(self, g: int) -> array:
+    def reflection_row(self, g: int) -> memoryview:
         """Indices of s_gamma(v) for every root v, where gamma is the
-        root of index g.  Each row is built on first use and kept, as an
-        array of 16-bit entries: no type accepted has 2^16 roots."""
+        root of index g.  Each row is built on first use, every entry is
+        proven then (`_proven`), and it is kept as a read-only view of
+        16-bit entries: no type accepted has 2^16 roots."""
         row = self._rows.get(g)
         if row is None:
-            row = self._rows[g] = _reflection_row(self, g)
+            row = self._rows[g] = _proven(self, g, _reflection_row(self, g))
         return row
 
     def sum_row(self, a: int) -> array:
@@ -89,6 +94,13 @@ class RootSystem:
             frozenset(a for a, v in enumerate(self.roots) if v[j] & 1)
             for j in range(self.rank)
         )
+
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """For each node, the coefficient there of every root, in root
+        order, built on first use: a linear functional on the roots is
+        a sum of these columns, one per node where it is nonzero."""
+        return tuple(zip(*self.roots))
 
     @cached_property
     def root_keys(self) -> tuple[int, ...]:
@@ -129,6 +141,33 @@ def _reflection_row(rs: RootSystem, g: int) -> array:
             )
         row.append(index[tuple(x - c * y for x, y in zip(v, gamma))] if c else i)
     return array("H", row)
+
+
+def _proven(rs: RootSystem, g: int, row: array) -> memoryview:
+    """The reflection row of the root of index g, read-only, once every
+    entry is proven: roots[row[v]] = v - <v, gamma^vee> gamma for every
+    root v, by a route that does not read how the row was built.
+
+    The pairing is exact and linear: <v, gamma^vee> is the sum over the
+    nodes j of v_j <alpha_j, gamma^vee>, an integer for the two roots
+    alpha_j and gamma, so it is read off the per-node columns for every
+    root at once.  Each entry is then one comparison of packed keys,
+    key(row[v]) = key(v) - <v, gamma^vee> key(gamma), which holds
+    exactly when the two vectors agree (`RootSystem.root_keys`: the
+    pairing of two roots is at most 3 in absolute value).  So the row
+    is s_gamma, an involution that sends gamma to -gamma."""
+    keys = rs.root_keys
+    gamma, norm = rs.roots[g], rs.norms[g]
+    pairing = [0] * len(keys)
+    for column, b in zip(rs.columns, rs.pairing_matrix):
+        # <alpha_j, gamma^vee> = 2 (alpha_j, gamma) / (gamma, gamma)
+        c = 2 * sum(map(mul, b, gamma)) // norm
+        if c:
+            pairing = list(map(add, pairing, map(c.__mul__, column)))
+    want = map(sub, keys, map(keys[g].__mul__, pairing))
+    if list(map(keys.__getitem__, row)) != list(want):
+        raise InternalInconsistencyError("subsystem root outside simple span")
+    return memoryview(row).toreadonly()
 
 
 def build_root_system(dynkin: DynkinType) -> RootSystem:
@@ -211,118 +250,87 @@ def reflect(rs: RootSystem, v: Sequence, gamma: Weight):
     return tuple(v[j] - c * gamma[j] for j in range(rs.rank))
 
 
-def indecomposables(
-    rs: RootSystem, pos: Iterable[int]
-) -> tuple[tuple[int, ...], frozenset[int]]:
-    """The simple roots of a set of positive roots, all by index, sorted,
-    and the set itself.  NotClosedError if an index is no positive
-    root's.
+def closed_subsystem(rs: RootSystem, positives: Iterable[int]) -> tuple:
+    """The closed subsystem whose positive roots have the indices
+    `positives`, read off them as the plain tuple (simples, rows,
+    cartan, sign, parts): its simple roots (by index, sorted), their
+    reflection rows as tuples, their Cartan matrix, cartan[i][j] =
+    <gamma_j, gamma_i^vee>, the sign of each of its roots (by index),
+    and per irreducible component, in order of its first simple, the
+    positions of its simples and the set of its positive roots.
+    NotClosedError unless the positives are the positive half of a
+    reflection-closed subsystem.
 
-    If pos is the positive half of a closed subsystem, its simple roots
-    are its indecomposable elements, found here in order of ambient
-    height: beta is simple iff (beta, gamma) <= 0 for every simple gamma
-    found so far.  A positive root beta that is not simple has a simple
-    gamma with (beta, gamma) > 0 (else (beta, beta) <= 0), and then
-    beta - gamma is a positive root (Humphreys, *Introduction to Lie
-    Algebras and Representation Theory*, 9.4 and 10.2), so gamma is
-    lower than beta and was found first.  The pass walks
-    `RootSystem.positives_by_height`, built once per root system, and
-    reads the pairing test off the reflection rows: rs.roots is sorted,
-    so s_gamma(beta) = beta - <beta, gamma^vee> gamma comes before beta
-    exactly when the pairing is positive."""
-    pos = frozenset(pos)
+    The simple roots are found in the root system's height order: a
+    root is simple unless the row of a simple root found before it
+    lowers it.  rs.roots is sorted, so s_gamma(beta) = beta -
+    <beta, gamma^vee> gamma comes before beta exactly when the pairing
+    is positive.  Every row is proven when it is built
+    (`RootSystem.reflection_row`), and two checks on index sets prove
+    the rest.  With pos the positives and S the simples:
+
+    - closure: s_gamma permutes pos - {gamma}, for each gamma in S (it
+      sends gamma to -gamma, and pos holds the images of the others);
+    - descent: each root of pos - S is lowered by a gamma in S found
+      before it, to a root of pos by the closure.
+
+    By descent and induction on height, every root of pos is in the
+    orbit W(S)S and a nonnegative integer combination of S.  By closure
+    W(S) keeps pos and -pos, which hold -v = s_v(v) with each v of the
+    orbit.  So pos and -pos are the orbit, which is reflection-closed,
+    as s_{wa} = w s_a w^-1, and pos is one of its positive systems.  Its
+    simple roots D are in S, each being a nonnegative combination of S.
+    A root of S outside D would pair positively with some delta of D
+    below it, found before it, which would have lowered it.  So S = D
+    (Humphreys, *Introduction to Lie Algebras and Representation
+    Theory*, 10.1-10.3).
+
+    A root is lowered only by simple roots of its own component, to
+    which the others are orthogonal, so each component's positive roots
+    are the roots its simples lower, themselves included.  The Cartan
+    matrix is read off the rows with packed keys, key(gamma_j) -
+    key(s_i gamma_j) = cartan[i][j] key(gamma_i)."""
+    pos = frozenset(positives)
     first = rs.positive_indices
     if pos and (min(pos) < first.start or max(pos) >= first.stop):
         raise NotClosedError(f"not a set of positive roots of {rs.dynkin}")
-    simples: list[int] = []
-    rows = []
-    for b in filter(pos.__contains__, rs.positives_by_height):
-        if all(row[b] >= b for row in rows):
-            simples.append(b)
-            rows.append(rs.reflection_row(b))
-    return tuple(sorted(simples)), pos
-
-
-def subsystem_orbit(rs: RootSystem, simples: Sequence[int], gens: Sequence) -> tuple:
-    """The orbit of the roots of index `simples` under their reflection
-    rows `gens`, as the plain tuple (cartan, coords, sign, parts): their
-    Cartan matrix, cartan[i][j] = <gamma_j, gamma_i^vee>; each orbit root
-    (by index) with its coordinates in that basis and its sign, 1 if they
-    are >= 0, else -1; and per irreducible component, in order of its
-    first simple, the positions of its simples and its positive roots.
-
-    The coordinates ride along the orbit search: s_i changes only
-    coordinate i, by minus shift, the pairing of the coordinates with
-    row i of the Cartan matrix.  Each new root must equal its parent
-    minus shift * gamma_i, so by induction from the simples every orbit
-    root is the combination its coordinates state.  That check is one
-    integer comparison of packed keys (`RootSystem.root_keys`),
-    key(new) = key(parent) - shift * key(gamma_i), after a check that
-    |shift| <= 3, which holds for the pairing of a root with a coroot.
-    It is exact: it compares every coordinate, so it does not trust the
-    reflection row it re-proves.
-
-    The sign and the component ride along too.  A step s_i changes only
-    coordinate i, so the new root has its parent's sign unless the new
-    i-th coordinate has the opposite one; then the root has coordinates
-    of both signs (NotClosedError: the roots are no simple system)
-    unless the parent was +-gamma_i, whose image is its negative.  s_i
-    fixes every root outside gamma_i's component, so a root found from
-    a parent is in the parent's component, and the search runs one
-    component at a time.  NotClosedError also unless the orbit is its
-    positive roots and their negatives."""
-    roots, keys = rs.roots, rs.root_keys
-    k = len(simples)
-    # s_i(gamma_j) = gamma_j - cartan[i][j] gamma_i, read at a coordinate
-    # where gamma_i is nonzero
-    cartan = []
-    for i, gi in enumerate(simples):
-        gamma = roots[gi]
-        t = next(t for t, x in enumerate(gamma) if x)
-        cartan.append(
-            tuple(
-                (roots[gj][t] - roots[gens[i][gj]][t]) // gamma[t] for gj in simples
+    # the keys are built first: that checks the bound on root
+    # coefficients which the row proofs rely on
+    keys = rs.root_keys
+    order = list(filter(pos.__contains__, rs.positives_by_height))
+    if not order:
+        return (), (), (), {}, ()
+    # the images of pos under a row, a tuple even when pos has one root
+    images_of = itemgetter(*order, order[0])
+    found = []  # (simple, its row, the roots of pos it lowers)
+    lowered: set[int] = set()
+    for b in order:
+        if b in lowered:
+            continue
+        row = tuple(rs.reflection_row(b))
+        images = images_of(row)
+        # row[b] = -b is not in pos, and a row is one-to-one
+        if len(pos.intersection(images)) != len(order) - 1:
+            raise NotClosedError(
+                "the orbit is not its positive roots and their negatives"
             )
-        )
-    gamma_keys = [keys[g] for g in simples]
-    coords = {
-        g: tuple(int(i == j) for j in range(k)) for i, g in enumerate(simples)
-    }
-    sign = dict.fromkeys(simples, 1)
-    parts = []
-    for members in _linked(cartan):
-        queue = [simples[i] for i in members]
-        positives = queue[:]
-        while queue:
-            v = queue.pop()
-            c, s, key = coords[v], sign[v], keys[v]
-            for i, row in enumerate(gens):
-                w = row[v]
-                if w in coords:
-                    continue
-                shift = sum(map(mul, cartan[i], c))
-                if not -3 <= shift <= 3 or keys[w] != key - shift * gamma_keys[i]:
-                    raise InternalInconsistencyError(
-                        "subsystem root outside simple span"
-                    )
-                x = c[i] - shift
-                s_w = s
-                if x * s < 0:
-                    if any(c[:i]) or any(c[i + 1 :]):
-                        raise NotClosedError(
-                            "root with coordinates of both signs: not a "
-                            "simple system"
-                        )
-                    s_w = -s
-                sign[w] = s_w
-                if s_w > 0:
-                    positives.append(w)
-                coords[w] = c[:i] + (x,) + c[i + 1 :]
-                queue.append(w)
-        parts.append((members, tuple(positives)))
-    if 2 * sum(len(positives) for _, positives in parts) != len(coords):
-        raise NotClosedError("the orbit is not its positive roots and their negatives")
-    return tuple(cartan), coords, sign, tuple(parts)
+        down = frozenset(compress(order, map(lt, images, order)))
+        lowered |= down
+        found.append((b, row, down))
+    found.sort()
+    simples, rows, downs = zip(*found)
+    cartan = tuple(
+        tuple((keys[gj] - keys[row[gj]]) // keys[gi] for gj in simples)
+        for gi, row in zip(simples, rows)
+    )
+    last = len(rs.roots) - 1
+    sign = dict.fromkeys(map(last.__sub__, order), -1)
+    sign.update(dict.fromkeys(order, 1))
+    parts = tuple(
+        (members, frozenset().union(*map(downs.__getitem__, members)))
+        for members in _linked(cartan)
+    )
+    return simples, rows, cartan, sign, parts
 
 
 def _linked(cartan) -> list[tuple[int, ...]]:
@@ -345,21 +353,6 @@ def _linked(cartan) -> list[tuple[int, ...]]:
                     stack.append(b)
         out.append(tuple(sorted(members)))
     return out
-
-
-def require_closed(pos: frozenset[int], orbit) -> None:
-    """NotClosedError unless the orbit of the simple roots of `pos` (root
-    indices of positive roots) is pos and -pos exactly.  The orbit holds
-    -v = s_v(v) with each root v, so it suffices that it holds pos and
-    has twice its size.  This proves closure: the orbit W_D D of the
-    roots D that `indecomposables` found is reflection-closed, as
-    s_{wa} = w s_a w^-1, and it is the whole subsystem when pos is the
-    positive half of one (Humphreys, 10.3)."""
-    if len(orbit) != 2 * len(pos) or not pos <= orbit.keys():
-        raise NotClosedError(
-            "subset not reflection-closed: the orbit of its simple roots "
-            "is not the subset and its negatives"
-        )
 
 
 def _component_label(rs, simples, comp_pos) -> str:

@@ -21,16 +21,8 @@ from typing import Iterable, Sequence
 
 from . import kernels
 from .dynkin import weyl_order
-from .errors import EnumerationCapError, InternalInconsistencyError
-from .rootsystem import (
-    RootSystem,
-    Weight,
-    _component_label,
-    indecomposables,
-    pair,
-    require_closed,
-    subsystem_orbit,
-)
+from .errors import EnumerationCapError, InternalInconsistencyError, NotClosedError
+from .rootsystem import RootSystem, Weight, _component_label, closed_subsystem, pair
 
 DEFAULT_CAP = 10_000_000
 
@@ -39,23 +31,26 @@ Orbit = dict[int, tuple[int, int]]
 
 
 class SubsystemContext:
-    """Precomputed data for the reflection group of a root subsystem,
-    given by the indices of its simple roots."""
+    """Precomputed data for the reflection group of a closed root
+    subsystem, given by the indices of its positive roots.  The data is
+    read off those roots in one pass (`closed_subsystem`): every entry
+    of the reflection rows it reads was proven when the root system
+    built the row, so per context only closure and descent are checked,
+    on index sets."""
 
-    def __init__(self, rs: RootSystem, simples: Iterable[int]):
+    def __init__(self, rs: RootSystem, positives: Iterable[int]):
+        """NotClosedError unless the positives are the positive half of a
+        reflection-closed subsystem (`closed_subsystem`)."""
         self.rs = rs
-        self.simples = tuple(sorted(simples))
-        # each simple reflection as a permutation of the root indices
-        self.gen_perms: tuple[tuple[int, ...], ...] = tuple(
-            tuple(rs.reflection_row(g)) for g in self.simples
+        # the simple roots, each simple reflection as a permutation of
+        # the root indices, the Cartan matrix, each root's sign and each
+        # component's simples and positive roots, from one pass
+        self.simples: tuple[int, ...]
+        self.gen_perms: tuple[tuple[int, ...], ...]
+        self.simples, self.gen_perms, self.cartan, self.sub_sign, self.parts = (
+            closed_subsystem(rs, positives)
         )
-        # the subsystem's Cartan matrix, each of its roots (by index) with
-        # its coordinates in the simple basis and its sign, and each
-        # component's simples and positive roots, from one orbit pass
-        self.cartan, self.coords, self.sub_sign, self.parts = subsystem_orbit(
-            rs, self.simples, self.gen_perms
-        )
-        self.pos_count = sum(len(positives) for _, positives in self.parts)
+        self.pos_count = len(self.sub_sign) // 2
         # for each simple i, its Dynkin neighbours j with cartan[j][i] =
         # <gamma_i, gamma_j^vee>, the nonzero off-diagonal entries of
         # column i: s_i changes no other weight coordinate than these and i
@@ -68,18 +63,24 @@ class SubsystemContext:
         self._labels: tuple[str, ...] | None = None
 
     @classmethod
-    def from_positive_roots(
-        cls, rs: RootSystem, positives: Iterable[int]
-    ) -> "SubsystemContext":
-        """The context of the closed subsystem whose positive roots have
-        the indices `positives`: its simple roots by the height pass of
-        `indecomposables`, and the closure proof on the orbit the context
-        computes anyway.
-        NotClosedError if the positives are not the positive half of a
-        reflection-closed subsystem."""
-        simples, pos = indecomposables(rs, positives)
-        ctx = cls(rs, simples)
-        require_closed(pos, ctx.coords)
+    def from_simples(cls, rs: RootSystem, simples: Iterable[int]) -> "SubsystemContext":
+        """The context of the group generated by the reflections in the
+        roots of index `simples`: the positive roots of their orbit under
+        those reflections, which is reflection-closed.  NotClosedError
+        unless the roots are that orbit's simple roots."""
+        simples = tuple(simples)
+        rows = [rs.reflection_row(g) for g in simples]
+        orbit: set[int] = set()
+        frontier = set(simples)
+        while frontier:
+            orbit |= frontier
+            frontier = set().union(*(map(row.__getitem__, frontier) for row in rows))
+            frontier -= orbit
+        ctx = cls(rs, orbit.intersection(rs.positive_indices))
+        if ctx.simples != tuple(sorted(simples)):
+            raise NotClosedError(
+                "the roots are not the simple roots of the group they generate"
+            )
         return ctx
 
     def labels(self) -> tuple[str, ...]:
@@ -266,4 +267,6 @@ def _max_length_with_witness(
 def group_order_from_simples(rs: RootSystem, simples: Iterable[Weight]) -> int:
     """Order of the generated reflection group, via the classification of
     the subsystem into irreducible components."""
-    return SubsystemContext(rs, map(rs.root_index.__getitem__, simples)).order()
+    return SubsystemContext.from_simples(
+        rs, map(rs.root_index.__getitem__, simples)
+    ).order()

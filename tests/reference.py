@@ -5,19 +5,22 @@ tests check that word against the element's full action on the root
 set, a permutation of root indices built here from the word, and reach
 the library's index-based subsystem routines through the coordinate
 entry points below, and rebuild a subsystem's components from the
-parts of its orbit pass.  `list_scan` is the brute-force oracle's scan on
+parts of its context.  `list_scan` is the brute-force oracle's scan on
 columns of Python ints, against which the library's byte scan is
-checked.
+checked.  `orbit_pass` is the former construction of a subsystem's
+data, an orbit search that carries each root's coordinates in the
+simple basis: the library's pass is checked against it, and `coords`
+gives the tests those coordinates.
 """
 
 from itertools import compress
-from operator import or_
+from operator import mul, or_
 from typing import NamedTuple
 
 from flagample import kernels
 from flagample.dynkin import weyl_order
-from flagample.errors import InternalInconsistencyError, NotARootError
-from flagample.rootsystem import _component_label
+from flagample.errors import InternalInconsistencyError, NotARootError, NotClosedError
+from flagample.rootsystem import _component_label, _linked
 from flagample.weyl import (
     DEFAULT_CAP,
     SubsystemContext,
@@ -92,7 +95,7 @@ class Element(NamedTuple):
 
 def context(rs, simples):
     """The context of simple roots given by coordinates."""
-    return SubsystemContext(rs, [rs.root_index[g] for g in simples])
+    return SubsystemContext.from_simples(rs, [rs.root_index[g] for g in simples])
 
 
 def enumerate_weyl(rs, simples, cap=DEFAULT_CAP):
@@ -127,16 +130,14 @@ def max_length_mapping(rs, simples, mu, nu):
 
 
 def _closed_subsystem(rs, pos):
-    # a vector that is no root gets -1, which indecomposables refuses
-    return SubsystemContext.from_positive_roots(
-        rs, [rs.root_index.get(tuple(v), -1) for v in pos]
-    )
+    # a vector that is no root gets -1, which the context refuses
+    return SubsystemContext(rs, [rs.root_index.get(tuple(v), -1) for v in pos])
 
 
 def simple_system(rs, pos):
     """The sorted simple roots (coordinates) of the positive half `pos`
     of a reflection-closed subsystem, by the library's height pass and
-    orbit proof; NotClosedError if pos is no such half."""
+    closure checks; NotClosedError if pos is no such half."""
     return tuple(rs.roots[g] for g in _closed_subsystem(rs, pos).simples)
 
 
@@ -156,9 +157,9 @@ def label_order(label):
 
 
 def components(ctx):
-    """The context's irreducible components, read off the parts of its
-    orbit pass and labelled as the library labels them, larger rank
-    first and then by label; their labels are ctx.labels()."""
+    """The context's irreducible components, read off its parts and
+    labelled as the library labels them, larger rank first and then by
+    label; their labels are ctx.labels()."""
     rs = ctx.rs
     comps = []
     for members, positives in ctx.parts:
@@ -211,3 +212,153 @@ def list_scan(inp, cap=DEFAULT_CAP):
     word, best = min((kernels.word_of(factors, i), i) for i in tied)
     row = tuple(col[best] for col in images)
     return top, word, next((mu, v) for mu, v in zip(lam, row) if v in fiber)
+
+
+# The former construction of a subsystem's data: the simple roots by a
+# height pass, then an orbit search from them that carries coordinates,
+# then a closure check on the orbit.
+
+def indecomposables(rs, pos):
+    """The simple roots of a set of positive roots, all by index, sorted,
+    and the set itself.  NotClosedError if an index is no positive
+    root's.
+
+    If pos is the positive half of a closed subsystem, its simple roots
+    are its indecomposable elements, found here in order of ambient
+    height: beta is simple iff (beta, gamma) <= 0 for every simple gamma
+    found so far.  A positive root beta that is not simple has a simple
+    gamma with (beta, gamma) > 0 (else (beta, beta) <= 0), and then
+    beta - gamma is a positive root (Humphreys, *Introduction to Lie
+    Algebras and Representation Theory*, 9.4 and 10.2), so gamma is
+    lower than beta and was found first.  The pass walks
+    `RootSystem.positives_by_height`, built once per root system, and
+    reads the pairing test off the reflection rows: rs.roots is sorted,
+    so s_gamma(beta) = beta - <beta, gamma^vee> gamma comes before beta
+    exactly when the pairing is positive."""
+    pos = frozenset(pos)
+    first = rs.positive_indices
+    if pos and (min(pos) < first.start or max(pos) >= first.stop):
+        raise NotClosedError(f"not a set of positive roots of {rs.dynkin}")
+    simples = []
+    rows = []
+    for b in filter(pos.__contains__, rs.positives_by_height):
+        if all(row[b] >= b for row in rows):
+            simples.append(b)
+            rows.append(rs.reflection_row(b))
+    return tuple(sorted(simples)), pos
+
+
+def subsystem_orbit(rs, simples, gens):
+    """The orbit of the roots of index `simples` under their reflection
+    rows `gens`, as the plain tuple (cartan, coords, sign, parts): their
+    Cartan matrix, cartan[i][j] = <gamma_j, gamma_i^vee>; each orbit root
+    (by index) with its coordinates in that basis and its sign, 1 if they
+    are >= 0, else -1; and per irreducible component, in order of its
+    first simple, the positions of its simples and its positive roots.
+
+    The coordinates ride along the orbit search: s_i changes only
+    coordinate i, by minus shift, the pairing of the coordinates with
+    row i of the Cartan matrix.  Each new root must equal its parent
+    minus shift * gamma_i, so by induction from the simples every orbit
+    root is the combination its coordinates state.  That check is one
+    integer comparison of packed keys (`RootSystem.root_keys`),
+    key(new) = key(parent) - shift * key(gamma_i), after a check that
+    |shift| <= 3, which holds for the pairing of a root with a coroot.
+    It is exact: it compares every coordinate, so it does not trust the
+    reflection row it re-proves.
+
+    The sign and the component ride along too.  A step s_i changes only
+    coordinate i, so the new root has its parent's sign unless the new
+    i-th coordinate has the opposite one; then the root has coordinates
+    of both signs (NotClosedError: the roots are no simple system)
+    unless the parent was +-gamma_i, whose image is its negative.  s_i
+    fixes every root outside gamma_i's component, so a root found from
+    a parent is in the parent's component, and the search runs one
+    component at a time.  NotClosedError also unless the orbit is its
+    positive roots and their negatives."""
+    roots, keys = rs.roots, rs.root_keys
+    k = len(simples)
+    # s_i(gamma_j) = gamma_j - cartan[i][j] gamma_i, read at a coordinate
+    # where gamma_i is nonzero
+    cartan = []
+    for i, gi in enumerate(simples):
+        gamma = roots[gi]
+        t = next(t for t, x in enumerate(gamma) if x)
+        cartan.append(
+            tuple(
+                (roots[gj][t] - roots[gens[i][gj]][t]) // gamma[t] for gj in simples
+            )
+        )
+    gamma_keys = [keys[g] for g in simples]
+    coords = {
+        g: tuple(int(i == j) for j in range(k)) for i, g in enumerate(simples)
+    }
+    sign = dict.fromkeys(simples, 1)
+    parts = []
+    for members in _linked(cartan):
+        queue = [simples[i] for i in members]
+        positives = queue[:]
+        while queue:
+            v = queue.pop()
+            c, s, key = coords[v], sign[v], keys[v]
+            for i, row in enumerate(gens):
+                w = row[v]
+                if w in coords:
+                    continue
+                shift = sum(map(mul, cartan[i], c))
+                if not -3 <= shift <= 3 or keys[w] != key - shift * gamma_keys[i]:
+                    raise InternalInconsistencyError(
+                        "subsystem root outside simple span"
+                    )
+                x = c[i] - shift
+                s_w = s
+                if x * s < 0:
+                    if any(c[:i]) or any(c[i + 1 :]):
+                        raise NotClosedError(
+                            "root with coordinates of both signs: not a "
+                            "simple system"
+                        )
+                    s_w = -s
+                sign[w] = s_w
+                if s_w > 0:
+                    positives.append(w)
+                coords[w] = c[:i] + (x,) + c[i + 1 :]
+                queue.append(w)
+        parts.append((members, tuple(positives)))
+    if 2 * sum(len(positives) for _, positives in parts) != len(coords):
+        raise NotClosedError("the orbit is not its positive roots and their negatives")
+    return tuple(cartan), coords, sign, tuple(parts)
+
+
+def require_closed(pos, orbit):
+    """NotClosedError unless the orbit of the simple roots of `pos` (root
+    indices of positive roots) is pos and -pos exactly.  The orbit holds
+    -v = s_v(v) with each root v, so it suffices that it holds pos and
+    has twice its size.  This proves closure: the orbit W_D D of the
+    roots D that `indecomposables` found is reflection-closed, as
+    s_{wa} = w s_a w^-1, and it is the whole subsystem when pos is the
+    positive half of one (Humphreys, 10.3)."""
+    if len(orbit) != 2 * len(pos) or not pos <= orbit.keys():
+        raise NotClosedError(
+            "subset not reflection-closed: the orbit of its simple roots "
+            "is not the subset and its negatives"
+        )
+
+
+def orbit_pass(rs, positives):
+    """The library pass's tuple (simples, rows, cartan, sign, parts),
+    and each root's coordinates in the simple basis, by the former
+    construction; NotClosedError as that construction refuses."""
+    simples, pos = indecomposables(rs, positives)
+    rows = tuple(tuple(rs.reflection_row(g)) for g in simples)
+    cartan, coords, sign, parts = subsystem_orbit(rs, simples, rows)
+    require_closed(pos, coords)
+    return (simples, rows, cartan, sign, parts), coords
+
+
+def coords(ctx):
+    """Each root of the context (by index) with its coordinates in the
+    basis of the context's simple roots, from the orbit search."""
+    cartan, coords, sign, _ = subsystem_orbit(ctx.rs, ctx.simples, ctx.gen_perms)
+    assert (cartan, sign) == (ctx.cartan, ctx.sub_sign)
+    return coords

@@ -165,7 +165,7 @@ def test_criterion_6_weyl_infrastructure(sweep):
         for comp in subsystem_components(rs, k_pos):
             expected *= comp.order
         elements = enumerate_weyl(rs, simples)
-        ctx = SubsystemContext(rs, [rs.root_index[v] for v in simples])
+        ctx = SubsystemContext(rs, [rs.root_index[v] for v in k_pos])
         if len(elements) != expected:
             bad.append(f"{dt} m={marking}: order {len(elements)} != {expected}")
         if any(length_of_perm(ctx, e.action) != e.length for e in elements):

@@ -504,6 +504,53 @@ def test_central_functional_disagreement_exits_3(
     assert "diagram functional" in err
 
 
+def _xi_zero(monkeypatch):
+    """The diagram functional read as zero: it kills K's simple roots, as
+    the central functional of k = u(1) + su(2) must, so the center check
+    passes, but it kills every noncompact root too."""
+    realform = importlib.import_module("flagample.realform")
+    monkeypatch.setattr(
+        realform, "_central_functional", lambda rs, marked: (0,) * rs.rank
+    )
+
+
+def _grading_not_closed_under_negation(monkeypatch):
+    """A2 whose roots with an odd coefficient at node 1 lack -alpha_1, so
+    the noncompact roots of the marking {1} are not closed under
+    negation.  K's roots, which are compact, and the center check are
+    unchanged, but alpha_1 is in the xi-positive half while its negative
+    is in neither."""
+    from flagample import pipeline
+    from flagample.rootsystem import build_root_system
+
+    rs = build_root_system(parse_type("A2"))
+    odd = list(rs.odd_roots)
+    odd[0] = odd[0].difference([rs.root_index[(-1, 0)]])
+    vars(rs)["odd_roots"] = tuple(odd)
+    monkeypatch.setattr(pipeline, "_root_system", lambda series, rank: rs)
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (_xi_zero, "central functional kills a noncompact root"),
+        (_grading_not_closed_under_negation, "xi-halves are not opposite"),
+    ],
+)
+def test_xi_split_faults_exit_3(capsys, monkeypatch, corrupt, message):
+    """The two checks on the split of the noncompact roots into xi-halves
+    stop the run: `compute` and `table` exit 3 with no output and the
+    check's own message (the table's first case has the marking {1})."""
+    corrupt(monkeypatch)
+    for argv in (
+        ["compute", "--type", "A2", "--noncompact", "1"],
+        ["table", "--type", "A2", "--format", "json"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err == f"internal inconsistency: {message}\n", argv
+
+
 @pytest.mark.parametrize(
     "label,noncompact", [("A2", "1"), ("B3", "2"), ("E6", "1")]
 )
@@ -528,34 +575,34 @@ def test_w0_walk_from_a_wrong_start_exits_3(capsys, monkeypatch, label, noncompa
     assert "simple coroot" in err
 
 
-def _corrupt_k_row(label, noncompact, gamma, v, wrong):
-    """A fresh root system in which one entry of a reflection row of K is
-    wrong: s_gamma(v) points to the root `wrong`, and K's simple roots.
-    The wrong root agrees with the true image at gamma's first nonzero
-    coordinate, where K's Cartan matrix is read, and the rest of the
-    orbit search is consistent with it there: a check of each new root at
-    that one coordinate accepts the whole corrupt orbit.  K's simple
-    roots are found as before."""
-    from flagample.realform import grade_roots
-    from flagample.rootsystem import build_root_system, indecomposables
+def _corrupt_k_row(monkeypatch, label, gamma, v, wrong):
+    """A fresh root system of the type whose reflection row of the root
+    gamma has one wrong entry when it is built, before it is proven:
+    s_gamma(v) points to the root `wrong`.  Every case runs on it."""
+    from flagample import pipeline, rootsystem
+    from flagample.rootsystem import build_root_system
 
     rs = build_root_system(parse_type(label))
     index = rs.root_index
-    row = rs.reflection_row(index[gamma])
-    true = rs.roots[row[index[v]]]
-    t = next(j for j, x in enumerate(gamma) if x)
-    assert wrong != true and wrong[t] == true[t]
-    grading = grade_roots(rs, map(int, noncompact.split(",")))
-    compact = [a for a in rs.positive_indices if a not in grading.noncompact_roots]
-    simples, _ = indecomposables(rs, compact)
-    row[index[v]] = index[wrong]
-    assert indecomposables(rs, compact)[0] == simples
-    return rs, simples
+    build = rootsystem._reflection_row
+
+    def corrupt(rs_, g):
+        row = build(rs_, g)
+        if rs_ is rs and g == index[gamma]:
+            assert row[index[v]] != index[wrong]
+            row[index[v]] = index[wrong]
+        return row
+
+    monkeypatch.setattr(rootsystem, "_reflection_row", corrupt)
+    monkeypatch.setattr(pipeline, "_root_system", lambda series, rank: rs)
+    return rs
 
 
 @pytest.mark.parametrize(
     "label,noncompact,gamma,v,wrong",
     [
+        # the wrong root agrees with the true image at gamma's first
+        # nonzero coordinate: a check of that coordinate alone passes it
         ("A4", "1", (0, 0, 0, 1), (0, -1, -1, 0), (0, 0, 0, -1)),
         ("B3", "1", (0, 1, 0), (0, 0, 1), (1, 1, 1)),
         (
@@ -565,40 +612,48 @@ def _corrupt_k_row(label, noncompact, gamma, v, wrong):
             (0, 0, -1, -1, -1, 0),
             (0, -1, -1, -2, -2, -1),
         ),
+        # at a negative root of K that its simple root fixes
+        ("A4", "1", (0, 0, 0, 1), (0, -1, 0, 0), (0, -1, -1, 0)),
+        # at a root of the other component of K = A1 x A2
+        ("A4", "2", (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 1, 1)),
     ],
 )
 def test_orbit_pass_refuses_a_corrupt_reflection_row(
     capsys, monkeypatch, label, noncompact, gamma, v, wrong
 ):
-    """The orbit pass checks every new root against its parent on every
-    coordinate: a reflection row of K that is wrong off gamma's first
-    nonzero coordinate stops the context, and `compute` and `table`
-    exit 3 (the table's first case has the same marking)."""
-    from flagample import pipeline
-    from flagample.errors import InternalInconsistencyError
+    """Every entry of a reflection row is proven when the row is built,
+    whichever roots a case later reads: a row of K with one wrong entry
+    stops K's context, and `compute` and `table` exit 3 with no output
+    (the table reaches the marking too).  A refused row is not kept, and
+    a built row is read-only."""
+    from flagample.realform import grade_roots
     from flagample.weyl import SubsystemContext
 
-    case = (label, noncompact, gamma, v, wrong)
-    rs, simples = _corrupt_k_row(*case)
-    with pytest.raises(InternalInconsistencyError, match="simple span"):
-        SubsystemContext(rs, simples)
+    rs = _corrupt_k_row(monkeypatch, label, gamma, v, wrong)
+    grading = grade_roots(rs, map(int, noncompact.split(",")))
+    compact = frozenset(rs.positive_indices).difference(grading.noncompact_roots)
+    message = "subsystem root outside simple span"
+    with pytest.raises(InternalInconsistencyError, match=f"^{message}$"):
+        SubsystemContext(rs, compact)
+    row = rs.reflection_row(rs.root_index[v])
+    with pytest.raises(TypeError):
+        row[0] = row[1]
 
-    rs, _ = _corrupt_k_row(*case)
-    monkeypatch.setattr(pipeline, "_root_system", lambda series, rank: rs)
     for argv in (
         ["compute", "--type", label, "--noncompact", noncompact],
         ["table", "--type", label, "--format", "json"],
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, ""), argv
-        assert err == "internal inconsistency: subsystem root outside simple span\n"
+        assert err == f"internal inconsistency: {message}\n"
 
 
 def _identity_rows(monkeypatch):
-    """Every reflection row the identity: each simple root of K is found
-    simple, and the orbit of K's simples is the simples alone, not twice
-    as many roots as it has positive ones.  A library caller gets the
-    same refusal as NotClosedError."""
+    """Every reflection row the identity, past the proof of its entries:
+    no row lowers a root, so each positive root of K is taken for a
+    simple one, and the closure check refuses the first, whose row does
+    not send it to its negative.  A library caller gets the same refusal
+    as NotClosedError."""
     from array import array
 
     from flagample.errors import NotClosedError
@@ -635,9 +690,9 @@ def _long_root_in_a2(monkeypatch):
 
 
 def _coefficient_seven(monkeypatch):
-    """A1 with its roots read as -7 and 7, of the same parity: the
-    packed keys of the orbit pass refuse them.  K of A1 {1} has no
-    roots, so nothing reads a root before the pass."""
+    """A1 with its roots read as -7 and 7, of the same parity: K's pass
+    builds the packed keys first, and they refuse them, although K of
+    A1 {1} has no roots and the pass builds no row."""
     from flagample.rootsystem import build_root_system
 
     _run_on(monkeypatch, build_root_system(parse_type("A1")), roots=((-7,), (7,)))

@@ -120,7 +120,7 @@ def test_weyl_orbit_of_root_stays_in_roots(case):
     k_pos = compact_positive_roots(rs, grade_roots(rs, marked))
     if not k_pos:
         return
-    ctx = SubsystemContext(rs, [rs.root_index[g] for g in simple_system(rs, k_pos)])
+    ctx = SubsystemContext(rs, [rs.root_index[v] for v in k_pos])
     root_set = set(rs.roots)
     for start in rs.roots:
         seen = {start}

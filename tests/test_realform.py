@@ -14,7 +14,13 @@ from flagample.realform import (
 )
 from flagample.rootsystem import build_root_system, pair
 from flagample.weyl import group_order_from_simples
-from reference import components, enumerate_weyl, simple_system, subsystem_components
+from reference import (
+    components,
+    coords,
+    enumerate_weyl,
+    simple_system,
+    subsystem_components,
+)
 from test_rootsystem import reference_components, reference_simple_system
 
 
@@ -291,10 +297,11 @@ def test_xi_separates_marked_simple(a2):
 )
 def test_shared_k_data_matches_direct_route(dt):
     """hermitian_data's K simple system, components and |W(K)|, read off
-    its one orbit pass, equal the direct computations and the all-pairs
-    reference.  The signs the pass carries are the signs of the
-    coordinates, which are also the ambient signs, and the positive count
-    is the number of compact positive roots."""
+    its one pass, equal the direct computations and the all-pairs
+    reference.  The signs of K's roots are the signs of their
+    coordinates in K's simple basis (from the reference orbit search),
+    which are also the ambient signs, and the positive count is the
+    number of compact positive roots."""
     rs = build_root_system(dt)
     first = rs.positive_indices.start
     for marked in _all_markings(dt.rank):
@@ -311,8 +318,9 @@ def test_shared_k_data_matches_direct_route(dt):
         assert h.k_order == math.prod(c[3] for c in comps)
         assert h.k_order == group_order_from_simples(rs, k_simples)
         assert ctx.pos_count == len(k_pos)
-        assert ctx.sub_sign.keys() == ctx.coords.keys()
-        for v, c in ctx.coords.items():
+        k_coords = coords(ctx)
+        assert ctx.sub_sign.keys() == k_coords.keys()
+        for v, c in k_coords.items():
             want = 1 if min(c) >= 0 else -1
             assert ctx.sub_sign[v] == want == (1 if v >= first else -1), (marked, v)
         assert components(ctx) == comps, (dt, marked)
@@ -416,9 +424,10 @@ E7_MARKINGS_WITH_K_E6 = (
 def _height_product(ctx):
     """|W(K)| by Kostant's height partition: the product over K's
     positive roots of (ht + 1) / ht, heights in K's simple coordinates
-    (Humphreys, *Reflection Groups and Coxeter Groups*, 3.20)."""
+    (Humphreys, *Reflection Groups and Coxeter Groups*, 3.20), read
+    off the reference orbit search."""
     num = den = 1
-    for c in ctx.coords.values():
+    for c in coords(ctx).values():
         ht = sum(c)
         if ht > 0:
             num *= ht + 1

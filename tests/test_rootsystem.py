@@ -1,6 +1,7 @@
 """Root generation checked against independent classical coordinate models."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,17 @@ from flagample.dynkin import (
     root_count,
 )
 from flagample.errors import NotARootError, NotClosedError
+from flagample.realform import grade_roots
 from flagample.rootsystem import _component_label, build_root_system, pair, reflect
+from flagample import weyl
 from flagample.weyl import SubsystemContext
-from reference import components, label_order, simple_system, subsystem_components
+from reference import (
+    components,
+    label_order,
+    orbit_pass,
+    simple_system,
+    subsystem_components,
+)
 
 
 def _model(label):
@@ -210,12 +219,21 @@ def test_simple_system_not_closed():
 
 def test_orbit_of_a_non_simple_pair_is_refused():
     """alpha_1 and alpha_1 + alpha_2 pair positively, so they are no
-    simple system: s_1(alpha_1 + alpha_2) = alpha_2 reads as
-    -gamma_1 + gamma_2 in their basis, coordinates of both signs."""
+    simple system: their reflections generate W(A2), whose simple roots
+    are alpha_1 and alpha_2.  As positive roots they are no closed
+    subsystem either: s_1(alpha_1 + alpha_2) = alpha_2."""
     rs = build_root_system(parse_type("A2"))
     pair_ = [rs.root_index[(1, 0)], rs.root_index[(1, 1)]]
-    with pytest.raises(NotClosedError, match="both signs"):
-        SubsystemContext(rs, pair_).labels()
+    with pytest.raises(
+        NotClosedError,
+        match="^the roots are not the simple roots of the group they generate$",
+    ):
+        SubsystemContext.from_simples(rs, pair_)
+    with pytest.raises(
+        NotClosedError,
+        match="^the orbit is not its positive roots and their negatives$",
+    ):
+        SubsystemContext(rs, pair_)
 
 
 def negate(v):
@@ -314,16 +332,14 @@ def _positive_subsets(draw):
 @given(_positive_subsets())
 @settings(max_examples=400, deadline=None)
 def test_simple_system_matches_all_pairs_reference(args):
-    """The height pass and orbit proof give the reference's simple roots
+    """The height pass and closure checks give the reference's simple roots
     and components, through each entry point, and raise NotClosedError
     exactly when the all-pairs check does."""
     rs, pos = args
     routes = (
         lambda: simple_system(rs, pos),
         lambda: subsystem_components(rs, pos),
-        lambda: SubsystemContext.from_positive_roots(
-            rs, [rs.root_index[v] for v in pos]
-        ),
+        lambda: SubsystemContext(rs, [rs.root_index[v] for v in pos]),
     )
     try:
         expected = reference_simple_system(rs, pos)
@@ -403,13 +419,14 @@ def test_reflection_rows_are_lazy():
 
 
 def test_row_entries_fit_in_16_bits():
-    """Reflection and sum rows are arrays of 16-bit root indices, and a
-    sum row also holds the sentinel len(roots): every type accepted has
-    fewer than 2^16 roots, the most at its largest rank."""
+    """Reflection rows are read-only views of 16-bit root indices and sum
+    rows arrays of them, and a sum row also holds the sentinel
+    len(roots): every type accepted has fewer than 2^16 roots, the most
+    at its largest rank."""
     counts = [root_count(dt) for dt in all_types_up_to_rank(MAX_CLASSICAL_RANK)]
     assert max(counts) == root_count(parse_type(f"B{MAX_CLASSICAL_RANK}")) < 1 << 16
     rs = build_root_system(parse_type("E8"))
-    assert rs.reflection_row(0).typecode == rs.sum_row(0).typecode == "H"
+    assert rs.reflection_row(0).format == rs.sum_row(0).typecode == "H"
 
 
 def test_sum_rows_and_odd_masks_are_lazy():
@@ -522,6 +539,45 @@ def test_simple_system_is_indecomposables(dt):
         ]
         sums = {tuple(x + y for x, y in zip(a, b)) for a in pos for b in pos}
         assert simple_system(rs, pos) == tuple(sorted(set(pos) - sums))
+
+
+def _markings(label):
+    """Every marking of the type, as sets of 1-based nodes, or a fixed
+    sample of 12 for the largest types."""
+    rank = parse_type(label).rank
+    masks = range(1, 2**rank)
+    if label in ("E8", "D8", "A12", "A14"):
+        masks = sorted(random.Random(label).sample(masks, 12))
+    return [[i + 1 for i in range(rank) if mask >> i & 1] for mask in masks]
+
+
+@pytest.mark.parametrize(
+    "label",
+    [str(dt) for dt in all_types_up_to_rank(6)] + ["E7", "E8", "D8", "A12", "A14"],
+)
+def test_context_matches_the_orbit_pass(monkeypatch, label):
+    """For K of each marking, the context read off K's positive roots
+    holds what the former orbit search from K's simple roots gives: the
+    simple roots and their rows, the Cartan matrix, the signs and the
+    positive count, each component's simples and positive roots, and
+    the labels, the group order and the word of w0 of a context built on
+    that search."""
+    rs = build_root_system(parse_type(label))
+    for marked in _markings(label):
+        noncompact = grade_roots(rs, marked).noncompact_roots
+        pos = frozenset(rs.positive_indices).difference(noncompact)
+        ctx = SubsystemContext(rs, pos)
+        data, _ = orbit_pass(rs, pos)
+        with monkeypatch.context() as m:
+            m.setattr(weyl, "closed_subsystem", lambda rs, pos: data)
+            ref = SubsystemContext(rs, pos)
+        simples, rows, cartan, sign, parts = data
+        assert (ctx.simples, ctx.gen_perms, ctx.cartan) == (simples, rows, cartan)
+        assert ctx.sub_sign == sign and ctx.pos_count == ref.pos_count == len(pos)
+        assert ctx.parts == tuple((members, frozenset(p)) for members, p in parts)
+        assert ctx.labels() == ref.labels(), marked
+        assert ctx.order() == ref.order(), marked
+        assert ctx.w0_word == ref.w0_word, marked
 
 
 _PAIR_SYSTEMS = [

@@ -151,24 +151,24 @@ def test_routes_that_ran():
 )
 def test_run_case_builds_one_k_context(monkeypatch, label, marked, levi):
     """hermitian_data builds K's context; assembly and both routes reuse
-    it, and no other orbit pass of K runs."""
-    built, orbits = [], []
+    it, and no other pass over K's positive roots runs."""
+    built, passes = [], []
     init = SubsystemContext.__init__
-    orbit = weyl.subsystem_orbit
+    closed_subsystem = weyl.closed_subsystem
 
     def counting_init(self, *args):
         built.append(self)
         init(self, *args)
 
-    def counting_orbit(*args):
-        orbits.append(args)
-        return orbit(*args)
+    def counting_pass(*args):
+        passes.append(args)
+        return closed_subsystem(*args)
 
     monkeypatch.setattr(SubsystemContext, "__init__", counting_init)
     for mod in (rootsystem, weyl):
-        monkeypatch.setattr(mod, "subsystem_orbit", counting_orbit)
+        monkeypatch.setattr(mod, "closed_subsystem", counting_pass)
     run_case(CaseSpec(parse_type(label), marked, levi, verify=True, max_weyl=1))
-    assert len(built) == len(orbits) == 1
+    assert len(built) == len(passes) == 1
 
 
 @pytest.mark.parametrize(

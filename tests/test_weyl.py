@@ -273,7 +273,7 @@ def test_kernel_matches_action_enumeration(dt):
     rs = build_root_system(dt)
     for marked in _all_markings(dt.rank):
         h = hermitian_data(rs, grade_roots(rs, marked))
-        ctx = SubsystemContext(rs, h.k_context.simples)
+        ctx = SubsystemContext.from_simples(rs, h.k_context.simples)
         words, actions = _enumerate_by_actions(ctx)
         els = enumerate_weyl(rs, [rs.roots[g] for g in ctx.simples])
         assert [e.word for e in els] == words, marked
@@ -320,7 +320,7 @@ def test_kernel_words_are_canonical_e6(marked):
     canonical word, by greedy least left descent, is the kernel's word."""
     rs = build_root_system(parse_type("E6"))
     h = hermitian_data(rs, grade_roots(rs, marked))
-    ctx = SubsystemContext(rs, h.k_context.simples)
+    ctx = SubsystemContext.from_simples(rs, h.k_context.simples)
     images, lengths, factors = kernels.enumerate_group(
         ctx.gen_perms, ctx.simples, identity(ctx), ctx.sub_sign, h.k_order
     )
@@ -624,7 +624,7 @@ def test_w0_word_matches_coordinate_walk_e7_e8(case):
     label, marked, _ = case
     # a fresh context, so that the word is walked here and not cached
     ctx = _cached_k_context(label, marked)
-    _check_w0_word(SubsystemContext(ctx.rs, ctx.simples))
+    _check_w0_word(SubsystemContext.from_simples(ctx.rs, ctx.simples))
 
 
 def _case_inputs(rs, cases):
