@@ -2,8 +2,8 @@
 pseudoconcave of a computed degree.
 
 The verdict itself is the test a(E) = dim C.  An independent structural
-test (k has a center and the parabolic's noncompact part sits inside one
-xi-half) must agree.  A disagreement is never repaired: the two tests
+test (k has a center and q cap p+ = 0, p+ the xi-positive half s_plus)
+must agree.  A disagreement is never repaired: the two tests
 are provably equivalent, so a mismatch means a bug, and `classify`
 raises InternalInconsistencyError.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .cycle import ParabolicData
 from .errors import InternalInconsistencyError
-from .realform import CompactnessGrading, HermitianData
+from .realform import HermitianData
 from .snow import AmplenessResult
 
 KIND_PRODUCT = "ProductOverHSS"
@@ -31,7 +31,6 @@ class Classification:
 def classify(
     amp: AmplenessResult,
     pd: ParabolicData,
-    grading: CompactnessGrading,
     hermitian: HermitianData,
 ) -> Classification:
     """Classify the flag domain cut out by one pipeline run, after
@@ -39,11 +38,11 @@ def classify(
     kind = KIND_PRODUCT if amp.ampleness == pd.dim_c else KIND_PSEUDOCONCAVE
 
     if hermitian.center_dim == 1:
-        # q cap s never lies in s_plus: q holds every negative root, -a_m
-        # among them for the lowest marked node m, which is noncompact
-        # with xi(-a_m) = -1, so it is in s_minus and not in s_plus
-        q_cap_s = {v for v in pd.q_roots if v in grading.noncompact_roots}
-        direct = q_cap_s <= set(hermitian.s_minus)
+        # q cap s lies in s_minus iff q misses s_plus (s is s_plus and
+        # s_minus) iff s_plus lies in the tangent weights (the roots are q
+        # and them): q cap p+ = 0.  It never lies in s_plus: q holds -a_m
+        # for the lowest marked node m, noncompact with xi(-a_m) = -1
+        direct = set(pd.tangent_weights).issuperset(hermitian.s_plus)
         if direct:
             notes = "q cap s contained in s_minus"
         else:

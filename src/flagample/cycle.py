@@ -9,6 +9,8 @@ preserves the parabolic, and the neutral fiber of the normal bundle is
 the quotient of the (-1)-eigenspace by its intersection with the
 parabolic; its weights are the noncompact tangent weights.  Weights
 are roots, named by their index in the sorted `RootSystem.roots`.
+The roots of q are the negative roots and the Levi span's positive ones,
+so the roots split as q and the tangent weights, disjointly.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .rootsystem import RootSystem
 class ParabolicData:
     """Root data of the parabolic and the dimensions it determines."""
 
-    q_roots: tuple[int, ...]
     tangent_weights: tuple[int, ...]  # positive roots outside the Levi span
     dim_z: int
     dim_c: int
@@ -35,7 +36,10 @@ class ParabolicData:
 def parabolic_data(
     rs: RootSystem, grading: CompactnessGrading, levi_nodes: Iterable[int]
 ) -> ParabolicData:
-    """Build the parabolic determined by the Levi nodes."""
+    """Build the parabolic determined by the Levi nodes.  The Levi
+    correction, the number of compact positive roots of the Levi span,
+    is |Phi_K+| - dim C: a compact positive root is tangent or in the
+    Levi span, and dim C counts the compact tangent ones."""
     levi = frozenset(levi_nodes)
     for i in levi:
         if not 1 <= i <= rs.rank:
@@ -45,20 +49,17 @@ def parabolic_data(
 
     # a positive root lies in the Levi span iff its support does
     levi_mask = sum(1 << (i - 1) for i in levi)
-    in_levi, tangent = [], []
-    for v, mask in zip(rs.positive_indices, rs.support_masks):
-        (in_levi if mask & ~levi_mask == 0 else tangent).append(v)
-    # the negative roots are the ones before the positive ones
-    q_roots = tuple(range(rs.positive_indices.start)) + tuple(in_levi)
+    pairs = zip(rs.positive_indices, rs.support_masks)
+    tangent = tuple(v for v, mask in pairs if mask & ~levi_mask)
     noncompact = grading.noncompact_roots
     dim_c = sum(1 for v in tangent if v not in noncompact)
-    levi_correction = sum(1 for v in in_levi if v not in noncompact)
+    # the noncompact roots are closed under negation, so half are positive
+    k_positive = len(rs.positive_roots) - len(noncompact) // 2
     return ParabolicData(
-        q_roots=q_roots,
-        tangent_weights=tuple(tangent),
+        tangent_weights=tangent,
         dim_z=len(tangent),
         dim_c=dim_c,
-        levi_correction=levi_correction,
+        levi_correction=k_positive - dim_c,
     )
 
 

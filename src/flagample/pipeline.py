@@ -126,7 +126,7 @@ def run_case(spec: CaseSpec) -> Report:
     fiber = neutral_fiber(pd, grading)
     inp = assemble_input(rs, herm, pd, fiber)
     amp = ampleness(inp, method=spec.method, verify=spec.verify, cap=spec.max_weyl)
-    cls = classify(amp, pd, grading, herm)
+    cls = classify(amp, pd, herm)
     return Report(
         series=spec.dynkin.series,
         rank=spec.dynkin.rank,

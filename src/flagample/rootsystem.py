@@ -6,14 +6,14 @@ are exact.  The inner product is v^T B w with B = diag(d) * A for the
 minimal symmetrizer d, which makes all coroot pairings exact integers.
 The roots are kept sorted in `RootSystem.roots`, and the rest of the
 pipeline names a root by its index there.  A reflection row is built on
-first use, every entry of it is proven then, and it is kept read-only;
-a subsystem's data is read off its positive roots with checks on index
-sets (`closed_subsystem`), which trust the proven rows.
+first use, every entry of it is proven then, and it is kept as a tuple
+that every subsystem using it shares; a subsystem's data is read off
+its positive roots with checks on index sets (`closed_subsystem`),
+which trust the proven rows.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -43,10 +43,9 @@ class RootSystem:
     # aligned with positive_roots
     support_masks: tuple[int, ...]
     root_index: dict[Weight, int] = field(repr=False)
-    # reflection rows (read-only, proven) and sum rows built so far, by
-    # root index
-    _rows: dict[int, memoryview] = field(default_factory=dict, repr=False)
-    _sums: dict[int, array] = field(default_factory=dict, repr=False)
+    # reflection rows (proven) and sum rows built so far, by root index
+    _rows: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
+    _sums: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
 
     @property
     def rank(self) -> int:
@@ -65,17 +64,16 @@ class RootSystem:
         negative root sorts before every positive one."""
         return range(len(self.positive_roots), len(self.roots))
 
-    def reflection_row(self, g: int) -> memoryview:
+    def reflection_row(self, g: int) -> tuple[int, ...]:
         """Indices of s_gamma(v) for every root v, where gamma is the
         root of index g.  Each row is built on first use, every entry is
-        proven then (`_proven`), and it is kept as a read-only view of
-        16-bit entries: no type accepted has 2^16 roots."""
+        proven then (`_proven`), and the tuple is kept and shared."""
         row = self._rows.get(g)
         if row is None:
             row = self._rows[g] = _proven(self, g, _reflection_row(self, g))
         return row
 
-    def sum_row(self, a: int) -> array:
+    def sum_row(self, a: int) -> tuple[int, ...]:
         """Indices of roots[a] + v for every root v, and the sentinel
         len(roots) where the sum is no root; built and kept like
         reflection_row."""
@@ -83,7 +81,7 @@ class RootSystem:
         if row is None:
             alpha, get, m = self.roots[a], self.root_index.get, len(self.roots)
             row = [get(tuple(map(add, alpha, v)), m) for v in self.roots]
-            row = self._sums[a] = array("H", row)
+            row = self._sums[a] = tuple(row)
         return row
 
     @cached_property
@@ -126,7 +124,7 @@ class RootSystem:
         return tuple(sorted(self.positive_indices, key=lambda a: sum(self.roots[a])))
 
 
-def _reflection_row(rs: RootSystem, g: int) -> array:
+def _reflection_row(rs: RootSystem, g: int) -> list[int]:
     # <v, gamma^vee> = 2 (v, B gamma) / (gamma, gamma), an integer for roots
     gamma = rs.roots[g]
     b_gamma = [sum(map(mul, row, gamma)) for row in rs.pairing_matrix]
@@ -140,11 +138,11 @@ def _reflection_row(rs: RootSystem, g: int) -> array:
                 "non-integral coroot pairing between roots"
             )
         row.append(index[tuple(x - c * y for x, y in zip(v, gamma))] if c else i)
-    return array("H", row)
+    return row
 
 
-def _proven(rs: RootSystem, g: int, row: array) -> memoryview:
-    """The reflection row of the root of index g, read-only, once every
+def _proven(rs: RootSystem, g: int, row: list[int]) -> tuple[int, ...]:
+    """The reflection row of the root of index g, as a tuple, once every
     entry is proven: roots[row[v]] = v - <v, gamma^vee> gamma for every
     root v, by a route that does not read how the row was built.
 
@@ -167,7 +165,7 @@ def _proven(rs: RootSystem, g: int, row: array) -> memoryview:
     want = map(sub, keys, map(keys[g].__mul__, pairing))
     if list(map(keys.__getitem__, row)) != list(want):
         raise InternalInconsistencyError("subsystem root outside simple span")
-    return memoryview(row).toreadonly()
+    return tuple(row)
 
 
 def build_root_system(dynkin: DynkinType) -> RootSystem:
@@ -254,10 +252,11 @@ def closed_subsystem(rs: RootSystem, positives: Iterable[int]) -> tuple:
     """The closed subsystem whose positive roots have the indices
     `positives`, read off them as the plain tuple (simples, rows,
     cartan, sign, parts): its simple roots (by index, sorted), their
-    reflection rows as tuples, their Cartan matrix, cartan[i][j] =
-    <gamma_j, gamma_i^vee>, the sign of each of its roots (by index),
-    and per irreducible component, in order of its first simple, the
-    positions of its simples and the set of its positive roots.
+    reflection rows (the root system's own tuples), their Cartan matrix,
+    cartan[i][j] = <gamma_j, gamma_i^vee>, the sign of each of its roots
+    (by index), and per irreducible component, in order of its first
+    simple, the positions of its simples and the set of its positive
+    roots.
     NotClosedError unless the positives are the positive half of a
     reflection-closed subsystem.
 
@@ -307,7 +306,7 @@ def closed_subsystem(rs: RootSystem, positives: Iterable[int]) -> tuple:
     for b in order:
         if b in lowered:
             continue
-        row = tuple(rs.reflection_row(b))
+        row = rs.reflection_row(b)
         images = images_of(row)
         # row[b] = -b is not in pos, and a row is one-to-one
         if len(pos.intersection(images)) != len(order) - 1:

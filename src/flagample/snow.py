@@ -87,8 +87,8 @@ def closed_form_maximal_weights(
     If k is semisimple the noncompact module is irreducible and the only
     maximal weight is its highest weight.  If k has a center the module
     splits into the two xi-halves with highest weights lambda_plus and
-    lambda_minus, and a half drops out exactly when it is swallowed by
-    the parabolic.
+    lambda_minus, and a half drops out exactly when it lies in q, that
+    is when it misses the tangent weights (the roots are q and them).
     """
     if hermitian.center_dim == 0:
         if len(hermitian.lambda_max_s) != 1:
@@ -100,7 +100,7 @@ def closed_form_maximal_weights(
         raise InternalInconsistencyError(
             "k has a center but the noncompact module does not split in two"
         )
-    q_set = set(parabolic.q_roots)
+    tangent = set(parabolic.tangent_weights)
     keep = []
     for side in (hermitian.s_plus, hermitian.s_minus):
         tops = [a for a in hermitian.lambda_max_s if a in side]
@@ -108,7 +108,7 @@ def closed_form_maximal_weights(
             raise InternalInconsistencyError(
                 "xi-half without a unique highest weight"
             )
-        if not set(side) <= q_set:
+        if not tangent.isdisjoint(side):
             keep.append(tops[0])
     return tuple(sorted(keep))
 

@@ -10,7 +10,10 @@ columns of Python ints, against which the library's byte scan is
 checked.  `orbit_pass` is the former construction of a subsystem's
 data, an orbit search that carries each root's coordinates in the
 simple basis: the library's pass is checked against it, and `coords`
-gives the tests those coordinates.
+gives the tests those coordinates.  `q_roots`, `classify_by_q` and
+`closed_form_by_q` are the former forms of the product test and of the
+closed-form maximal weights, read on the roots of the parabolic q rather
+than on the tangent weights.
 """
 
 from itertools import compress
@@ -18,6 +21,7 @@ from operator import mul, or_
 from typing import NamedTuple
 
 from flagample import kernels
+from flagample.classify import KIND_PRODUCT, KIND_PSEUDOCONCAVE, Classification
 from flagample.dynkin import weyl_order
 from flagample.errors import InternalInconsistencyError, NotARootError, NotClosedError
 from flagample.rootsystem import _component_label, _linked
@@ -350,7 +354,7 @@ def orbit_pass(rs, positives):
     and each root's coordinates in the simple basis, by the former
     construction; NotClosedError as that construction refuses."""
     simples, pos = indecomposables(rs, positives)
-    rows = tuple(tuple(rs.reflection_row(g)) for g in simples)
+    rows = tuple(map(rs.reflection_row, simples))
     cartan, coords, sign, parts = subsystem_orbit(rs, simples, rows)
     require_closed(pos, coords)
     return (simples, rows, cartan, sign, parts), coords
@@ -362,3 +366,49 @@ def coords(ctx):
     cartan, coords, sign, _ = subsystem_orbit(ctx.rs, ctx.simples, ctx.gen_perms)
     assert (cartan, sign) == (ctx.cartan, ctx.sub_sign)
     return coords
+
+
+def q_roots(rs, levi):
+    """The roots of the parabolic q (by index): every negative root and
+    the positive roots whose support lies in the Levi nodes."""
+    levi_mask = sum(1 << (i - 1) for i in levi)
+    in_levi = [
+        v
+        for v, mask in zip(rs.positive_indices, rs.support_masks)
+        if mask & ~levi_mask == 0
+    ]
+    # the negative roots are the ones before the positive ones
+    return tuple(range(rs.positive_indices.start)) + tuple(in_levi)
+
+
+def classify_by_q(amp, pd, q, grading, hermitian):
+    """`classify` with the structural test read on the roots q of the
+    parabolic: k has a center and q cap s lies in s_minus."""
+    kind = KIND_PRODUCT if amp.ampleness == pd.dim_c else KIND_PSEUDOCONCAVE
+    if hermitian.center_dim == 1:
+        q_cap_s = {v for v in q if v in grading.noncompact_roots}
+        direct = q_cap_s <= set(hermitian.s_minus)
+        if direct:
+            notes = "q cap s contained in s_minus"
+        else:
+            notes = "q cap s meets both xi-halves"
+    else:
+        direct = False
+        notes = "k has no center"
+    if direct != (kind == KIND_PRODUCT):
+        raise InternalInconsistencyError(
+            f"verdict {kind} disagrees with the structural test ({notes})"
+        )
+    return Classification(kind, pd.dim_c - amp.ampleness, notes)
+
+
+def closed_form_by_q(hermitian, q):
+    """The closed-form maximal weights with a xi-half dropped exactly
+    when it lies in the roots q of the parabolic."""
+    if hermitian.center_dim == 0:
+        return hermitian.lambda_max_s
+    keep = []
+    for side in (hermitian.s_plus, hermitian.s_minus):
+        if not set(side) <= set(q):
+            keep.extend(a for a in hermitian.lambda_max_s if a in side)
+    return tuple(sorted(keep))

@@ -4,11 +4,18 @@ import pytest
 
 from flagample.classify import KIND_PRODUCT, KIND_PSEUDOCONCAVE, classify
 from flagample.cycle import neutral_fiber, parabolic_data
-from flagample.dynkin import parse_type
+from flagample.dynkin import all_types_up_to_rank, parse_type
 from flagample.errors import InternalInconsistencyError
+from flagample.pipeline import sweep_cases
 from flagample.realform import grade_roots, hermitian_data
 from flagample.rootsystem import build_root_system
-from flagample.snow import ampleness, assemble_input
+from flagample.snow import (
+    AmplenessResult,
+    ampleness,
+    assemble_input,
+    closed_form_maximal_weights,
+)
+from reference import classify_by_q, closed_form_by_q, q_roots
 
 
 def _search(label, marked, levi):
@@ -24,7 +31,7 @@ def _search(label, marked, levi):
 
 def _classified(label, marked, levi):
     amp, pd, g, h = _search(label, marked, levi)
-    return amp, pd, classify(amp, pd, g, h)
+    return amp, pd, classify(amp, pd, h)
 
 
 def test_full_flag_su21_is_product():
@@ -76,7 +83,7 @@ def test_verdict_refuted_by_the_structural_test_raises(
     amp, pd, g, h = _search(label, marked, levi)
     moved = dataclasses.replace(amp, ampleness=amp.ampleness + shift)
     with pytest.raises(InternalInconsistencyError) as exc:
-        classify(moved, pd, g, h)
+        classify(moved, pd, h)
     assert str(exc.value) == message
 
 
@@ -97,3 +104,42 @@ def test_degree_complements_ampleness(label, marked, levi):
     assert (cls.kind == KIND_PRODUCT) == (amp.ampleness == pd.dim_c)
     if cls.kind == KIND_PSEUDOCONCAVE:
         assert cls.concavity_degree >= 1
+
+
+def _outcome(run):
+    """What a classification returns, or the message it raises."""
+    try:
+        return run()
+    except InternalInconsistencyError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "dt", list(all_types_up_to_rank(5)) + [parse_type("E6")], ids=str
+)
+def test_tangent_forms_match_the_q_reference(dt):
+    """On every case of the type, the structural test and the closed-form
+    maximal weights read on the tangent weights agree with the reference
+    forms read on the roots of q.  Both verdicts are tried, a(E) = dim C
+    and a(E) = dim C - 1: under each, the two classifications return the
+    same value or raise the same message, so no search needs to run."""
+    rs = build_root_system(dt)
+    gradings = {}
+    for marking, levi in sweep_cases(dt):
+        if marking not in gradings:
+            g = grade_roots(rs, marking)
+            gradings[marking] = g, hermitian_data(rs, g)
+        g, h = gradings[marking]
+        pd = parabolic_data(rs, g, levi)
+        q = q_roots(rs, levi)
+        for a in (pd.dim_c, pd.dim_c - 1):
+            amp = AmplenessResult(
+                ampleness=a, max_length=0, witness=(), witness_pair=(0, 0), routes=()
+            )
+            assert _outcome(lambda: classify(amp, pd, h)) == _outcome(
+                lambda: classify_by_q(amp, pd, q, g, h)
+            ), (marking, levi, a)
+        assert closed_form_maximal_weights(h, pd) == closed_form_by_q(h, q), (
+            marking,
+            levi,
+        )

@@ -552,6 +552,51 @@ def test_xi_split_faults_exit_3(capsys, monkeypatch, corrupt, message):
 
 
 @pytest.mark.parametrize(
+    "label,change,message",
+    [
+        # C3 {1}: k = sp(1) + sp(2) has no center
+        (
+            "C3",
+            lambda h, g: {"lambda_max_s": tuple(sorted(g.noncompact_roots))[:2]},
+            "semisimple k but several maximal noncompact weights",
+        ),
+        # A2 {1}: k = u(1) + su(2) has a center
+        (
+            "A2",
+            lambda h, g: {"lambda_max_s": h.lambda_max_s[:1]},
+            "k has a center but the noncompact module does not split in two",
+        ),
+        # both maximal weights in s_plus
+        (
+            "A2",
+            lambda h, g: {"lambda_max_s": h.s_plus},
+            "xi-half without a unique highest weight",
+        ),
+    ],
+)
+def test_closed_form_faults_exit_3(capsys, monkeypatch, label, change, message):
+    """Hermitian data whose maximal noncompact weights do not fit k's
+    center stop the closed form of the maximal fiber weights: `compute`
+    and `table` exit 3 with no output and the check's own message (the
+    table's first case has the marking {1})."""
+    pipeline = importlib.import_module("flagample.pipeline")
+    build = pipeline.hermitian_data
+
+    def changed(rs, grading):
+        h = build(rs, grading)
+        return dataclasses.replace(h, **change(h, grading))
+
+    monkeypatch.setattr(pipeline, "hermitian_data", changed)
+    for argv in (
+        ["compute", "--type", label, "--noncompact", "1"],
+        ["table", "--type", label, "--format", "json"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err == f"internal inconsistency: {message}\n", argv
+
+
+@pytest.mark.parametrize(
     "label,noncompact", [("A2", "1"), ("B3", "2"), ("E6", "1")]
 )
 def test_w0_walk_from_a_wrong_start_exits_3(capsys, monkeypatch, label, noncompact):
@@ -654,14 +699,12 @@ def _identity_rows(monkeypatch):
     simple one, and the closure check refuses the first, whose row does
     not send it to its negative.  A library caller gets the same refusal
     as NotClosedError."""
-    from array import array
-
     from flagample.errors import NotClosedError
     from flagample.rootsystem import RootSystem, build_root_system
     from flagample.weyl import SubsystemContext
 
     def identity(rs, g):
-        return array("H", range(len(rs.roots)))
+        return tuple(range(len(rs.roots)))
 
     monkeypatch.setattr(RootSystem, "reflection_row", identity)
     rs = build_root_system(parse_type("A2"))

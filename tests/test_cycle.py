@@ -5,10 +5,9 @@ import pytest
 from flagample.cycle import ParabolicData, neutral_fiber, parabolic_data
 from flagample.dynkin import all_types_up_to_rank, parse_type
 from flagample.errors import BadNodeError, EmptyFiberError, NotProperError
-from flagample.realform import grade_roots
+from flagample.realform import grade_roots, hermitian_data
 from flagample.rootsystem import build_root_system
 from test_realform import compact_roots, roots_of
-from test_rootsystem import negate
 
 
 @pytest.fixture(scope="module")
@@ -75,12 +74,15 @@ def test_empty_fiber_guard(a2):
     # a noncompact tangent root), so exercise the guard directly
     g = grade_roots(a2, {1})
     doctored = ParabolicData(
-        q_roots=(),
         tangent_weights=(a2.root_index[(0, 1)],),  # compact for this grading
         dim_z=1,
         dim_c=1,
         levi_correction=0,
     )
+    # the doctored tangent weights hold no noncompact root: they miss
+    # both xi-halves
+    h = hermitian_data(a2, g)
+    assert set(doctored.tangent_weights).isdisjoint(h.s_plus + h.s_minus)
     with pytest.raises(EmptyFiberError):
         neutral_fiber(doctored, g)
 
@@ -126,7 +128,9 @@ def test_structural_invariants(dt):
         ):
             pd = parabolic_data(rs, g, l)
             fiber = neutral_fiber(pd, g)
-            q_roots = roots_of(rs, pd.q_roots)
+            # q is the roots outside the tangent weights
+            tangent = set(pd.tangent_weights)
+            q_roots = [v for i, v in enumerate(rs.roots) if i not in tangent]
 
             # q covers the roots together with its opposite
             qset = set(q_roots)
@@ -177,7 +181,8 @@ def test_fiber_disjoint_from_compact_complement(b2):
 
 def _reference_parabolic(rs, g, levi):
     """Levi roots as the positive roots whose support set lies in the
-    Levi nodes, all in coordinates."""
+    Levi nodes, all in coordinates; the Levi correction is counted on
+    them directly."""
     def support(v):
         return frozenset(i + 1 for i, c in enumerate(v) if c != 0)
 
@@ -185,7 +190,6 @@ def _reference_parabolic(rs, g, levi):
     in_levi = [v for v in rs.positive_roots if support(v) <= levi]
     tangent = tuple(v for v in rs.positive_roots if not support(v) <= levi)
     return (
-        tuple(sorted([negate(v) for v in rs.positive_roots] + in_levi)),
         tangent,
         sum(1 for v in tangent if v in compact),
         sum(1 for v in in_levi if v in compact),
@@ -196,8 +200,10 @@ def _reference_parabolic(rs, g, levi):
     "dt", list(all_types_up_to_rank(4)) + [parse_type("E6")], ids=str
 )
 def test_parabolic_matches_support_reference(dt):
-    """The bitmask split gives the support-set reference's q roots, tangent
-    weights, dim C and Levi correction for every marking and Levi set."""
+    """The bitmask split gives the support-set reference's tangent
+    weights, dim C and Levi correction for every marking and Levi set:
+    the correction read as |Phi_K+| - dim C is the count of compact
+    positive roots in the Levi span."""
     rs = build_root_system(dt)
     nodes = range(1, dt.rank + 1)
     subsets = [
@@ -210,7 +216,6 @@ def test_parabolic_matches_support_reference(dt):
         for levi in subsets[:-1]:
             pd = parabolic_data(rs, g, levi)
             got = (
-                roots_of(rs, pd.q_roots),
                 roots_of(rs, pd.tangent_weights),
                 pd.dim_c,
                 pd.levi_correction,

@@ -222,8 +222,10 @@ def test_verified_case_invariants(case):
     rs = build_root_system(dt)
     g = grade_roots(rs, marked)
     h = hermitian_data(rs, g)
-    q_cap_s = set(parabolic_data(rs, g, levi).q_roots) & set(g.noncompact_roots)
-    one_half = q_cap_s <= set(h.s_plus) or q_cap_s <= set(h.s_minus)
+    # q cap s lies in one xi-half exactly when q misses the other, that
+    # is when the other lies in the tangent weights
+    tangent = set(parabolic_data(rs, g, levi).tangent_weights)
+    one_half = tangent.issuperset(h.s_plus) or tangent.issuperset(h.s_minus)
     assert (rep.kind == "ProductOverHSS") == (h.center_dim > 0 and one_half)
 
 

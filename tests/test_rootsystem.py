@@ -8,12 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagample.dynkin import (
-    MAX_CLASSICAL_RANK,
-    all_types_up_to_rank,
-    parse_type,
-    root_count,
-)
+from flagample.dynkin import all_types_up_to_rank, parse_type
 from flagample.errors import NotARootError, NotClosedError
 from flagample.realform import grade_roots
 from flagample.rootsystem import _component_label, build_root_system, pair, reflect
@@ -418,15 +413,16 @@ def test_reflection_rows_are_lazy():
     assert rs.reflection_row(5) is row
 
 
-def test_row_entries_fit_in_16_bits():
-    """Reflection rows are read-only views of 16-bit root indices and sum
-    rows arrays of them, and a sum row also holds the sentinel
-    len(roots): every type accepted has fewer than 2^16 roots, the most
-    at its largest rank."""
-    counts = [root_count(dt) for dt in all_types_up_to_rank(MAX_CLASSICAL_RANK)]
-    assert max(counts) == root_count(parse_type(f"B{MAX_CLASSICAL_RANK}")) < 1 << 16
-    rs = build_root_system(parse_type("E8"))
-    assert rs.reflection_row(0).format == rs.sum_row(0).typecode == "H"
+def test_rows_are_shared_tuples():
+    """Reflection rows and sum rows are kept as tuples, so a row cannot
+    be written into, and a subsystem's context holds its simple roots'
+    rows themselves, not copies of them."""
+    rs = build_root_system(parse_type("E6"))
+    assert type(rs.reflection_row(0)) is type(rs.sum_row(0)) is tuple
+    noncompact = grade_roots(rs, {1}).noncompact_roots
+    ctx = SubsystemContext(rs, frozenset(rs.positive_indices) - noncompact)
+    for g, row in zip(ctx.simples, ctx.gen_perms):
+        assert row is rs.reflection_row(g)
 
 
 def test_sum_rows_and_odd_masks_are_lazy():
