@@ -24,12 +24,7 @@ from .realform import (
     grade_roots,
     hermitian_data,
 )
-from .rootsystem import (
-    RootSystem,
-    build_root_system,
-    pair,
-    reflect,
-)
+from .rootsystem import RootSystem, build_root_system
 from .snow import (
     AmplenessInput,
     AmplenessResult,
@@ -68,10 +63,8 @@ __all__ = [
     "max_weyl_length_bruteforce",
     "max_weyl_length_fast",
     "neutral_fiber",
-    "pair",
     "parabolic_data",
     "parse_type",
-    "reflect",
     "run_case",
     "run_table",
 ]

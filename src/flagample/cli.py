@@ -176,10 +176,21 @@ def _is(value, kind) -> bool:
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's dict, refusing a key given twice, which json.load
+    would otherwise settle silently by keeping the last value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise BadInputError(f"config key {key!r} given twice")
+        data[key] = value
+    return data
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, ValueError, RecursionError) as exc:
         # ValueError covers bytes that are not UTF-8 and malformed JSON;
         # RecursionError, JSON nested deeper than the parser can follow

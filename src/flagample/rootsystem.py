@@ -230,21 +230,16 @@ def pair(rs: RootSystem, v: Sequence, w: Sequence) -> int | Fraction:
     return sum(map(mul, v, [sum(map(mul, row, w)) for row in rs.pairing_matrix]))
 
 
-def coroot_pairing(rs: RootSystem, v: Sequence, gamma: Weight):
-    """<v, gamma^vee> = 2 (v, gamma) / (gamma, gamma)."""
+def reflect(rs: RootSystem, v: Sequence, gamma: Weight):
+    """Reflection of v in the hyperplane orthogonal to the root gamma,
+    v - <v, gamma^vee> gamma with <v, gamma^vee> = 2 (v, gamma) /
+    (gamma, gamma): an int when it is integral, else a Fraction."""
+    if gamma not in rs.root_index:
+        raise NotARootError(f"{gamma} is not a root of {rs.dynkin}")
     num = 2 * pair(rs, v, gamma)
     den = pair(rs, gamma, gamma)
     q, r = divmod(num, den)
-    if r == 0:
-        return q
-    return Fraction(num, den)
-
-
-def reflect(rs: RootSystem, v: Sequence, gamma: Weight):
-    """Reflection of v in the hyperplane orthogonal to the root gamma."""
-    if gamma not in rs.root_index:
-        raise NotARootError(f"{gamma} is not a root of {rs.dynkin}")
-    c = coroot_pairing(rs, v, gamma)
+    c = q if r == 0 else Fraction(num, den)
     return tuple(v[j] - c * gamma[j] for j in range(rs.rank))
 
 

@@ -810,6 +810,14 @@ def test_unreadable_config_exits_1(tmp_path, capsys, content):
     assert err.startswith(f"error: cannot read config {path}")
 
 
+def test_repeated_config_key_exits_1(tmp_path, capsys):
+    """json.load keeps the last of two equal keys, which would run A3."""
+    path = tmp_path / "case.json"
+    path.write_text('{"series":"A","rank":2,"noncompact":[1],"rank":3}')
+    code, out, err = run(capsys, "compute", "--config", str(path))
+    assert (code, out, err) == (1, "", "error: config key 'rank' given twice\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -168,6 +168,11 @@ def test_reflect_examples():
     rs = build_root_system(parse_type("A2"))
     # pairing <a1+a2, a2^vee> = 1, read off the Cartan matrix
     assert reflect(rs, (1, 1), (0, 1)) == (1, 0)
+    assert all(type(x) is int for x in reflect(rs, (1, 1), (0, 1)))
+    # off the root lattice the pairing <a1/2, a2^vee> = -1/2 is a Fraction
+    half = Fraction(1, 2)
+    assert reflect(rs, (half, 0), (0, 1)) == (half, half)
+    assert isinstance(reflect(rs, (half, 0), (0, 1))[1], Fraction)
     b2 = build_root_system(parse_type("B2"))
     # a1 = e1-e2 (long), a2 = e2 (short): s_{a1} swaps e1, e2
     assert reflect(b2, (1, 1), (1, 0)) == (0, 1)
