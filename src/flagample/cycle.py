@@ -16,6 +16,7 @@ so the roots split as q and the tangent weights, disjointly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable
 
 from .errors import BadNodeError, EmptyFiberError, NotProperError
@@ -48,11 +49,12 @@ def parabolic_data(
         raise NotProperError("levi nodes cover the whole diagram; Z is a point")
 
     # a positive root lies in the Levi span iff its support does
-    levi_mask = sum(1 << (i - 1) for i in levi)
-    pairs = zip(rs.positive_indices, rs.support_masks)
-    tangent = tuple(v for v, mask in pairs if mask & ~levi_mask)
+    outside_levi = ~sum(1 << (i - 1) for i in levi)
+    tangent = tuple(
+        compress(rs.positive_indices, map(outside_levi.__and__, rs.support_masks))
+    )
     noncompact = grading.noncompact_roots
-    dim_c = sum(1 for v in tangent if v not in noncompact)
+    dim_c = len(tangent) - len(noncompact.intersection(tangent))
     # the noncompact roots are closed under negation, so half are positive
     k_positive = len(rs.positive_roots) - len(noncompact) // 2
     return ParabolicData(
@@ -69,9 +71,7 @@ def neutral_fiber(
     """Weights of the neutral fiber: the noncompact tangent weights, in
     sorted order.  They are multiplicity-free, so rank E is their
     number."""
-    weights = tuple(
-        v for v in pd.tangent_weights if v in grading.noncompact_roots
-    )
+    weights = tuple(filter(grading.noncompact_roots.__contains__, pd.tangent_weights))
     if not weights:
         raise EmptyFiberError(
             "no noncompact root outside the Levi span: the cycle fills Z "

@@ -168,16 +168,17 @@ def highest_weights(
     """The roots of the set (by index) to which no root of k_roots can
     be added inside the set, sorted.
 
-    a + gamma lies in the set exactly when a is b - gamma for some b in
-    the set, so the roots blocked by gamma are the set's image under the
-    sum row of -gamma, which is roots[last - gamma] since rs.roots is
-    sorted.  A difference that is no root reads as len(rs.roots), which
-    no set holds."""
-    last = len(rs.roots) - 1
-    blocked: set[int] = set()
+    The candidates start as the whole set, and each root gamma of
+    k_roots drops those a with a + gamma in the set, read off the sum
+    row of gamma; a sum that is no root reads as len(rs.roots), which no
+    set holds.  Each pass reads only the candidates left, so the passes
+    together read a few times the set, not the whole set once per root
+    of k_roots."""
+    candidates = weights
     for g in k_roots:
-        blocked.update(map(rs.sum_row(last - g).__getitem__, weights))
-    return tuple(sorted(weights.difference(blocked)))
+        row = rs.sum_row(g)
+        candidates = [a for a in candidates if row[a] not in weights]
+    return tuple(sorted(candidates))
 
 
 def _central_functional(rs, marked) -> Weight:

@@ -226,8 +226,14 @@ def build_root_system(dynkin: DynkinType) -> RootSystem:
 
 
 def pair(rs: RootSystem, v: Sequence, w: Sequence) -> int | Fraction:
-    """Symmetrized Cartan pairing (v, w); integer for lattice vectors."""
-    return sum(map(mul, v, [sum(map(mul, row, w)) for row in rs.pairing_matrix]))
+    """Symmetrized Cartan pairing (v, w); integer for lattice vectors.
+
+    (v, w) is the sum over the nodes i of v_i (B w)_i, and row i of B is
+    read only where v_i is nonzero: a root has few nonzero coordinates,
+    so a root passed first costs a few rows, not the whole matrix.  B is
+    symmetric, so the order of the arguments does not change the value."""
+    rows = rs.pairing_matrix
+    return sum(x * sum(map(mul, rows[i], w)) for i, x in enumerate(v) if x)
 
 
 def reflect(rs: RootSystem, v: Sequence, gamma: Weight):

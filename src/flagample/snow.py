@@ -197,17 +197,30 @@ def max_weyl_length_fast(
     to mu form a single coset of Stab(nu), a reflection subgroup, whose
     unique longest element has length len(w0) - dist(nu, w0(mu)) in the
     orbit graph (Dyer's unique minimum, see `coset_orbit`).  One BFS
-    from w0(mu) per maximal mu gives that length for every nu, and its
-    tree gives the witness of each pair that reaches the maximum; the
-    least canonical word among them is the brute-force scan's
-    tie-break, and the first pair in (mu, nu) order that has it is the
-    pair returned.
+    from w0(mu) per maximal mu, stopped after the first level that holds
+    a fiber weight, gives that length for every nu nearest to w0(mu),
+    which are the pairs at mu's greatest length, and its tree gives the
+    witness of each: the levels it skips hold only pairs of smaller
+    length, and no tree path climbs through them.  The least canonical
+    word among the pairs that reach the maximum is the brute-force
+    scan's tie-break, and the first pair in (mu, nu) order that has it
+    is the pair returned.
+
+    The maximum is then counted a second way, on the winning pair:
+    mu is a highest weight of a K-module, so the coset maximum is the
+    number of positive roots alpha of K with (nu, alpha) <= 0 (Humphreys,
+    *Reflection Groups and Coxeter Groups*, 1.10): all of them but the
+    steps of nu's walk into the antidominant chamber (`walk_down`).
+    nu's weight coordinates <nu, gamma_j^vee> are read off the packed
+    keys, key(nu) - key(s_j nu) = <nu, gamma_j^vee> key(gamma_j), as
+    `closed_subsystem` reads the Cartan matrix.
     """
     ctx = inp.hermitian.k_context
     lam = inp.max_weights
+    fiber = frozenset(inp.fiber)
 
     # pairs in (mu, nu) order, each with its coset maximum
-    orbits = {mu: coset_orbit(ctx, mu) for mu in lam}
+    orbits = {mu: coset_orbit(ctx, mu, fiber) for mu in lam}
     lengths = []
     for mu, orbit in orbits.items():
         for nu in inp.fiber:  # sorted
@@ -226,6 +239,18 @@ def max_weyl_length_fast(
             if best is None or witness < best[0]:
                 best = witness, (mu, nu)
     witness, pair_ = best
+
+    keys = ctx.rs.root_keys
+    nu = pair_[1]
+    p = [
+        (keys[nu] - keys[row[nu]]) // keys[g]
+        for g, row in zip(ctx.simples, ctx.gen_perms)
+    ]
+    if ctx.pos_count - len(ctx.walk_down(p)) != top:
+        raise InternalInconsistencyError(
+            "coset maximum disagrees with the count of K's positive roots "
+            "that pair nonpositively with nu"
+        )
     return top, witness, pair_
 
 

@@ -150,8 +150,9 @@ class SubsystemContext:
             rs = self.rs
             positives = (rs.roots[i] for i, s in self.sub_sign.items() if s > 0)
             two_rho = tuple(map(sum, zip(*positives)))
+            # the simple root first: pair sums over its nonzero coordinates
             if any(
-                pair(rs, two_rho, rs.roots[g]) != rs.norms[g] for g in self.simples
+                pair(rs, rs.roots[g], two_rho) != rs.norms[g] for g in self.simples
             ):
                 raise InternalInconsistencyError(
                     "sum of the positive subsystem roots is not 2 on every "
@@ -189,9 +190,13 @@ def _enumerate(
         raise EnumerationCapError(str(exc)) from None
 
 
-def coset_orbit(ctx: SubsystemContext, mu: int) -> Orbit:
+def coset_orbit(
+    ctx: SubsystemContext, mu: int, stop: frozenset[int] = frozenset()
+) -> Orbit:
     """BFS orbit of w0(mu), for the root of index mu, under the
-    subsystem's simple reflections.
+    subsystem's simple reflections, cut after the first level that holds
+    a root of `stop` (by index); with no such level, or an empty stop
+    set, the whole orbit.
 
     Maps each orbit point v (a root index) to (distance, generator), the
     generator being the one that reached v, so that s_gen(v) is v's
@@ -206,12 +211,20 @@ def coset_orbit(ctx: SubsystemContext, mu: int) -> Orbit:
     on the BFS tree, and the tree path from nu to w0(mu) is one of
     minimal length, so one search per mu gives every nu's coset maximum
     and its witness.
+
+    The coset maximum falls as the distance grows, so the roots of stop
+    nearest to w0(mu) are exactly those at the greatest coset maximum
+    over stop, and the first level that meets stop holds all of them and
+    no nearer one.  The levels before it are complete, and each tree path
+    climbs one level per step, so the cut orbit holds every such root's
+    path to w0(mu): their distances, generators and witnesses are those
+    of the whole orbit.
     """
     start = ctx.apply_word(ctx.w0_word, mu)
     out = {start: (0, -1)}
     frontier = [start]
     d = 0
-    while frontier:
+    while frontier and stop.isdisjoint(frontier):
         d += 1
         nxt = []
         for v in frontier:
@@ -229,7 +242,8 @@ def _max_length_with_witness(
 ) -> tuple[int, tuple[int, ...]] | None:
     """The longest element mapping the root of index nu to that of index
     mu, as its length and canonical word, from `orbit` =
-    coset_orbit(ctx, mu); None when nu is not in it."""
+    coset_orbit(ctx, mu, stop), whole or cut; None when nu is not in it.
+    A cut orbit holds the tree path of every root it holds."""
     hit = orbit.get(nu)
     if hit is None:
         return None

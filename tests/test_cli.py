@@ -620,6 +620,197 @@ def test_w0_walk_from_a_wrong_start_exits_3(capsys, monkeypatch, label, noncompa
     assert "simple coroot" in err
 
 
+def _run_exits_3(capsys, argvs, message):
+    """Each command line exits 3, prints nothing and names the fault."""
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err == f"internal inconsistency: {message}\n", argv
+
+
+def _change_k_contexts(monkeypatch, change):
+    """Every context built afterwards is passed to change(ctx) once its
+    data is read."""
+    weyl = importlib.import_module("flagample.weyl")
+    init = weyl.SubsystemContext.__init__
+
+    def changed(self, *args):
+        init(self, *args)
+        change(self)
+
+    monkeypatch.setattr(weyl.SubsystemContext, "__init__", changed)
+
+
+def _affine(ctx):
+    """Every Dynkin edge of K doubled: K = A2's Cartan matrix becomes that
+    of affine A1, whose group is infinite."""
+    ctx.neighbours = tuple(tuple((j, 2 * a) for j, a in n) for n in ctx.neighbours)
+
+
+def _first_simple_cut_off(ctx):
+    """s_1 no longer moves the coordinates of its Dynkin neighbours."""
+    ctx.neighbours = ((),) + ctx.neighbours[1:]
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        (_affine, "weight walk did not terminate"),
+        (_first_simple_cut_off, "longest-element walk has wrong length"),
+    ],
+)
+def test_w0_walk_faults_exit_3(capsys, monkeypatch, change, message):
+    """On A3 {1} (K = A2, 3 positive roots) the walk for w0 runs on K's
+    Dynkin edges: with an infinite group it is stopped after one step
+    more than K has positive roots, and with an edge lost it ends short,
+    after 2 steps."""
+    _change_k_contexts(monkeypatch, change)
+    _run_exits_3(
+        capsys,
+        (
+            ["compute", "--type", "A3", "--noncompact", "1"],
+            ["table", "--type", "A3", "--format", "json"],
+        ),
+        message,
+    )
+
+
+def _distances_one_on(snow, monkeypatch):
+    """The coset search reads every distance one more than the BFS found."""
+    orbit = snow.coset_orbit
+
+    def farther(ctx, mu, stop=frozenset()):
+        return {v: (d + 1, gen) for v, (d, gen) in orbit(ctx, mu, stop).items()}
+
+    monkeypatch.setattr(snow, "coset_orbit", farther)
+
+
+def _weights_doubled(snow, monkeypatch):
+    """Each weight-coordinate reflection first doubles its weight: the
+    chambers, and so the letters of every walk, stay the same."""
+    weyl = importlib.import_module("flagample.weyl")
+    reflect_weight = weyl.SubsystemContext.reflect_weight
+
+    def doubled(self, p, letters):
+        p[:] = [2 * x for x in p]
+        reflect_weight(self, p, letters)
+
+    monkeypatch.setattr(weyl.SubsystemContext, "reflect_weight", doubled)
+
+
+def _words_applied_backwards(snow, monkeypatch):
+    """apply_word applies the first letter of a word first."""
+    weyl = importlib.import_module("flagample.weyl")
+    apply_word = weyl.SubsystemContext.apply_word
+    monkeypatch.setattr(
+        weyl.SubsystemContext,
+        "apply_word",
+        lambda self, word, v: apply_word(self, word[::-1], v),
+    )
+
+
+def _opposite_fiber(snow, monkeypatch):
+    """The coset search is handed the negated fiber.  K keeps the two
+    xi-halves of a Hermitian k apart, so no orbit of a maximal weight
+    meets it, and each search runs its whole orbit."""
+    route = snow.max_weyl_length_fast
+
+    def opposite(inp):
+        last = len(inp.hermitian.k_context.rs.roots) - 1
+        fiber = tuple(sorted(last - v for v in inp.fiber))
+        return route(dataclasses.replace(inp, fiber=fiber))
+
+    monkeypatch.setattr(snow, "max_weyl_length_fast", opposite)
+
+
+def _maximal_weights_negated(snow, monkeypatch):
+    """Assembly reads the negatives of the maximal fiber weights."""
+    highest = snow.highest_weights
+
+    def negated(rs, weights, k_roots):
+        last = len(rs.roots) - 1
+        return tuple(sorted(last - a for a in highest(rs, weights, k_roots)))
+
+    monkeypatch.setattr(snow, "highest_weights", negated)
+
+
+@pytest.mark.parametrize(
+    "corrupt,argv,message",
+    [
+        (
+            _distances_one_on,
+            ["--type", "A2", "--noncompact", "1"],
+            "coset maximum length mismatch between routes",
+        ),
+        (
+            _weights_doubled,
+            ["--type", "A2", "--noncompact", "1"],
+            "canonical word does not reduce to rho",
+        ),
+        # the A3 {1} full flag's witness (0, 1, 0) reads the same
+        # backwards; with the Levi node 1 it is (1, 0), and the table
+        # reaches that case second
+        (
+            _words_applied_backwards,
+            ["--type", "A3", "--noncompact", "1", "--levi", "1"],
+            "witness does not map nu to mu",
+        ),
+        (
+            _opposite_fiber,
+            ["--type", "A2", "--noncompact", "1"],
+            "no pair admits any group element: maximal weights escape the fiber",
+        ),
+        (
+            _maximal_weights_negated,
+            ["--type", "A2", "--noncompact", "1"],
+            "maximal weights escape the fiber",
+        ),
+    ],
+    ids=["distance", "scaled-weight", "word-order", "no-pair", "escaped-maxima"],
+)
+def test_coset_search_faults_exit_3(capsys, monkeypatch, corrupt, argv, message):
+    """Each check of the coset search and its input stops `compute` and
+    `table` with exit 3, no output and its own message, on the smallest
+    fault that reaches it.  The opposite fiber reaches "no pair" through
+    searches that stop at the fiber but never meet it."""
+    corrupt(importlib.import_module("flagample.snow"), monkeypatch)
+    _run_exits_3(
+        capsys,
+        (["compute", *argv], ["table", *argv[:2], "--format", "json"]),
+        message,
+    )
+
+
+def test_coset_maximum_off_the_closed_form_exits_3(capsys, monkeypatch):
+    """On A3 {1} with the Levi node 1 the winning pair's nu is a1 + a2,
+    which the fast route's stopped search reaches last and does not
+    expand.  K's row of its simple root a2 read as fixing nu leaves the
+    search and the witness as they are, but gives nu the weight
+    coordinate 0 there instead of 1: the walk of nu into the
+    antidominant chamber then counts the coset maximum wrong."""
+    from flagample import pipeline
+    from flagample.rootsystem import build_root_system
+
+    rs = build_root_system(parse_type("A3"))
+    gamma, nu = rs.root_index[(0, 1, 0)], rs.root_index[(1, 1, 0)]
+
+    def fixes_nu(ctx):
+        if ctx.rs is rs and gamma in ctx.simples:
+            j = ctx.simples.index(gamma)
+            row = list(ctx.gen_perms[j])
+            row[nu] = nu
+            ctx.gen_perms = ctx.gen_perms[:j] + (tuple(row),) + ctx.gen_perms[j + 1 :]
+
+    monkeypatch.setattr(pipeline, "_root_system", lambda series, rank: rs)
+    _change_k_contexts(monkeypatch, fixes_nu)
+    _run_exits_3(
+        capsys,
+        (["compute", "--type", "A3", "--noncompact", "1", "--levi", "1"],),
+        "coset maximum disagrees with the count of K's positive roots that "
+        "pair nonpositively with nu",
+    )
+
+
 def _corrupt_k_row(monkeypatch, label, gamma, v, wrong):
     """A fresh root system of the type whose reflection row of the root
     gamma has one wrong entry when it is built, before it is proven:

@@ -8,6 +8,7 @@ from flagample import rootsystem, snow, weyl
 from flagample.cycle import neutral_fiber, parabolic_data
 from flagample.dynkin import all_types_up_to_rank, parse_type
 from flagample.errors import DegenerateGeometryError
+from flagample.kernels import word_of
 from flagample.pipeline import CaseSpec, run_case, sweep_cases
 from flagample.realform import grade_roots, hermitian_data, highest_weights
 from flagample.rootsystem import build_root_system
@@ -178,13 +179,13 @@ def test_fast_route_runs_one_orbit_search_per_maximal_weight(
     monkeypatch, label, marked, levi
 ):
     """The coset search reads every pair's length and every witness off
-    one BFS per maximal weight."""
+    one BFS per maximal weight, stopped at the fiber."""
     searched = []
     orbit = weyl.coset_orbit
 
-    def counting_orbit(ctx, mu):
+    def counting_orbit(ctx, mu, stop=frozenset()):
         searched.append(ctx.rs.roots[mu])
-        return orbit(ctx, mu)
+        return orbit(ctx, mu, stop)
 
     for mod in (snow, weyl):
         monkeypatch.setattr(mod, "coset_orbit", counting_orbit)
@@ -478,6 +479,35 @@ def test_bruteforce_breaks_ties_by_the_least_word(label, marked, levi):
     assert (length, witness, action, pair_) == (
         top, want.word, want.action, want_pair
     )
+
+
+def test_bruteforce_collects_adjacent_ties(monkeypatch):
+    """The scan collects every element at the top length, the element
+    right after a tied one included: with the lengths rewritten so that
+    only two adjacent elements of the search set, the later one of the
+    lesser word, are at length 1, it returns the later one's word."""
+    inp = _setup("A3", {1}, set())[-1]
+    ctx = inp.hermitian.k_context
+    images, lengths, factors = weyl._enumerate(ctx, inp.max_weights, 100)
+    fiber = set(inp.fiber)
+    in_set = [any(col[e] in fiber for col in images) for e in range(len(lengths))]
+    words = [word_of(factors, e) for e in range(len(lengths))]
+    i = next(
+        e
+        for e in range(1, len(lengths) - 1)
+        if in_set[e] and in_set[e + 1] and words[e] > words[e + 1]
+    )
+    tied = bytearray(len(lengths))
+    tied[i] = tied[i + 1] = 1
+    monkeypatch.setattr(snow, "_enumerate", lambda *args: (images, tied, factors))
+    length, witness, _ = max_weyl_length_bruteforce(inp)
+    assert (length, witness) == (1, words[i + 1])
+
+
+def test_unknown_method_is_refused():
+    inp = _setup("A2", {1}, set())[-1]
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        ampleness(inp, method="bogus")
 
 
 def _check_byte_scan_of_marking(rs, marking, levis):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flagample import kernels, weyl
+from flagample import kernels, snow, weyl
 from flagample.cycle import neutral_fiber, parabolic_data
 from flagample.dynkin import all_types_up_to_rank, parse_type
 from flagample.errors import (
@@ -21,7 +21,11 @@ from flagample.errors import (
 from flagample.pipeline import CaseSpec, run_case, sweep_cases
 from flagample.realform import grade_roots, hermitian_data
 from flagample.rootsystem import build_root_system, pair, reflect
-from flagample.snow import assemble_input, max_weyl_length_bruteforce
+from flagample.snow import (
+    assemble_input,
+    max_weyl_length_bruteforce,
+    max_weyl_length_fast,
+)
 from flagample.weyl import (
     DEFAULT_CAP,
     SubsystemContext,
@@ -640,6 +644,41 @@ def _case_inputs(rs, cases):
             except DegenerateGeometryError:
                 continue
             yield assemble_input(rs, h, pd, fiber)
+
+
+def _cut_at_first_hit(orbit, stop):
+    """The BFS orbit with every level after the first that holds a root
+    of stop removed; the whole orbit when no level does."""
+    hits = [dist for v, (dist, _) in orbit.items() if v in stop]
+    if not hits:
+        return list(orbit.items())
+    return [(v, entry) for v, entry in orbit.items() if entry[0] <= min(hits)]
+
+
+@pytest.mark.parametrize(
+    "dt", list(all_types_up_to_rank(4)) + [parse_type("E6")], ids=str
+)
+def test_search_stopped_at_the_fiber_keeps_the_answer(dt, monkeypatch):
+    """Every case of the type: the orbit stopped at the fiber is the whole
+    orbit cut after its first level that meets the fiber, in the same
+    order, and the fast route gives the same length, witness and pair
+    from the stopped searches as from whole orbits."""
+    inputs = list(_case_inputs(build_root_system(dt), sweep_cases(dt)))
+    cut = 0
+    for inp in inputs:
+        ctx, fiber = inp.hermitian.k_context, frozenset(inp.fiber)
+        for mu in inp.max_weights:
+            whole = coset_orbit(ctx, mu)
+            stopped = coset_orbit(ctx, mu, fiber)
+            assert list(stopped.items()) == _cut_at_first_hit(whole, fiber)
+            cut += len(stopped) < len(whole)
+    # A1's K is a torus, whose orbits are single points
+    assert cut > 0 or dt.rank == 1
+    stopped = [max_weyl_length_fast(inp) for inp in inputs]
+    monkeypatch.setattr(
+        snow, "coset_orbit", lambda ctx, mu, stop=frozenset(): coset_orbit(ctx, mu)
+    )
+    assert [max_weyl_length_fast(inp) for inp in inputs] == stopped
 
 
 def _check_closed_form_coset_maxima(ctx, mus, nus):
