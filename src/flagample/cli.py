@@ -14,7 +14,7 @@ import os
 import sys
 from json.encoder import encode_basestring as _encode_str
 
-from .dynkin import parse_type
+from .dynkin import SERIES, DynkinType, parse_type
 from .errors import (
     BadInputError,
     CompactFormError,
@@ -214,7 +214,12 @@ def _case_from_args(args) -> CaseSpec:
     if args.type is not None:
         dynkin = parse_type(args.type)
     elif "series" in cfg and "rank" in cfg:
-        dynkin = parse_type(f"{cfg['series']}{cfg['rank']}")
+        series = cfg["series"].upper()
+        if len(series) != 1 or series not in SERIES:
+            raise BadInputError(
+                f"config key 'series' must be one letter of {SERIES}"
+            )
+        dynkin = DynkinType(series, cfg["rank"])
     else:
         raise BadInputError("no Dynkin type given (--type or config series/rank)")
 

@@ -61,7 +61,14 @@ def parse_type(text: str) -> DynkinType:
     m = _TYPE_RE.match(text.strip())
     if not m:
         raise InvalidTypeError(f"cannot parse Dynkin type {text!r}")
-    return DynkinType(m.group(1).upper(), int(m.group(2)))
+    series, digits = m.group(1).upper(), m.group(2)
+    try:
+        rank = int(digits)
+    except ValueError:  # more digits than int() converts
+        raise InvalidTypeError(
+            f"rank of {len(digits)} digits out of bounds for series {series}"
+        ) from None
+    return DynkinType(series, rank)
 
 
 def cartan_matrix(dynkin: DynkinType) -> tuple[tuple[int, ...], ...]:
@@ -183,12 +190,3 @@ def diagram_automorphisms(dynkin: DynkinType) -> tuple[tuple[int, ...], ...]:
     extend([], set())
     return tuple(sorted(autos))
 
-
-def all_types_up_to_rank(max_rank: int) -> list[DynkinType]:
-    """Every valid simple type with rank at most max_rank, sorted."""
-    out = []
-    for s in SERIES:
-        lo, hi = _RANK_BOUNDS[s]
-        for r in range(lo, min(max_rank, hi) + 1):
-            out.append(DynkinType(s, r))
-    return sorted(out, key=lambda t: (t.series, t.rank))

@@ -52,13 +52,6 @@ class RootSystem:
         return self.dynkin.rank
 
     @property
-    def simple_roots(self) -> tuple[Weight, ...]:
-        n = self.rank
-        return tuple(
-            tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
-        )
-
-    @property
     def positive_indices(self) -> range:
         """Indices of the positive roots: roots is sorted, and every
         negative root sorts before every positive one."""

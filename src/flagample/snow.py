@@ -198,35 +198,26 @@ def max_weyl_length_fast(
     unique longest element has length len(w0) - dist(nu, w0(mu)) in the
     orbit graph (Dyer's unique minimum, see `coset_orbit`).  One BFS
     from w0(mu) per maximal mu, stopped after the first level that holds
-    a fiber weight, gives that length for every nu nearest to w0(mu),
-    which are the pairs at mu's greatest length, and its tree gives the
-    witness of each: the levels it skips hold only pairs of smaller
-    length, and no tree path climbs through them.  The least canonical
+    a fiber weight, gives that distance for every nu nearest to w0(mu),
+    which are the pairs at mu's greatest length; the levels it skips
+    hold only pairs of smaller length.  Each tied pair's witness is
+    spelled from nu's own walk to w0(mu), which also counts its maximum
+    a second way (`_max_length_with_witness`).  The least canonical
     word among the pairs that reach the maximum is the brute-force
     scan's tie-break, and the first pair in (mu, nu) order that has it
     is the pair returned.
-
-    The maximum is then counted a second way, on the winning pair:
-    mu is a highest weight of a K-module, so the coset maximum is the
-    number of positive roots alpha of K with (nu, alpha) <= 0 (Humphreys,
-    *Reflection Groups and Coxeter Groups*, 1.10): all of them but the
-    steps of nu's walk into the antidominant chamber (`walk_down`).
-    nu's weight coordinates <nu, gamma_j^vee> are read off the packed
-    keys, key(nu) - key(s_j nu) = <nu, gamma_j^vee> key(gamma_j), as
-    `closed_subsystem` reads the Cartan matrix.
     """
     ctx = inp.hermitian.k_context
-    lam = inp.max_weights
     fiber = frozenset(inp.fiber)
 
     # pairs in (mu, nu) order, each with its coset maximum
-    orbits = {mu: coset_orbit(ctx, mu, fiber) for mu in lam}
-    lengths = []
-    for mu, orbit in orbits.items():
-        for nu in inp.fiber:  # sorted
-            hit = orbit.get(nu)
-            if hit is not None:
-                lengths.append((mu, nu, ctx.pos_count - hit[0]))
+    orbits = {mu: coset_orbit(ctx, mu, fiber) for mu in inp.max_weights}
+    lengths = [
+        (mu, nu, ctx.pos_count - orbit[nu])
+        for mu, orbit in orbits.items()
+        for nu in inp.fiber  # sorted
+        if nu in orbit
+    ]
     if not lengths:
         raise InternalInconsistencyError(
             "no pair admits any group element: maximal weights escape the fiber"
@@ -239,18 +230,6 @@ def max_weyl_length_fast(
             if best is None or witness < best[0]:
                 best = witness, (mu, nu)
     witness, pair_ = best
-
-    keys = ctx.rs.root_keys
-    nu = pair_[1]
-    p = [
-        (keys[nu] - keys[row[nu]]) // keys[g]
-        for g, row in zip(ctx.simples, ctx.gen_perms)
-    ]
-    if ctx.pos_count - len(ctx.walk_down(p)) != top:
-        raise InternalInconsistencyError(
-            "coset maximum disagrees with the count of K's positive roots "
-            "that pair nonpositively with nu"
-        )
     return top, witness, pair_
 
 

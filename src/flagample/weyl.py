@@ -26,8 +26,8 @@ from .rootsystem import RootSystem, Weight, _component_label, closed_subsystem, 
 
 DEFAULT_CAP = 10_000_000
 
-# root index -> (distance, generator that reached it); see coset_orbit
-Orbit = dict[int, tuple[int, int]]
+# root index -> its distance from w0(mu); see coset_orbit
+Orbit = dict[int, int]
 
 
 class SubsystemContext:
@@ -198,40 +198,34 @@ def coset_orbit(
     a root of `stop` (by index); with no such level, or an empty stop
     set, the whole orbit.
 
-    Maps each orbit point v (a root index) to (distance, generator), the
-    generator being the one that reached v, so that s_gen(v) is v's
-    parent; the start has generator -1.  The generators are involutions,
-    so the distance is that of the orbit graph, and for each nu in the
-    orbit the elements mapping nu to mu have their unique longest
-    element at length len(w0) - dist(nu, w0(mu)): w -> w0^{-1} w is a
-    bijection onto the elements u with u(nu) = w0(mu), reversing
+    Maps each orbit point v (a root index) to its distance from w0(mu)
+    in the orbit graph, whose edges are the simple reflections.  For each
+    nu in the orbit the elements mapping nu to mu have their unique
+    longest element at length len(w0) - dist(nu, w0(mu)): w -> w0^{-1} w
+    is a bijection onto the elements u with u(nu) = w0(mu), reversing
     lengths, and these form a coset u Stab(nu) of a reflection subgroup,
     which has a unique element of minimal length (Dyer, "Reflection
-    subgroups of Coxeter systems", 1990).  That element does not depend
-    on the BFS tree, and the tree path from nu to w0(mu) is one of
-    minimal length, so one search per mu gives every nu's coset maximum
-    and its witness.
+    subgroups of Coxeter systems", 1990), of length dist(nu, w0(mu)).
 
     The coset maximum falls as the distance grows, so the roots of stop
     nearest to w0(mu) are exactly those at the greatest coset maximum
     over stop, and the first level that meets stop holds all of them and
-    no nearer one.  The levels before it are complete, and each tree path
-    climbs one level per step, so the cut orbit holds every such root's
-    path to w0(mu): their distances, generators and witnesses are those
-    of the whole orbit.
+    no nearer one.  Every level up to it is complete, so the cut orbit
+    holds each such root with its true distance: nothing the search
+    skipped is nearer to w0(mu).
     """
     start = ctx.apply_word(ctx.w0_word, mu)
-    out = {start: (0, -1)}
+    out = {start: 0}
     frontier = [start]
     d = 0
     while frontier and stop.isdisjoint(frontier):
         d += 1
         nxt = []
         for v in frontier:
-            for i, gp in enumerate(ctx.gen_perms):
+            for gp in ctx.gen_perms:
                 w = gp[v]
                 if w not in out:
-                    out[w] = (d, i)
+                    out[w] = d
                     nxt.append(w)
         frontier = nxt
     return out
@@ -243,19 +237,36 @@ def _max_length_with_witness(
     """The longest element mapping the root of index nu to that of index
     mu, as its length and canonical word, from `orbit` =
     coset_orbit(ctx, mu, stop), whole or cut; None when nu is not in it.
-    A cut orbit holds the tree path of every root it holds."""
-    hit = orbit.get(nu)
-    if hit is None:
+    mu must be K-dominant, as a maximal fiber weight is: any other mu
+    whose orbit holds nu is refused.
+
+    mu is a highest weight of a K-module, so w0(mu) is the antidominant
+    weight of its orbit, and nu's walk into the antidominant chamber
+    (`walk_down`) ends there: its letters spell a shortest u with
+    u(nu) = w0(mu), which by Dyer's unique minimum (`coset_orbit`) is
+    the one such element of that length, and w = w0 o u is the witness.
+    The walk takes one step per positive root alpha of K with
+    (nu, alpha) > 0, so the coset maximum len(w0) - dist is also the
+    number of positive roots with (nu, alpha) <= 0 (Humphreys,
+    *Reflection Groups and Coxeter Groups*, 1.10): the walk's length
+    must be the distance the search found.  nu's weight coordinates
+    <nu, gamma_j^vee> are read off the packed keys, key(nu) - key(s_j
+    nu) = <nu, gamma_j^vee> key(gamma_j), as `closed_subsystem` reads
+    the Cartan matrix."""
+    dist = orbit.get(nu)
+    if dist is None:
         return None
-    dist, gen = hit
-    # walk the BFS tree from nu up to w0(mu): the generators, first
-    # applied first, spell the shortest u with u(nu) = w0(mu)
-    path: list[int] = []
-    v = nu
-    while gen >= 0:
-        path.append(gen)
-        v = ctx.gen_perms[gen][v]
-        gen = orbit[v][1]
+    keys = ctx.rs.root_keys
+    p = [
+        (keys[nu] - keys[row[nu]]) // keys[g]
+        for g, row in zip(ctx.simples, ctx.gen_perms)
+    ]
+    path = ctx.walk_down(p)
+    if len(path) != dist:
+        raise InternalInconsistencyError(
+            "coset maximum disagrees with the count of K's positive roots "
+            "that pair nonpositively with nu"
+        )
     length = ctx.pos_count - dist
     # w = w0 o u, held as -w(rho) in weight coordinates: the path letters
     # spell u, then w0's letters are applied, rightmost first

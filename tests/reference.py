@@ -22,8 +22,13 @@ from typing import NamedTuple
 
 from flagample import kernels
 from flagample.classify import KIND_PRODUCT, KIND_PSEUDOCONCAVE, Classification
-from flagample.dynkin import weyl_order
-from flagample.errors import InternalInconsistencyError, NotARootError, NotClosedError
+from flagample.dynkin import SERIES, DynkinType, weyl_order
+from flagample.errors import (
+    InternalInconsistencyError,
+    InvalidTypeError,
+    NotARootError,
+    NotClosedError,
+)
 from flagample.rootsystem import _component_label, _linked
 from flagample.weyl import (
     DEFAULT_CAP,
@@ -32,6 +37,25 @@ from flagample.weyl import (
     _max_length_with_witness,
     coset_orbit,
 )
+
+
+def all_types_up_to_rank(max_rank):
+    """Every valid simple type with rank at most max_rank, by series and
+    then rank."""
+    out = []
+    for series in SERIES:
+        for rank in range(1, max_rank + 1):
+            try:
+                out.append(DynkinType(series, rank))
+            except InvalidTypeError:
+                pass
+    return out
+
+
+def simple_roots(rs):
+    """The simple roots of rs: the unit vectors of the simple-root basis."""
+    n = rs.rank
+    return tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
 
 
 def compose(a, b):
@@ -117,12 +141,23 @@ def enumerate_weyl(rs, simples, cap=DEFAULT_CAP):
     return out
 
 
+def is_dominant(ctx, v):
+    """Whether the root of index v pairs nonnegatively with every simple
+    root of the context: s_gamma(v) = v - <v, gamma^vee> gamma sorts
+    below v iff (v, gamma) > 0, the roots being sorted by their
+    coordinates and gamma positive."""
+    return all(row[v] <= v for row in ctx.gen_perms)
+
+
 def max_length_mapping(rs, simples, mu, nu):
     """Largest subsystem length of an element w with w(nu) = mu, for
     coordinate vectors, or None when mu is not in the orbit of nu.
 
     nu must be a root (NotARootError otherwise); a mu that is not a root
-    lies in no root orbit, so it gives None."""
+    lies in no root orbit, so it gives None.  A root mu must be dominant
+    for the subsystem (`is_dominant`), as a maximal fiber weight is: the
+    library refuses any other mu whose orbit holds nu with
+    InternalInconsistencyError."""
     ctx = context(rs, simples)
     mu_i, nu_i = rs.root_index.get(tuple(mu)), rs.root_index.get(tuple(nu))
     if nu_i is None:

@@ -12,13 +12,14 @@ import time
 
 import pytest
 
-from flagample.dynkin import DynkinType, all_types_up_to_rank
+from flagample.dynkin import DynkinType
 from flagample.pipeline import CaseSpec, run_case, sweep_cases
 from flagample.realform import grade_roots
 from flagample.rootsystem import build_root_system
 from flagample.snow import closed_form_maximal_weights
 from flagample.weyl import SubsystemContext
 from reference import (
+    all_types_up_to_rank,
     enumerate_weyl,
     length_of_perm,
     simple_system,

@@ -4,7 +4,7 @@ import pytest
 
 from flagample.classify import KIND_PRODUCT, KIND_PSEUDOCONCAVE, classify
 from flagample.cycle import neutral_fiber, parabolic_data
-from flagample.dynkin import all_types_up_to_rank, parse_type
+from flagample.dynkin import parse_type
 from flagample.errors import InternalInconsistencyError
 from flagample.pipeline import sweep_cases
 from flagample.realform import grade_roots, hermitian_data
@@ -15,7 +15,7 @@ from flagample.snow import (
     assemble_input,
     closed_form_maximal_weights,
 )
-from reference import classify_by_q, closed_form_by_q, q_roots
+from reference import all_types_up_to_rank, classify_by_q, closed_form_by_q, q_roots
 
 
 def _search(label, marked, levi):

@@ -483,16 +483,29 @@ def test_identity_off_the_fiber_exits_3(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "label,noncompact,xi",
+    "label,noncompact,xi,message",
     [
         # k has a center, but the functional misses K's simple root a2
-        ("A2", "1", (1, 1)),
+        (
+            "A2",
+            "1",
+            (1, 1),
+            "compact span has rank deficiency 1, but the diagram functional "
+            "misses K's simple roots",
+        ),
         # k has no center, but the zero vector kills all of K's simples
-        ("C3", "1", (0, 0, 0)),
+        (
+            "C3",
+            "1",
+            (0, 0, 0),
+            "compact span has rank deficiency 0, but the diagram functional "
+            "kills K's simple roots",
+        ),
     ],
+    ids=["A2-1-xi0", "C3-1-xi1"],
 )
 def test_central_functional_disagreement_exits_3(
-    capsys, monkeypatch, label, noncompact, xi
+    capsys, monkeypatch, label, noncompact, xi, message
 ):
     realform = importlib.import_module("flagample.realform")
     monkeypatch.setattr(realform, "_central_functional", lambda rs, marked: xi)
@@ -500,8 +513,7 @@ def test_central_functional_disagreement_exits_3(
         capsys, "compute", "--type", label, "--noncompact", noncompact
     )
     assert (code, out) == (3, "")
-    assert err.startswith("internal inconsistency: ")
-    assert "diagram functional" in err
+    assert err == f"internal inconsistency: {message}\n"
 
 
 def _xi_zero(monkeypatch):
@@ -549,6 +561,32 @@ def test_xi_split_faults_exit_3(capsys, monkeypatch, corrupt, message):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, ""), argv
         assert err == f"internal inconsistency: {message}\n", argv
+
+
+def test_grading_of_rank_deficiency_two_exits_3(capsys, monkeypatch):
+    """The noncompact roots read as those odd at some marked node, not at
+    an odd number of them.  With two marked nodes of A3 the compact roots
+    are then those even at both, whose span misses two dimensions: no
+    real form grades the roots so, and `compute` and `table` exit 3 with
+    no output and the check's own message (the table reaches it at its
+    first two-node marking)."""
+    from flagample import pipeline
+    from flagample.realform import CompactnessGrading
+
+    def union(rs, marked):
+        marked = frozenset(marked)
+        odd = frozenset().union(*(rs.odd_roots[i - 1] for i in marked))
+        return CompactnessGrading(marked_simples=marked, noncompact_roots=odd)
+
+    monkeypatch.setattr(pipeline, "grade_roots", union)
+    _run_exits_3(
+        capsys,
+        (
+            ["compute", "--type", "A3", "--noncompact", "1,3"],
+            ["table", "--type", "A3", "--format", "json"],
+        ),
+        "compact span has rank deficiency 2",
+    )
 
 
 @pytest.mark.parametrize(
@@ -616,8 +654,10 @@ def test_w0_walk_from_a_wrong_start_exits_3(capsys, monkeypatch, label, noncompa
         capsys, "compute", "--type", label, "--noncompact", noncompact
     )
     assert (code, out) == (3, "")
-    assert err.startswith("internal inconsistency: ")
-    assert "simple coroot" in err
+    assert err == (
+        "internal inconsistency: sum of the positive subsystem roots is not "
+        "2 on every simple coroot\n"
+    )
 
 
 def _run_exits_3(capsys, argvs, message):
@@ -676,13 +716,26 @@ def test_w0_walk_faults_exit_3(capsys, monkeypatch, change, message):
 
 
 def _distances_one_on(snow, monkeypatch):
-    """The coset search reads every distance one more than the BFS found."""
+    """The coset search reads every distance one more than the BFS found:
+    nu's walk to w0(mu) is then one step shorter than the distance."""
     orbit = snow.coset_orbit
 
     def farther(ctx, mu, stop=frozenset()):
-        return {v: (d + 1, gen) for v, (d, gen) in orbit(ctx, mu, stop).items()}
+        return {v: d + 1 for v, d in orbit(ctx, mu, stop).items()}
 
     monkeypatch.setattr(snow, "coset_orbit", farther)
+
+
+def _last_letter_dropped(snow, monkeypatch):
+    """Each weight-coordinate reflection skips its last letter: the
+    witness is spelled from an element one letter off w0 o u."""
+    weyl = importlib.import_module("flagample.weyl")
+    reflect_weight = weyl.SubsystemContext.reflect_weight
+
+    def dropped(self, p, letters):
+        reflect_weight(self, p, list(letters)[:-1])
+
+    monkeypatch.setattr(weyl.SubsystemContext, "reflect_weight", dropped)
 
 
 def _weights_doubled(snow, monkeypatch):
@@ -723,6 +776,25 @@ def _opposite_fiber(snow, monkeypatch):
     monkeypatch.setattr(snow, "max_weyl_length_fast", opposite)
 
 
+def _maximal_weights_lowered(snow, monkeypatch):
+    """The coset search is handed, for each maximal weight mu, s_i(mu)
+    for the first simple root gamma_i of K with (mu, gamma_i) > 0: a root
+    of mu's orbit that is not K-dominant.  Its search meets the fiber,
+    and nu's walk then ends at the antidominant root w0(mu), which is
+    not w0(s_i mu)."""
+    route = snow.max_weyl_length_fast
+
+    def lowered(inp):
+        ctx = inp.hermitian.k_context
+        lam = tuple(
+            next((row[mu] for row in ctx.gen_perms if row[mu] < mu), mu)
+            for mu in inp.max_weights
+        )
+        return route(dataclasses.replace(inp, max_weights=lam))
+
+    monkeypatch.setattr(snow, "max_weyl_length_fast", lowered)
+
+
 def _maximal_weights_negated(snow, monkeypatch):
     """Assembly reads the negatives of the maximal fiber weights."""
     highest = snow.highest_weights
@@ -740,7 +812,19 @@ def _maximal_weights_negated(snow, monkeypatch):
         (
             _distances_one_on,
             ["--type", "A2", "--noncompact", "1"],
+            "coset maximum disagrees with the count of K's positive roots that "
+            "pair nonpositively with nu",
+        ),
+        (
+            _last_letter_dropped,
+            ["--type", "A2", "--noncompact", "1"],
             "coset maximum length mismatch between routes",
+        ),
+        (
+            _maximal_weights_lowered,
+            ["--type", "A3", "--noncompact", "1"],
+            "coset maximum disagrees with the count of K's positive roots that "
+            "pair nonpositively with nu",
         ),
         (
             _weights_doubled,
@@ -766,7 +850,15 @@ def _maximal_weights_negated(snow, monkeypatch):
             "maximal weights escape the fiber",
         ),
     ],
-    ids=["distance", "scaled-weight", "word-order", "no-pair", "escaped-maxima"],
+    ids=[
+        "distance",
+        "dropped-letter",
+        "non-dominant-mu",
+        "scaled-weight",
+        "word-order",
+        "no-pair",
+        "escaped-maxima",
+    ],
 )
 def test_coset_search_faults_exit_3(capsys, monkeypatch, corrupt, argv, message):
     """Each check of the coset search and its input stops `compute` and
@@ -785,9 +877,10 @@ def test_coset_maximum_off_the_closed_form_exits_3(capsys, monkeypatch):
     """On A3 {1} with the Levi node 1 the winning pair's nu is a1 + a2,
     which the fast route's stopped search reaches last and does not
     expand.  K's row of its simple root a2 read as fixing nu leaves the
-    search and the witness as they are, but gives nu the weight
-    coordinate 0 there instead of 1: the walk of nu into the
-    antidominant chamber then counts the coset maximum wrong."""
+    search as it is, but gives nu the weight coordinate 0 there instead
+    of 1: the walk of nu into the antidominant chamber then counts the
+    coset maximum wrong.  The table reaches the same check, which runs
+    on every tied pair."""
     from flagample import pipeline
     from flagample.rootsystem import build_root_system
 
@@ -805,7 +898,10 @@ def test_coset_maximum_off_the_closed_form_exits_3(capsys, monkeypatch):
     _change_k_contexts(monkeypatch, fixes_nu)
     _run_exits_3(
         capsys,
-        (["compute", "--type", "A3", "--noncompact", "1", "--levi", "1"],),
+        (
+            ["compute", "--type", "A3", "--noncompact", "1", "--levi", "1"],
+            ["table", "--type", "A3", "--format", "json"],
+        ),
         "coset maximum disagrees with the count of K's positive roots that "
         "pair nonpositively with nu",
     )
@@ -999,6 +1095,28 @@ def test_unreadable_config_exits_1(tmp_path, capsys, content):
     code, out, err = run(capsys, "compute", "--config", str(path))
     assert (code, out) == (1, "")
     assert err.startswith(f"error: cannot read config {path}")
+
+
+def test_config_series_is_one_letter(tmp_path, capsys):
+    """The series and the rank were joined into one label, so series
+    "A1" with rank 2 ran A12."""
+    path = tmp_path / "case.json"
+    path.write_text('{"series": "A1", "rank": 2, "noncompact": [1]}')
+    code, out, err = run(capsys, "compute", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: config key 'series' must be one letter of ABCDEFG\n"
+
+
+@pytest.mark.parametrize("command", ["compute", "table"])
+def test_rank_too_long_for_int_exits_1(capsys, command):
+    """A rank of more digits than int() converts (4,300 by default) is
+    refused like any rank out of bounds, not with a traceback."""
+    argv = [command, "--type", "A" + "1" * 5000]
+    if command == "compute":
+        argv += ["--noncompact", "1"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: rank of 5000 digits out of bounds for series A\n"
 
 
 def test_repeated_config_key_exits_1(tmp_path, capsys):

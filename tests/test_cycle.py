@@ -3,10 +3,11 @@ import itertools
 import pytest
 
 from flagample.cycle import ParabolicData, neutral_fiber, parabolic_data
-from flagample.dynkin import all_types_up_to_rank, parse_type
+from flagample.dynkin import parse_type
 from flagample.errors import BadNodeError, EmptyFiberError, NotProperError
 from flagample.realform import grade_roots, hermitian_data
 from flagample.rootsystem import build_root_system
+from reference import all_types_up_to_rank
 from test_realform import compact_roots, roots_of
 
 

@@ -1,8 +1,8 @@
 import pytest
 
+from flagample import dynkin
 from flagample.dynkin import (
     DynkinType,
-    all_types_up_to_rank,
     cartan_matrix,
     diagram_automorphisms,
     parse_type,
@@ -10,7 +10,9 @@ from flagample.dynkin import (
     symmetrizer,
     weyl_order,
 )
-from flagample.errors import InvalidTypeError
+from flagample.errors import InternalInconsistencyError, InvalidTypeError
+from flagample.rootsystem import build_root_system
+from reference import all_types_up_to_rank
 
 
 def test_parse():
@@ -78,3 +80,12 @@ def test_diagram_automorphisms():
     # the A3 flip reverses the chain
     autos = diagram_automorphisms(parse_type("A3"))
     assert (2, 1, 0) in autos
+
+
+def test_disconnected_diagram_is_refused(monkeypatch):
+    """A Cartan matrix of A1 x A1 given for A2: the symmetrizer spreads
+    along the bonds from node 1, never reaches node 2, and the build
+    stops."""
+    monkeypatch.setattr(dynkin, "cartan_matrix", lambda dt: ((2, 0), (0, 2)))
+    with pytest.raises(InternalInconsistencyError, match="^disconnected diagram$"):
+        build_root_system(parse_type("A2"))

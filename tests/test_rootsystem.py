@@ -1,5 +1,6 @@
 """Root generation checked against independent classical coordinate models."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -8,16 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagample.dynkin import all_types_up_to_rank, parse_type
-from flagample.errors import NotARootError, NotClosedError
+from flagample.dynkin import parse_type
+from flagample.errors import InternalInconsistencyError, NotARootError, NotClosedError
 from flagample.realform import grade_roots
 from flagample.rootsystem import _component_label, build_root_system, pair, reflect
-from flagample import weyl
+from flagample import dynkin, weyl
 from flagample.weyl import SubsystemContext
 from reference import (
+    all_types_up_to_rank,
     components,
     label_order,
     orbit_pass,
+    simple_roots,
     simple_system,
     subsystem_components,
 )
@@ -159,7 +162,7 @@ def test_counts_and_symmetry(dt):
     assert set(rs.roots) == {tuple(-x for x in v) for v in rs.roots}
     assert 2 * len(rs.positive_roots) == len(rs.roots)
     # closed under all simple reflections
-    for g in rs.simple_roots:
+    for g in simple_roots(rs):
         for v in rs.roots:
             assert reflect(rs, v, g) in rs.root_index
 
@@ -606,3 +609,37 @@ def test_pair_matches_double_sum(args):
     b, n = rs.pairing_matrix, rs.rank
     expected = sum(v[i] * b[i][j] * w[j] for i in range(n) for j in range(n))
     assert pair(rs, v, w) == expected
+
+
+@pytest.mark.parametrize(
+    "cartan,message",
+    [
+        # G2's Cartan matrix for A2: the closure finds 12 roots, not 6
+        (((2, -3), (-1, 2)), "root closure miscounted"),
+        # the bonds of A2 with a positive sign: s_1 sends a_2 to a_2 - a_1,
+        # and the six roots of the closure include +-(a_1 - a_2), which
+        # count as positive both ways
+        (((2, 1), (1, 2)), "positive roots are not half the roots"),
+    ],
+    ids=["closure", "half"],
+)
+def test_build_refuses_a_corrupt_cartan_matrix(monkeypatch, cartan, message):
+    """Each check on the closure's root set stops the build of A2 from a
+    wrong Cartan matrix."""
+    monkeypatch.setattr(dynkin, "cartan_matrix", lambda dt: cartan)
+    with pytest.raises(InternalInconsistencyError, match=f"^{message}$"):
+        build_root_system(parse_type("A2"))
+
+
+def test_reflection_row_refuses_a_non_integral_pairing():
+    """A2 with a_1 read as of norm 4: 2 (v, a_1) / (a_1, a_1) is then a
+    half-integer for the roots v next to a_1, and the row of a_1 is
+    refused when it is built."""
+    rs = build_root_system(parse_type("A2"))
+    a1 = rs.root_index[(1, 0)]
+    norms = list(rs.norms)
+    norms[a1] = 4
+    rs = dataclasses.replace(rs, norms=tuple(norms), _rows={}, _sums={})
+    message = "non-integral coroot pairing between roots"
+    with pytest.raises(InternalInconsistencyError, match=f"^{message}$"):
+        rs.reflection_row(a1)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from flagample import rootsystem, snow, weyl
 from flagample.cycle import neutral_fiber, parabolic_data
-from flagample.dynkin import all_types_up_to_rank, parse_type
+from flagample.dynkin import parse_type
 from flagample.errors import DegenerateGeometryError
 from flagample.kernels import word_of
 from flagample.pipeline import CaseSpec, run_case, sweep_cases
@@ -20,7 +20,13 @@ from flagample.snow import (
     max_weyl_length_fast,
 )
 from flagample.weyl import SubsystemContext
-from reference import enumerate_weyl, invert, list_scan, perm_of_word
+from reference import (
+    all_types_up_to_rank,
+    enumerate_weyl,
+    invert,
+    list_scan,
+    perm_of_word,
+)
 from test_realform import compact_positive_roots, roots_of
 
 

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from flagample import kernels, snow, weyl
 from flagample.cycle import neutral_fiber, parabolic_data
-from flagample.dynkin import all_types_up_to_rank, parse_type
+from flagample.dynkin import parse_type
 from flagample.errors import (
     DegenerateGeometryError,
     EnumerationCapError,
+    InternalInconsistencyError,
     NotARootError,
     NotClosedError,
 )
@@ -35,15 +36,18 @@ from flagample.weyl import (
 )
 from reference import (
     Element,
+    all_types_up_to_rank,
     canonical_word,
     compose,
     context,
     enumerate_weyl,
     identity,
     invert,
+    is_dominant,
     length_of_perm,
     max_length_mapping,
     perm_of_word,
+    simple_roots,
 )
 from test_snow import _exceptional_case
 
@@ -66,7 +70,7 @@ def test_enumerate_a1xa1(b2):
 
 
 def test_enumerate_a2_full(a2):
-    els = enumerate_weyl(a2, a2.simple_roots)
+    els = enumerate_weyl(a2, simple_roots(a2))
     assert len(els) == 6
     lengths = [e.length for e in els]
     assert sorted(lengths) == [0, 1, 1, 2, 2, 3]
@@ -82,13 +86,13 @@ def test_enumerate_a2_full(a2):
 
 
 def test_enumerate_b2_full(b2):
-    els = enumerate_weyl(b2, b2.simple_roots)
+    els = enumerate_weyl(b2, simple_roots(b2))
     assert len(els) == 8
     assert max(e.length for e in els) == 4
 
 
 def test_enumeration_order_is_canonical(a2):
-    els = enumerate_weyl(a2, a2.simple_roots)
+    els = enumerate_weyl(a2, simple_roots(a2))
     keys = [(e.length, e.word) for e in els]
     assert keys == sorted(keys)
     assert els[0].word == ()
@@ -97,9 +101,9 @@ def test_enumeration_order_is_canonical(a2):
 @pytest.mark.parametrize("label,order", [("A2", 6), ("A3", 24), ("B3", 48), ("C3", 48), ("D4", 192), ("G2", 12)])
 def test_orders_match_classical(label, order):
     rs = build_root_system(parse_type(label))
-    els = enumerate_weyl(rs, rs.simple_roots)
+    els = enumerate_weyl(rs, simple_roots(rs))
     assert len(els) == order
-    assert group_order_from_simples(rs, rs.simple_roots) == order
+    assert group_order_from_simples(rs, simple_roots(rs)) == order
 
 
 @pytest.mark.parametrize("simples", [[(1, 0), (1, 1)], [(1, 0), (0, 1), (1, 1)]])
@@ -112,20 +116,20 @@ def test_group_order_refuses_a_non_simple_system(simples):
 
 def test_inversion_count_equals_word_length():
     rs = build_root_system(parse_type("B3"))
-    ctx = context(rs, rs.simple_roots)
-    for el in enumerate_weyl(rs, rs.simple_roots):
+    ctx = context(rs, simple_roots(rs))
+    for el in enumerate_weyl(rs, simple_roots(rs)):
         assert length_of_perm(ctx, el.action) == len(el.word)
 
 
 def test_element_equality_by_action(a2):
-    els = enumerate_weyl(a2, a2.simple_roots)
+    els = enumerate_weyl(a2, simple_roots(a2))
     s1, s2 = els[1], els[2]
     assert s1.action != s2.action
     # s1*s2*s1 == s2*s1*s2 (the braid relation) as actions, and the
     # action of a word is the composition of its letters' actions
     a = compose(s1.action, compose(s2.action, s1.action))
     b = compose(s2.action, compose(s1.action, s2.action))
-    ctx = context(a2, a2.simple_roots)
+    ctx = context(a2, simple_roots(a2))
     assert perm_of_word(ctx, (0, 1, 0)) == a == b == perm_of_word(ctx, (1, 0, 1))
     # the two words name one element, whose canonical word is the least
     assert canonical_word(ctx, a) == (0, 1, 0)
@@ -160,18 +164,18 @@ def test_identity_element(a2):
 
 def test_enumeration_cap(a2):
     with pytest.raises(EnumerationCapError):
-        enumerate_weyl(a2, a2.simple_roots, cap=3)
+        enumerate_weyl(a2, simple_roots(a2), cap=3)
 
 
 @pytest.mark.parametrize("label", ["A2", "B3", "G2", "D4"])
 def test_enumeration_cap_boundary(label):
     rs = build_root_system(parse_type(label))
-    order = group_order_from_simples(rs, rs.simple_roots)
-    assert len(enumerate_weyl(rs, rs.simple_roots, cap=order)) == order
+    order = group_order_from_simples(rs, simple_roots(rs))
+    assert len(enumerate_weyl(rs, simple_roots(rs), cap=order)) == order
     with pytest.raises(EnumerationCapError):
-        enumerate_weyl(rs, rs.simple_roots, cap=order - 1)
+        enumerate_weyl(rs, simple_roots(rs), cap=order - 1)
     # the same boundary in the kernel itself
-    ctx = context(rs, rs.simple_roots)
+    ctx = context(rs, simple_roots(rs))
     args = (ctx.gen_perms, ctx.simples, ctx.simples, ctx.sub_sign)
     _, lengths, _ = kernels.enumerate_group(*args, order)
     assert len(lengths) == order
@@ -351,8 +355,8 @@ def _all_reduced_words(ctx, perm):
 @pytest.mark.parametrize("label", ["A2", "B2"])
 def test_words_are_lex_least_reduced(label):
     rs = build_root_system(parse_type(label))
-    ctx = context(rs, rs.simple_roots)
-    for el in enumerate_weyl(rs, rs.simple_roots):
+    ctx = context(rs, simple_roots(rs))
+    for el in enumerate_weyl(rs, simple_roots(rs)):
         words = _all_reduced_words(ctx, el.action)
         assert el.word == min(words)
         assert all(len(w) == el.length for w in words)
@@ -370,8 +374,8 @@ def _oracle_max_length(rs, simples, mu, nu):
 
 
 def test_max_length_mapping_a1_flip(a2):
-    # only the reflection itself maps gamma to -gamma in an A1 subsystem
-    assert max_length_mapping(a2, [(1, 0)], (-1, 0), (1, 0)) == 1
+    # only the reflection itself maps -gamma to gamma in an A1 subsystem
+    assert max_length_mapping(a2, [(1, 0)], (1, 0), (-1, 0)) == 1
 
 
 def test_max_length_mapping_orthogonal_pair(b2):
@@ -381,8 +385,9 @@ def test_max_length_mapping_orthogonal_pair(b2):
 
 
 def test_max_length_mapping_trivial_stabilizer(a2):
-    # roots of A2 have trivial stabilizer in W(A2)
-    assert max_length_mapping(a2, a2.simple_roots, (1, 0), (1, 0)) == 0
+    # roots of A2 have trivial stabilizer in W(A2); the highest root is
+    # the dominant one
+    assert max_length_mapping(a2, simple_roots(a2), (1, 1), (1, 1)) == 0
 
 
 def test_max_length_mapping_not_in_orbit(a2):
@@ -391,13 +396,13 @@ def test_max_length_mapping_not_in_orbit(a2):
 
 def test_max_length_mapping_mu_not_a_root(a2):
     # a non-root lies in no root orbit
-    assert max_length_mapping(a2, a2.simple_roots, (2, 0), (1, 0)) is None
+    assert max_length_mapping(a2, simple_roots(a2), (2, 0), (1, 0)) is None
     assert max_length_mapping(a2, [], (2, 0), (1, 0)) is None
 
 
 def test_max_length_mapping_nu_not_a_root(a2):
     with pytest.raises(NotARootError):
-        max_length_mapping(a2, a2.simple_roots, (1, 0), (2, 0))
+        max_length_mapping(a2, simple_roots(a2), (1, 0), (2, 0))
     with pytest.raises(NotARootError):
         max_length_mapping(a2, [], (0, 0), (0, 0))
 
@@ -412,25 +417,31 @@ def test_max_length_mapping_trivial_group(a2):
 
 
 def test_max_length_mapping_nontrivial_stabilizer(b2):
-    # the stabilizer of the short root a2 = e2 in W(B2) is {e, s_{e1}},
-    # and s_{e1} has length 3: the coset {w : w(a2) = a2} peaks at 3
-    assert max_length_mapping(b2, b2.simple_roots, (0, 1), (0, 1)) == 3
-    assert _oracle_max_length(b2, b2.simple_roots, (0, 1), (0, 1)) == 3
+    # the stabilizer of the dominant short root a1 + a2 = e1 in W(B2) is
+    # {e, s_{e2}}, and s_{e2} = s_{a2}: the coset {w : w(e1) = e1} peaks
+    # at 1
+    assert max_length_mapping(b2, simple_roots(b2), (1, 1), (1, 1)) == 1
+    assert _oracle_max_length(b2, simple_roots(b2), (1, 1), (1, 1)) == 1
     # while {w : w(e2) = e1} = {swap, rotation} peaks at 2
-    assert max_length_mapping(b2, b2.simple_roots, (1, 1), (0, 1)) == 2
-    assert _oracle_max_length(b2, b2.simple_roots, (1, 1), (0, 1)) == 2
+    assert max_length_mapping(b2, simple_roots(b2), (1, 1), (0, 1)) == 2
+    assert _oracle_max_length(b2, simple_roots(b2), (1, 1), (0, 1)) == 2
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "A3", "B3", "G2"])
 def test_max_length_mapping_matches_oracle_everywhere(label):
-    """Exhaustive equality of the fast route and the brute scan over all
-    (mu, nu) root pairs for the full Weyl group."""
+    """Over all (mu, nu) root pairs for the full Weyl group: the fast
+    route equals the brute scan for every dominant mu, and refuses every
+    other mu whose orbit holds nu."""
     rs = build_root_system(parse_type(label))
+    ctx = context(rs, simple_roots(rs))
     for nu in rs.roots:
         for mu in rs.roots:
-            fast = max_length_mapping(rs, rs.simple_roots, mu, nu)
-            brute = _oracle_max_length(rs, rs.simple_roots, mu, nu)
-            assert fast == brute
+            brute = _oracle_max_length(rs, simple_roots(rs), mu, nu)
+            if brute is None or is_dominant(ctx, rs.root_index[mu]):
+                assert max_length_mapping(rs, simple_roots(rs), mu, nu) == brute
+            else:
+                with pytest.raises(InternalInconsistencyError):
+                    max_length_mapping(rs, simple_roots(rs), mu, nu)
 
 
 def test_orbit_stays_in_roots(b2):
@@ -456,8 +467,9 @@ def _k_context(rs, marked):
 def _check_coset_maxima_by_enumeration(ctx, nus):
     """Group the elements of the group by (nu, w(nu)), for each root
     index nu of nus: each group has exactly one element of maximal
-    length, and it is the witness read off coset_orbit, whose keys are
-    nu's orbit."""
+    length (Dyer), whatever mu = w(nu) is, and coset_orbit's keys are
+    nu's orbit.  For a dominant mu that element is the witness; any
+    other mu is refused."""
     rs = ctx.rs
     elements = enumerate_weyl(rs, [rs.roots[g] for g in ctx.simples])
     orbits = {}
@@ -471,6 +483,10 @@ def _check_coset_maxima_by_enumeration(ctx, nus):
             assert orbits[mu].keys() == groups.keys(), (mu, nu)
             top = max(el.length for el in group)
             (longest,) = [el for el in group if el.length == top]
+            if not is_dominant(ctx, mu):
+                with pytest.raises(InternalInconsistencyError):
+                    _max_length_with_witness(ctx, mu, nu, orbits[mu])
+                continue
             length, word = _max_length_with_witness(ctx, mu, nu, orbits[mu])
             assert (length, word, perm_of_word(ctx, word)) == (
                 top,
@@ -486,7 +502,7 @@ def test_coset_maximum_is_unique_and_is_the_witness(dt):
     search returns it."""
     rs = build_root_system(dt)
     contexts = [_k_context(rs, marked) for marked in _all_markings(dt.rank)]
-    contexts.append(context(rs, rs.simple_roots))
+    contexts.append(context(rs, simple_roots(rs)))
     for ctx in contexts:
         _check_coset_maxima_by_enumeration(ctx, range(len(rs.roots)))
         # a root outside nu's orbit gives None
@@ -535,7 +551,7 @@ def test_w0_word_matches_coordinate_walk(dt):
     """For K of every marking, and for the whole Weyl group."""
     rs = build_root_system(dt)
     contexts = [_k_context(rs, marked) for marked in _all_markings(dt.rank)]
-    contexts.append(context(rs, rs.simple_roots))
+    contexts.append(context(rs, simple_roots(rs)))
     for ctx in contexts:
         _check_w0_word(ctx)
 
@@ -597,19 +613,20 @@ def _reference_max_length_with_witness(ctx, mu, nu):
 @given(_marked_root(["E6", "E7", "E8"]), st.booleans(), st.data())
 @settings(max_examples=40, deadline=None)
 def test_witness_matches_search_from_nu(case, in_orbit, data):
-    """On E6, E7 and E8, the witness read off the BFS tree of w0(mu) is the
-    one the BFS from nu builds, and a mu outside nu's orbit gives None
-    on both routes."""
+    """On E6, E7 and E8, for a dominant mu, the witness spelled from nu's
+    walk is the one the BFS from nu builds, and a mu outside nu's orbit
+    gives None on both routes."""
     label, marked, nu = case
     ctx = _cached_k_context(label, marked)
     rs = ctx.rs
     nu = rs.root_index[nu]
     if in_orbit:
-        # nu's orbit is w0(mu)'s orbit for every mu in it
-        orbit = coset_orbit(ctx, nu)
-        mu = data.draw(st.sampled_from(sorted(orbit)))
+        # nu's orbit is w0(mu)'s orbit for every mu in it, and holds one
+        # dominant root
+        (mu,) = filter(functools.partial(is_dominant, ctx), coset_orbit(ctx, nu))
     else:
-        mu = rs.root_index[data.draw(st.sampled_from(rs.roots))]
+        dominant = [v for v in range(len(rs.roots)) if is_dominant(ctx, v)]
+        mu = data.draw(st.sampled_from(dominant))
     res = _max_length_with_witness(ctx, mu, nu, coset_orbit(ctx, mu))
     ref = _reference_max_length_with_witness(ctx, mu, nu)
     if ref is None:
@@ -649,10 +666,10 @@ def _case_inputs(rs, cases):
 def _cut_at_first_hit(orbit, stop):
     """The BFS orbit with every level after the first that holds a root
     of stop removed; the whole orbit when no level does."""
-    hits = [dist for v, (dist, _) in orbit.items() if v in stop]
+    hits = [dist for v, dist in orbit.items() if v in stop]
     if not hits:
         return list(orbit.items())
-    return [(v, entry) for v, entry in orbit.items() if entry[0] <= min(hits)]
+    return [(v, dist) for v, dist in orbit.items() if dist <= min(hits)]
 
 
 @pytest.mark.parametrize(
@@ -701,7 +718,7 @@ def _check_closed_form_coset_maxima(ctx, mus, nus):
         for nu in nus:
             if nu in orbit:
                 count = sum(1 for row in rows if row[nu] < nu)
-                assert orbit[nu][0] == count, (rs.dynkin, mu, nu)
+                assert orbit[nu] == count, (rs.dynkin, mu, nu)
                 checked += 1
     return checked
 
