@@ -47,7 +47,7 @@ first.  This is not (length, word) order.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Sequence
 
 # one level's coset representatives u, each (least word, u^{-1} as the
 # byte string of root indices), identity first
@@ -79,7 +79,7 @@ def enumerate_group(
     gens: Sequence[Sequence[int]],
     simple_positions: Sequence[int],
     tracked: Sequence[int],
-    sign: Mapping[int, int],
+    positive_start: int,
     cap: int,
 ) -> tuple[list[bytearray], bytearray, list[Level]]:
     """Enumerate the reflection group generated by `gens`.
@@ -88,8 +88,11 @@ def enumerate_group(
         permutations of its root indices range(n), n <= 256.
     simple_positions: the index of the simple root of each generator.
     tracked: the positions whose inverse images the caller reads.
-    sign: sign[v] > 0 iff v is a positive root, for every root v of the
-        root system that gens generate.
+    positive_start: a root of the root system that gens generate is
+        negative iff its index is below positive_start.  For K this is
+        rs.positive_indices.start: K's positive roots are
+        ambient-positive, so K's sign is the ambient sign, and the
+        sorted roots put every negative root before every positive one.
     cap: OverflowError is raised iff the group has more elements, before
         any element is built.  So it is, first of all, when n > 256: a
         root index must fit in a byte (see the module docstring).
@@ -105,7 +108,9 @@ def enumerate_group(
     identity = bytes(range(len(gens[0]))) if gens else b""
     gens = [_table(bytes(g)) for g in gens]
     simples = bytes(simple_positions)
-    negative = {v for v, s in sign.items() if s < 0}
+    # the indices below the boundary, as a set: one membership test per
+    # byte costs less than comparing each byte with the boundary
+    negative = frozenset(range(positive_start))
     factors = [
         _coset_representatives(identity, gens[:m], simples, negative)
         for m in range(1, len(gens) + 1)
@@ -134,7 +139,7 @@ def enumerate_group(
 
 
 def _coset_representatives(
-    identity: bytes, gens: list[bytes], simples: bytes, negative: set[int]
+    identity: bytes, gens: list[bytes], simples: bytes, negative: frozenset[int]
 ) -> Level:
     """Minimal representatives u of the right cosets of W_{m-1} in W_m,
     m = len(gens), in breadth-first order from the identity, each as

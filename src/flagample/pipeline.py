@@ -192,20 +192,21 @@ def _status_tag(exc: Exception) -> str:
     return name[:-5] if name.endswith("Error") else name
 
 
-def _table_worker(spec: CaseSpec) -> dict:
-    dt = spec.dynkin
-    row = {"input": input_block(dt.series, dt.rank, spec.noncompact, spec.levi)}
-    try:
-        report = run_case(spec)
-    except (DegenerateGeometryError, EnumerationCapError) as exc:
-        # a degenerate cell or a budget overrun flags its row; the rest
-        # of the sweep still runs
-        row["status"] = _status_tag(exc)
-        row["report"] = None
-        return row
-    row["status"] = "ok"
-    row["report"] = report
-    return row
+def _table_rows(specs: list[CaseSpec]) -> list[dict]:
+    """The table rows of the cases, in order; a pool task is one
+    marking's cases."""
+    rows = []
+    for spec in specs:
+        try:
+            report, status = run_case(spec), "ok"
+        except (DegenerateGeometryError, EnumerationCapError) as exc:
+            # a degenerate cell or a budget overrun flags its row; the
+            # rest of the sweep still runs
+            report, status = None, _status_tag(exc)
+        dt = spec.dynkin
+        block = input_block(dt.series, dt.rank, spec.noncompact, spec.levi)
+        rows.append({"input": block, "status": status, "report": report})
+    return rows
 
 
 def _usable_cpus() -> int:
@@ -227,8 +228,8 @@ def run_table(
 ) -> list[dict]:
     """Evaluate every case of a type; rows come back in case order
     regardless of parallelism.  The pool never exceeds the CPUs this
-    process may use or the number of cases.  A rank above MAX_TABLE_RANK
-    is refused before any case is built."""
+    process may use or the number of markings.  A rank above
+    MAX_TABLE_RANK is refused before any case is built."""
     if dynkin.rank > MAX_TABLE_RANK:
         raise InvalidTypeError(
             f"table rank {dynkin.rank} out of bounds (1..{MAX_TABLE_RANK}): "
@@ -238,13 +239,17 @@ def run_table(
         CaseSpec(dynkin, m, l, method, verify, max_weyl)
         for m, l in sweep_cases(dynkin, dedupe=dedupe)
     ]
-    jobs = min(jobs, _usable_cpus(), len(specs))
+    # a task per marking, not per case: handing one case over costs more
+    # than running it; sweep order keeps each marking's cases together
+    tasks = [
+        list(group)
+        for _, group in itertools.groupby(specs, key=lambda s: s.noncompact)
+    ]
+    jobs = min(jobs, _usable_cpus(), len(tasks))
     if jobs <= 1:
-        return [_table_worker(s) for s in specs]
+        return _table_rows(specs)
     # the pool machinery costs start-up time and memory: import on demand
     from concurrent.futures import ProcessPoolExecutor
 
-    # a task per marking, not per case: handing one case over costs more
-    # than running it
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_table_worker, specs, chunksize=2**dynkin.rank - 1))
+        return list(itertools.chain.from_iterable(pool.map(_table_rows, tasks)))

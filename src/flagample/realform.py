@@ -11,7 +11,6 @@ Roots are named by their index in the sorted `RootSystem.roots`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress
@@ -88,8 +87,8 @@ def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData
     K's data is read off the compact positive roots in one pass: their
     context (`SubsystemContext`) finds K's simple roots, proves the
     compact roots reflection-closed by checks on index sets, and gives
-    K's Cartan matrix and the signs and components of its roots, from
-    which the labels of K's components and |W(K)| are read.
+    K's Cartan matrix and its components, from which the labels of K's
+    components and |W(K)| are read.
 
     The center of k has two independent routes.  center_dim is the rank
     deficiency of the span of the compact roots, which K's simple system
@@ -108,7 +107,7 @@ def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData
         ctx = SubsystemContext(
             rs, frozenset(rs.positive_indices).difference(noncompact)
         )
-        labels = ctx.labels()
+        labels = ctx.labels
     except NotClosedError as exc:
         # K's roots, of even marked sum, are always closed: a refusal is a bug
         raise InternalInconsistencyError(str(exc)) from None
@@ -212,17 +211,10 @@ def _real_form_name(rs, grading, center_dim, labels) -> str:
     cnt = len(rs.roots) - len(grading.noncompact_roots)
 
     if series == "A":
-        total = n + 1
-        pq2 = total * total - total - cnt
-        if pq2 >= 0 and pq2 % 2 == 0:
-            pq = pq2 // 2
-            disc = total * total - 4 * pq
-            s = math.isqrt(disc) if disc >= 0 else -1
-            if s * s == disc and (total + s) % 2 == 0:
-                p = (total + s) // 2
-                q = total - p
-                if p >= 1 and q >= 1 and p * (p - 1) + q * (q - 1) == cnt:
-                    return f"su({p},{q})"
+        for p in range(n, 0, -1):
+            q = n + 1 - p
+            if p >= q and p * (p - 1) + q * (q - 1) == cnt:
+                return f"su({p},{q})"
     elif series == "B":
         for p in range(1, n + 1):
             q = n - p

@@ -245,14 +245,15 @@ def reflect(rs: RootSystem, v: Sequence, gamma: Weight):
 def closed_subsystem(rs: RootSystem, positives: Iterable[int]) -> tuple:
     """The closed subsystem whose positive roots have the indices
     `positives`, read off them as the plain tuple (simples, rows,
-    cartan, sign, parts): its simple roots (by index, sorted), their
+    cartan, parts): its simple roots (by index, sorted), their
     reflection rows (the root system's own tuples), their Cartan matrix,
-    cartan[i][j] = <gamma_j, gamma_i^vee>, the sign of each of its roots
-    (by index), and per irreducible component, in order of its first
-    simple, the positions of its simples and the set of its positive
-    roots.
+    cartan[i][j] = <gamma_j, gamma_i^vee>, and per irreducible
+    component, in order of its first simple, the positions of its
+    simples and the set of its positive roots.
     NotClosedError unless the positives are the positive half of a
-    reflection-closed subsystem.
+    reflection-closed subsystem.  They must be ambient-positive, so the
+    subsystem's sign is the ambient one: a root of it is negative iff
+    its index is below rs.positive_indices.start.
 
     The simple roots are found in the root system's height order: a
     root is simple unless the row of a simple root found before it
@@ -292,7 +293,7 @@ def closed_subsystem(rs: RootSystem, positives: Iterable[int]) -> tuple:
     keys = rs.root_keys
     order = list(filter(pos.__contains__, rs.positives_by_height))
     if not order:
-        return (), (), (), {}, ()
+        return (), (), (), ()
     # the images of pos under a row, a tuple even when pos has one root
     images_of = itemgetter(*order, order[0])
     found = []  # (simple, its row, the roots of pos it lowers)
@@ -316,14 +317,11 @@ def closed_subsystem(rs: RootSystem, positives: Iterable[int]) -> tuple:
         tuple((keys[gj] - keys[row[gj]]) // keys[gi] for gj in simples)
         for gi, row in zip(simples, rows)
     )
-    last = len(rs.roots) - 1
-    sign = dict.fromkeys(map(last.__sub__, order), -1)
-    sign.update(dict.fromkeys(order, 1))
     parts = tuple(
         (members, frozenset().union(*map(downs.__getitem__, members)))
         for members in _linked(cartan)
     )
-    return simples, rows, cartan, sign, parts
+    return simples, rows, cartan, parts
 
 
 def _linked(cartan) -> list[tuple[int, ...]]:

@@ -17,6 +17,7 @@ which equals the length of any reduced word for w.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import kernels
@@ -36,21 +37,25 @@ class SubsystemContext:
     read off those roots in one pass (`closed_subsystem`): every entry
     of the reflection rows it reads was proven when the root system
     built the row, so per context only closure and descent are checked,
-    on index sets."""
+    on index sets.  The positive roots are ambient-positive, so the
+    subsystem's positive system is the ambient one cut down to it: a
+    root of it is negative iff its index is below
+    rs.positive_indices.start, and no sign is stored."""
 
     def __init__(self, rs: RootSystem, positives: Iterable[int]):
         """NotClosedError unless the positives are the positive half of a
         reflection-closed subsystem (`closed_subsystem`)."""
         self.rs = rs
+        self.positives: tuple[int, ...] = tuple(sorted(set(positives)))
+        self.pos_count = len(self.positives)
         # the simple roots, each simple reflection as a permutation of
-        # the root indices, the Cartan matrix, each root's sign and each
-        # component's simples and positive roots, from one pass
+        # the root indices, the Cartan matrix and each component's
+        # simples and positive roots, from one pass
         self.simples: tuple[int, ...]
         self.gen_perms: tuple[tuple[int, ...], ...]
-        self.simples, self.gen_perms, self.cartan, self.sub_sign, self.parts = (
-            closed_subsystem(rs, positives)
+        self.simples, self.gen_perms, self.cartan, self.parts = closed_subsystem(
+            rs, self.positives
         )
-        self.pos_count = len(self.sub_sign) // 2
         # for each simple i, its Dynkin neighbours j with cartan[j][i] =
         # <gamma_i, gamma_j^vee>, the nonzero off-diagonal entries of
         # column i: s_i changes no other weight coordinate than these and i
@@ -59,8 +64,6 @@ class SubsystemContext:
             tuple((j, a) for j, a in enumerate(col) if j != i and a)
             for i, col in enumerate(columns)
         )
-        self._w0_word: tuple[int, ...] | None = None
-        self._labels: tuple[str, ...] | None = None
 
     @classmethod
     def from_simples(cls, rs: RootSystem, simples: Iterable[int]) -> "SubsystemContext":
@@ -83,21 +86,20 @@ class SubsystemContext:
             )
         return ctx
 
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         """The labels of the irreducible components, by abstract Dynkin
         type (so a D3 component reports as A3, a C2 as B2), larger rank
-        first and then by label; found on first use and kept."""
-        if self._labels is None:
-            comps = sorted(
-                (-len(members), _component_label(self.rs, members, positives))
-                for members, positives in self.parts
-            )
-            self._labels = tuple(label for _, label in comps)
-        return self._labels
+        first and then by label."""
+        comps = sorted(
+            (-len(members), _component_label(self.rs, members, positives))
+            for members, positives in self.parts
+        )
+        return tuple(label for _, label in comps)
 
     def order(self) -> int:
         """|W|, the product of the Weyl group orders of the components."""
-        return math.prod(weyl_order(c[0], int(c[1:])) for c in self.labels())
+        return math.prod(weyl_order(c[0], int(c[1:])) for c in self.labels)
 
     # Weight coordinates: a weight v of the subsystem is the list p with
     # p_j = <v, gamma_j^vee>, and s_i sends p_j to p_j - p_i cartan[j][i].
@@ -134,7 +136,7 @@ class SubsystemContext:
             steps.append(i)
         raise InternalInconsistencyError("weight walk did not terminate")
 
-    @property
+    @cached_property
     def w0_word(self) -> tuple[int, ...]:
         """A reduced word for the longest element of the subsystem group,
         found by walking 2 rho, the sum of the positive subsystem roots,
@@ -145,27 +147,20 @@ class SubsystemContext:
         to Lie Algebras and Representation Theory*, 10.2, Lemma B); the
         start is paired once in ambient coordinates and checked against
         that, (2 rho, gamma) = (gamma, gamma), which ties the positive
-        system of sub_sign to the pairing."""
-        if self._w0_word is None:
-            rs = self.rs
-            positives = (rs.roots[i] for i, s in self.sub_sign.items() if s > 0)
-            two_rho = tuple(map(sum, zip(*positives)))
-            # the simple root first: pair sums over its nonzero coordinates
-            if any(
-                pair(rs, rs.roots[g], two_rho) != rs.norms[g] for g in self.simples
-            ):
-                raise InternalInconsistencyError(
-                    "sum of the positive subsystem roots is not 2 on every "
-                    "simple coroot"
-                )
-            steps = self.walk_down([2] * len(self.simples))
-            if len(steps) != self.pos_count:
-                raise InternalInconsistencyError(
-                    "longest-element walk has wrong length"
-                )
-            # steps[t] is applied first; word order is composition order
-            self._w0_word = tuple(reversed(steps))
-        return self._w0_word
+        roots held to the pairing."""
+        rs = self.rs
+        two_rho = tuple(map(sum, zip(*map(rs.roots.__getitem__, self.positives))))
+        # the simple root first: pair sums over its nonzero coordinates
+        if any(pair(rs, rs.roots[g], two_rho) != rs.norms[g] for g in self.simples):
+            raise InternalInconsistencyError(
+                "sum of the positive subsystem roots is not 2 on every "
+                "simple coroot"
+            )
+        steps = self.walk_down([2] * len(self.simples))
+        if len(steps) != self.pos_count:
+            raise InternalInconsistencyError("longest-element walk has wrong length")
+        # steps[t] is applied first; word order is composition order
+        return tuple(reversed(steps))
 
     def apply_word(self, word: Sequence[int], v: int) -> int:
         """Apply s_{word[0]} o ... o s_{word[-1]} to the root of index v."""
@@ -184,7 +179,7 @@ def _enumerate(
     order; `kernels.word_of` reads the canonical word of any one."""
     try:
         return kernels.enumerate_group(
-            ctx.gen_perms, ctx.simples, tracked, ctx.sub_sign, cap
+            ctx.gen_perms, ctx.simples, tracked, ctx.rs.positive_indices.start, cap
         )
     except OverflowError as exc:
         raise EnumerationCapError(str(exc)) from None

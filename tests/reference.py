@@ -83,12 +83,17 @@ def perm_of_word(ctx, word):
     return p
 
 
+def is_negative(ctx, v):
+    """Whether the root of index v is negative: the subsystem's positive
+    roots are ambient-positive, and the sorted roots put every negative
+    root first."""
+    return v < ctx.rs.positive_indices.start
+
+
 def length_of_perm(ctx, p):
     """Reference length: subsystem-positive roots sent negative by the
     root permutation p."""
-    return sum(
-        1 for i, s in ctx.sub_sign.items() if s > 0 and ctx.sub_sign[p[i]] < 0
-    )
+    return sum(1 for i in ctx.positives if is_negative(ctx, p[i]))
 
 
 def canonical_word(ctx, p):
@@ -102,9 +107,7 @@ def canonical_word(ctx, p):
     for _ in range(ctx.pos_count + 1):
         if inv == one:
             return tuple(word)
-        i = next(
-            k for k, gi in enumerate(ctx.simples) if ctx.sub_sign[inv[gi]] < 0
-        )
+        i = next(k for k, gi in enumerate(ctx.simples) if is_negative(ctx, inv[gi]))
         word.append(i)
         inv = compose(inv, ctx.gen_perms[i])
     raise AssertionError("canonical word did not terminate")
@@ -198,7 +201,7 @@ def label_order(label):
 def components(ctx):
     """The context's irreducible components, read off its parts and
     labelled as the library labels them, larger rank first and then by
-    label; their labels are ctx.labels()."""
+    label; their labels are ctx.labels."""
     rs = ctx.rs
     comps = []
     for members, positives in ctx.parts:
@@ -210,7 +213,7 @@ def components(ctx):
             )
         )
     comps.sort(key=lambda c: (-c.rank, c.label))
-    assert tuple(c.label for c in comps) == ctx.labels()
+    assert tuple(c.label for c in comps) == ctx.labels
     return tuple(comps)
 
 
@@ -385,21 +388,24 @@ def require_closed(pos, orbit):
 
 
 def orbit_pass(rs, positives):
-    """The library pass's tuple (simples, rows, cartan, sign, parts),
-    and each root's coordinates in the simple basis, by the former
-    construction; NotClosedError as that construction refuses."""
+    """The library pass's tuple (simples, rows, cartan, parts), and each
+    root's coordinates in the simple basis, by the former construction;
+    NotClosedError as that construction refuses."""
     simples, pos = indecomposables(rs, positives)
     rows = tuple(map(rs.reflection_row, simples))
-    cartan, coords, sign, parts = subsystem_orbit(rs, simples, rows)
+    cartan, coords, _, parts = subsystem_orbit(rs, simples, rows)
     require_closed(pos, coords)
-    return (simples, rows, cartan, sign, parts), coords
+    return (simples, rows, cartan, parts), coords
 
 
 def coords(ctx):
     """Each root of the context (by index) with its coordinates in the
-    basis of the context's simple roots, from the orbit search."""
+    basis of the context's simple roots, from the orbit search, whose
+    positive roots, those of nonnegative coordinates, are the context's
+    own."""
     cartan, coords, sign, _ = subsystem_orbit(ctx.rs, ctx.simples, ctx.gen_perms)
-    assert (cartan, sign) == (ctx.cartan, ctx.sub_sign)
+    assert cartan == ctx.cartan
+    assert tuple(sorted(v for v, s in sign.items() if s > 0)) == ctx.positives
     return coords
 
 

@@ -638,18 +638,17 @@ def test_closed_form_faults_exit_3(capsys, monkeypatch, label, change, message):
     "label,noncompact", [("A2", "1"), ("B3", "2"), ("E6", "1")]
 )
 def test_w0_walk_from_a_wrong_start_exits_3(capsys, monkeypatch, label, noncompact):
-    """K's first simple root counted as negative: the sum of the
-    positive roots is then not 2 rho, and the walk for w0 refuses to
+    """K's first simple root dropped from K's positive roots: the sum of
+    the positive roots is then not 2 rho, and the walk for w0 refuses to
     start from it."""
     weyl = importlib.import_module("flagample.weyl")
     init = weyl.SubsystemContext.__init__
 
-    def init_with_a_sign_flipped(self, *args):
+    def init_with_a_simple_dropped(self, *args):
         init(self, *args)
-        if self.simples:
-            self.sub_sign[self.simples[0]] = -1
+        self.positives = tuple(v for v in self.positives if v != self.simples[0])
 
-    monkeypatch.setattr(weyl.SubsystemContext, "__init__", init_with_a_sign_flipped)
+    monkeypatch.setattr(weyl.SubsystemContext, "__init__", init_with_a_simple_dropped)
     code, out, err = run(
         capsys, "compute", "--type", label, "--noncompact", noncompact
     )
@@ -1165,7 +1164,7 @@ def test_max_weyl_accepts_one_to_the_default_cap(value):
     assert cli.DEFAULT_CAP == 10_000_000
 
 
-@pytest.mark.parametrize("cpus,expected", [(4, 4), (64, 9), (None, 1)])
+@pytest.mark.parametrize("cpus,expected", [(2, 2), (64, 3), (None, 1)])
 def test_table_jobs_clamped(monkeypatch, cpus, expected):
     import concurrent.futures
 
@@ -1184,8 +1183,9 @@ def test_table_jobs_clamped(monkeypatch, cpus, expected):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize=1):
-            pools.append(chunksize)
+        def map(self, fn, items):
+            items = list(items)
+            pools.append([len(task) for task in items])
             return map(fn, items)
 
     # run_table imports the pool class on demand; without an affinity
@@ -1194,20 +1194,39 @@ def test_table_jobs_clamped(monkeypatch, cpus, expected):
     monkeypatch.delattr(pipeline.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cpus)
     rows = pipeline.run_table(parse_type("A2"), jobs=1000)
-    assert len(rows) == 9
-    # a task is one marking's three Levi subsets
-    assert pools == ([expected, 3] if expected > 1 else [])
+    assert rows == pipeline.run_table(parse_type("A2"))
+    # A2 has three markings, which cap the pool; a task is one
+    # marking's three Levi subsets
+    assert pools == ([expected, [3, 3, 3]] if expected > 1 else [])
 
 
-def test_table_jobs_give_the_serial_rows():
+def test_table_jobs_give_the_serial_rows(monkeypatch):
     """A pool of two runs the deduplicated D4 table in tasks of one
     marking each, and its rows are the serial run's, in order."""
+    import concurrent.futures
+
     from flagample import pipeline
     from flagample.dynkin import parse_type
 
+    tasks = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def map(self, fn, items):
+            items = list(items)
+            tasks.extend(items)
+            return super().map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
     d4 = parse_type("D4")
     serial = pipeline.run_table(d4, dedupe=True)
     assert pipeline.run_table(d4, dedupe=True, jobs=2) == serial
+    # every case once, in sweep order, and each marking in one task
+    cases = [(s.noncompact, s.levi) for task in tasks for s in task]
+    assert cases == pipeline.sweep_cases(d4, dedupe=True)
+    markings = [{s.noncompact for s in task} for task in tasks]
+    assert all(len(m) == 1 for m in markings)
+    assert len(set().union(*markings)) == len(tasks)
 
 
 def test_table_jobs_bounded_by_affinity(monkeypatch):

@@ -8,6 +8,7 @@ from flagample.dynkin import parse_type
 from flagample.errors import BadNodeError, CompactFormError
 from flagample.realform import (
     _central_functional,
+    _real_form_name,
     grade_roots,
     hermitian_data,
     highest_weights,
@@ -189,6 +190,28 @@ def test_names():
         assert hermitian_data(rs, g).kname == expected, (label, marked)
 
 
+def test_su_pq_names_every_a_marking():
+    """An A_n marking names su(p,q), p >= q, where p and q count the two
+    classes of the n + 1 coordinates: e_a - e_b, a < b, is the sum of
+    the simple roots of nodes a..b-1, so it is noncompact iff an odd
+    number of marked nodes lie there, and the coordinates split by the
+    parity of the marked nodes before them.  Every marking of A1-A8, and
+    every one- to three-node marking of A9-A20: 7,781 markings."""
+    import itertools
+
+    checked = 0
+    for n in range(1, 21):
+        rs = build_root_system(parse_type(f"A{n}"))
+        for k in range(1, (n if n <= 8 else 3) + 1):
+            for marked in itertools.combinations(range(1, n + 1), k):
+                parity = [sum(i < a for i in marked) % 2 for a in range(1, n + 2)]
+                q = min(parity.count(0), parity.count(1))
+                g = grade_roots(rs, marked)
+                assert _real_form_name(rs, g, 0, ()) == f"su({n + 1 - q},{q})"
+                checked += 1
+    assert checked == 7781
+
+
 def test_f4_single_markings_are_the_two_forms():
     f4 = build_root_system(parse_type("F4"))
     names = set()
@@ -300,12 +323,11 @@ def test_xi_separates_marked_simple(a2):
 def test_shared_k_data_matches_direct_route(dt):
     """hermitian_data's K simple system, components and |W(K)|, read off
     its one pass, equal the direct computations and the all-pairs
-    reference.  The signs of K's roots are the signs of their
-    coordinates in K's simple basis (from the reference orbit search),
-    which are also the ambient signs, and the positive count is the
-    number of compact positive roots."""
+    reference.  K's positive roots are exactly the compact
+    ambient-positive roots, and they are the roots of nonnegative
+    coordinates in K's simple basis (the reference orbit search, in
+    `coords`), so K's sign is the ambient sign."""
     rs = build_root_system(dt)
-    first = rs.positive_indices.start
     for marked in _all_markings(dt.rank):
         g = grade_roots(rs, marked)
         h = hermitian_data(rs, g)
@@ -319,14 +341,13 @@ def test_shared_k_data_matches_direct_route(dt):
         assert h.k_type == ("×".join(c[0] for c in comps) or "0")
         assert h.k_order == math.prod(c[3] for c in comps)
         assert h.k_order == group_order_from_simples(rs, k_simples)
+        compact = sorted(frozenset(rs.positive_indices) - g.noncompact_roots)
+        assert ctx.positives == tuple(compact), (dt, marked)
         assert ctx.pos_count == len(k_pos)
-        k_coords = coords(ctx)
-        assert ctx.sub_sign.keys() == k_coords.keys()
-        for v, c in k_coords.items():
-            want = 1 if min(c) >= 0 else -1
-            assert ctx.sub_sign[v] == want == (1 if v >= first else -1), (marked, v)
+        # the orbit search's positive roots are ctx.positives (`coords`)
+        assert len(coords(ctx)) == 2 * len(compact)
         assert components(ctx) == comps, (dt, marked)
-        assert ctx.labels() == tuple(c[0] for c in comps)
+        assert ctx.labels == tuple(c[0] for c in comps)
 
 
 @pytest.mark.parametrize(

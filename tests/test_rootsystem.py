@@ -354,7 +354,7 @@ def test_simple_system_matches_all_pairs_reference(args):
     simples, comps, ctx = (route() for route in routes)
     assert simples == tuple(rs.roots[g] for g in ctx.simples) == expected
     assert comps == components(ctx) == reference_components(rs, pos)
-    assert ctx.labels() == tuple(c.label for c in comps)
+    assert ctx.labels == tuple(c.label for c in comps)
     assert ctx.order() == math.prod(c.order for c in comps)
 
 
@@ -562,24 +562,27 @@ def _markings(label):
 def test_context_matches_the_orbit_pass(monkeypatch, label):
     """For K of each marking, the context read off K's positive roots
     holds what the former orbit search from K's simple roots gives: the
-    simple roots and their rows, the Cartan matrix, the signs and the
-    positive count, each component's simples and positive roots, and
-    the labels, the group order and the word of w0 of a context built on
-    that search."""
+    simple roots and their rows, the Cartan matrix, the positive roots,
+    those of nonnegative coordinates in the simple basis, and their
+    count, each component's simples and positive roots, and the labels,
+    the group order and the word of w0 of a context built on that
+    search."""
     rs = build_root_system(parse_type(label))
     for marked in _markings(label):
         noncompact = grade_roots(rs, marked).noncompact_roots
         pos = frozenset(rs.positive_indices).difference(noncompact)
         ctx = SubsystemContext(rs, pos)
-        data, _ = orbit_pass(rs, pos)
+        data, coords = orbit_pass(rs, pos)
         with monkeypatch.context() as m:
             m.setattr(weyl, "closed_subsystem", lambda rs, pos: data)
             ref = SubsystemContext(rs, pos)
-        simples, rows, cartan, sign, parts = data
+        simples, rows, cartan, parts = data
         assert (ctx.simples, ctx.gen_perms, ctx.cartan) == (simples, rows, cartan)
-        assert ctx.sub_sign == sign and ctx.pos_count == ref.pos_count == len(pos)
+        found = tuple(sorted(v for v, c in coords.items() if min(c) >= 0))
+        assert ctx.positives == ref.positives == found, marked
+        assert ctx.pos_count == ref.pos_count == len(pos)
         assert ctx.parts == tuple((members, frozenset(p)) for members, p in parts)
-        assert ctx.labels() == ref.labels(), marked
+        assert ctx.labels == ref.labels, marked
         assert ctx.order() == ref.order(), marked
         assert ctx.w0_word == ref.w0_word, marked
 

@@ -44,6 +44,7 @@ from reference import (
     identity,
     invert,
     is_dominant,
+    is_negative,
     length_of_perm,
     max_length_mapping,
     perm_of_word,
@@ -176,7 +177,7 @@ def test_enumeration_cap_boundary(label):
         enumerate_weyl(rs, simple_roots(rs), cap=order - 1)
     # the same boundary in the kernel itself
     ctx = context(rs, simple_roots(rs))
-    args = (ctx.gen_perms, ctx.simples, ctx.simples, ctx.sub_sign)
+    args = (ctx.gen_perms, ctx.simples, ctx.simples, rs.positive_indices.start)
     _, lengths, _ = kernels.enumerate_group(*args, order)
     assert len(lengths) == order
     with pytest.raises(OverflowError):
@@ -188,7 +189,8 @@ def test_kernel_refuses_more_than_256_positions(monkeypatch):
     before any element, coset representative included, is built, and
     one of 256 positions is enumerated."""
     swap = (1, 0) + tuple(range(2, 256))
-    args = ([0], [0], {0: 1, 1: -1}, DEFAULT_CAP)
+    # the simple root is position 1, and position 0 below it is negative
+    args = ([1], [1], 1, DEFAULT_CAP)
     _, lengths, _ = kernels.enumerate_group([swap], *args)
     assert lengths == bytearray((0, 1))
 
@@ -291,7 +293,8 @@ def test_kernel_matches_action_enumeration(dt):
 
         positions = ctx.simples + h.lambda_max_s
         images, lengths, factors = kernels.enumerate_group(
-            ctx.gen_perms, ctx.simples, positions, ctx.sub_sign, len(actions)
+            ctx.gen_perms, ctx.simples, positions, rs.positive_indices.start,
+            len(actions),
         )
         assert len(lengths) == len(actions), marked
         assert all(len(col) == len(actions) for col in images), marked
@@ -317,7 +320,7 @@ def test_kernel_count_is_the_product_of_the_levels(dt):
         h = hermitian_data(rs, grade_roots(rs, marked))
         ctx = h.k_context
         _, lengths, factors = kernels.enumerate_group(
-            ctx.gen_perms, ctx.simples, (), ctx.sub_sign, DEFAULT_CAP
+            ctx.gen_perms, ctx.simples, (), rs.positive_indices.start, DEFAULT_CAP
         )
         assert len(lengths) == math.prod(map(len, factors)) == h.k_order, marked
 
@@ -330,7 +333,8 @@ def test_kernel_words_are_canonical_e6(marked):
     h = hermitian_data(rs, grade_roots(rs, marked))
     ctx = SubsystemContext.from_simples(rs, h.k_context.simples)
     images, lengths, factors = kernels.enumerate_group(
-        ctx.gen_perms, ctx.simples, identity(ctx), ctx.sub_sign, h.k_order
+        ctx.gen_perms, ctx.simples, identity(ctx), rs.positive_indices.start,
+        h.k_order,
     )
     assert len(lengths) == h.k_order
     for i, row in enumerate(zip(*images)):
@@ -346,7 +350,7 @@ def _all_reduced_words(ctx, perm):
     inv = invert(perm)
     out = set()
     for i, gi in enumerate(ctx.simples):
-        if ctx.sub_sign[inv[gi]] < 0:
+        if is_negative(ctx, inv[gi]):
             rest = _all_reduced_words(ctx, compose(ctx.gen_perms[i], perm))
             out |= {(i,) + r for r in rest}
     return out
@@ -518,7 +522,7 @@ def _reference_w0_word(ctx):
     positively with until there is none."""
     rs = ctx.rs
     v = tuple(
-        sum(rs.roots[i][j] for i, s in ctx.sub_sign.items() if s > 0)
+        sum(rs.roots[i][j] for i in ctx.positives)
         for j in range(rs.rank)
     )
     simples = [rs.roots[g] for g in ctx.simples]
@@ -539,8 +543,9 @@ def _check_w0_word(ctx):
     assert word == _reference_w0_word(ctx)
     assert len(word) == ctx.pos_count
     p = perm_of_word(ctx, word)
-    for v, s in ctx.sub_sign.items():
-        assert ctx.sub_sign[p[v]] == -s
+    first, last = ctx.rs.positive_indices.start, len(ctx.rs.roots) - 1
+    for v in ctx.positives:
+        assert p[v] < first <= p[last - v]
     assert compose(p, p) == identity(ctx)
 
 
@@ -711,7 +716,7 @@ def _check_closed_form_coset_maxima(ctx, mus, nus):
     iff (nu, alpha) > 0, the roots being sorted by their coordinates and
     alpha positive.  Returns the number of pairs checked."""
     rs = ctx.rs
-    rows = [rs.reflection_row(a) for a, s in ctx.sub_sign.items() if s > 0]
+    rows = [rs.reflection_row(a) for a in ctx.positives]
     checked = 0
     for mu in mus:
         orbit = coset_orbit(ctx, mu)
