@@ -17,7 +17,6 @@ from json.encoder import encode_basestring as _encode_str
 from .dynkin import SERIES, DynkinType, parse_type
 from .errors import (
     BadInputError,
-    CompactFormError,
     DegenerateGeometryError,
     FlagampleError,
     InternalInconsistencyError,
@@ -149,13 +148,15 @@ def _build_parser() -> _Parser:
 
 
 def _parse_nodes(text: str | None) -> tuple[int, ...] | None:
+    """The nodes of a comma-separated list, as given; `CaseSpec` sorts
+    them and drops repeats."""
     if text is None:
         return None
     text = text.strip()
     if not text:
         return ()
     try:
-        return tuple(sorted({int(x) for x in text.split(",")}))
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise BadInputError(f"cannot parse node list {text!r}") from None
 
@@ -223,17 +224,13 @@ def _case_from_args(args) -> CaseSpec:
     else:
         raise BadInputError("no Dynkin type given (--type or config series/rank)")
 
+    # an empty marking passes: grade_roots refuses it as a compact form
     noncompact = _parse_nodes(args.noncompact)
     if noncompact is None:
-        noncompact = tuple(sorted(set(cfg.get("noncompact", ()))))
-    if not noncompact:
-        raise CompactFormError(
-            "empty marking selects the compact real form, which has no flag domains"
-        )
-
+        noncompact = cfg.get("noncompact", ())
     levi = _parse_nodes(args.levi)
     if levi is None:
-        levi = tuple(sorted(set(cfg.get("levi", ()))))
+        levi = cfg.get("levi", ())
 
     method = args.method if args.method is not None else cfg.get("method", "auto")
     if method not in METHODS:
@@ -325,10 +322,11 @@ def _fmt_node_set(nodes) -> str:
 
 
 def _report_text(rep: Report) -> str:
+    spec = rep.spec
     lines = [
-        f"case        : {rep.series}{rep.rank}"
-        f"  noncompact={_fmt_node_set(rep.noncompact)}"
-        f"  levi={_fmt_node_set(rep.levi)}",
+        f"case        : {spec.dynkin}"
+        f"  noncompact={_fmt_node_set(spec.noncompact)}"
+        f"  levi={_fmt_node_set(spec.levi)}",
         f"real form   : {rep.realform_name}   k = {rep.k_type}"
         f"   center_dim = {rep.center_dim}"
         f"   hermitian = {'yes' if rep.hermitian else 'no'}",
@@ -347,12 +345,12 @@ def _report_text(rep: Report) -> str:
 
 
 def _row_cells(row: dict) -> list[str]:
-    inp = row["input"]
+    spec: CaseSpec = row["spec"]
     rep: Report | None = row["report"]
     cells = [
-        f"{inp['series']}{inp['rank']}",
-        _fmt_nodes(inp["noncompact"]),
-        _fmt_nodes(inp["levi"]),
+        str(spec.dynkin),
+        _fmt_nodes(spec.noncompact),
+        _fmt_nodes(spec.levi),
         row["status"],
     ]
     if rep is None:
@@ -395,14 +393,15 @@ def _table_tsv(rows: list[dict], write) -> None:
 
 def _table_json(dynkin, rows: list[dict], write) -> None:
     """The table as one JSON object {series, rank, rows}, written row by
-    row: each row's dict is built, rendered, written and dropped."""
+    row: each row's dict, its input block included, is built, rendered,
+    written and dropped."""
     int_lists: dict = {}
     series = _json_text(dynkin.series, 1, int_lists)
     write(f'{{\n  "series": {series},\n  "rank": {dynkin.rank},\n  "rows": [')
     sep = "\n    "
     for r in rows:
         row = {
-            "input": r["input"],
+            "input": input_block(r["spec"]),
             "status": r["status"],
             "report": r["report"].to_json_dict() if r["report"] else None,
         }
@@ -411,15 +410,15 @@ def _table_json(dynkin, rows: list[dict], write) -> None:
     write("\n  ]\n}\n")
 
 
-def _oracle_skipped(rep: Report, verify: bool) -> bool:
+def _oracle_skipped(rep: Report) -> bool:
     """--verify was given, but the cap kept the brute-force oracle out."""
-    return verify and "bruteforce" not in rep.routes
+    return rep.spec.verify and "bruteforce" not in rep.routes
 
 
 def _cmd_compute(args) -> int:
     spec = _case_from_args(args)
     report = run_case(spec)
-    if _oracle_skipped(report, spec.verify):
+    if _oracle_skipped(report):
         print(
             f"note: brute-force oracle skipped (|W(K)|={report.k_order}"
             f" > --max-weyl {spec.max_weyl})",
@@ -428,8 +427,7 @@ def _cmd_compute(args) -> int:
     if args.format == "json":
         print(_json_text(report.to_json_dict(), 0, {}))
     elif args.format == "tsv":
-        inp = input_block(report.series, report.rank, report.noncompact, report.levi)
-        row = {"input": inp, "status": "ok", "report": report}
+        row = {"spec": spec, "status": "ok", "report": report}
         _table_tsv([row], sys.stdout.write)
     else:
         print(_report_text(report))
@@ -441,18 +439,15 @@ def _cmd_table(args) -> int:
         raise BadInputError("no Dynkin type given (--type)")
     dynkin = parse_type(args.type)
     method = args.method if args.method is not None else "auto"
-    verify = bool(args.verify)
     rows = run_table(
         dynkin,
         method=method,
-        verify=verify,
+        verify=bool(args.verify),
         max_weyl=args.max_weyl,
         dedupe=args.dedupe,
         jobs=args.jobs,
     )
-    skipped = sum(
-        1 for r in rows if r["report"] and _oracle_skipped(r["report"], verify)
-    )
+    skipped = sum(1 for r in rows if r["report"] and _oracle_skipped(r["report"]))
     if skipped:
         print(
             f"note: brute-force oracle skipped in {skipped} cases"

@@ -25,7 +25,9 @@ MAX_TABLE_RANK = 8
 
 @dataclass(frozen=True)
 class CaseSpec:
-    """One pipeline input; node lists are sorted, 1-based."""
+    """One pipeline input, and the one place it is held: the node sets
+    are given as any iterables of 1-based nodes and stored sorted and
+    without repeats, so equal cases compare, hash and report alike."""
 
     dynkin: DynkinType
     noncompact: tuple[int, ...]
@@ -34,15 +36,17 @@ class CaseSpec:
     verify: bool = False
     max_weyl: int = DEFAULT_CAP
 
+    def __post_init__(self):
+        # frozen: the normal form is written past the dataclass's guard
+        object.__setattr__(self, "noncompact", tuple(sorted(set(self.noncompact))))
+        object.__setattr__(self, "levi", tuple(sorted(set(self.levi))))
+
 
 @dataclass(frozen=True)
 class Report:
-    """Flat record of everything one run produced."""
+    """Flat record of everything one run produced, with the case it ran."""
 
-    series: str
-    rank: int
-    noncompact: tuple[int, ...]
-    levi: tuple[int, ...]
+    spec: CaseSpec
     realform_name: str
     k_type: str
     center_dim: int
@@ -71,7 +75,7 @@ class Report:
         1-based generator indices for the witness word.  k_order and
         routes are not part of it."""
         return {
-            "input": input_block(self.series, self.rank, self.noncompact, self.levi),
+            "input": input_block(self.spec),
             "realform": {
                 "name": self.realform_name,
                 "k_type": self.k_type,
@@ -101,13 +105,14 @@ class Report:
         }
 
 
-def input_block(series: str, rank: int, noncompact, levi) -> dict:
-    """The `input` block of the JSON schema, for reports and table rows."""
+def input_block(spec: CaseSpec) -> dict:
+    """The `input` block of the JSON schema, read off the spec; reports
+    and the rows `table` writes build it when they are rendered."""
     return {
-        "series": series,
-        "rank": rank,
-        "noncompact": list(noncompact),
-        "levi": list(levi),
+        "series": spec.dynkin.series,
+        "rank": spec.dynkin.rank,
+        "noncompact": list(spec.noncompact),
+        "levi": list(spec.levi),
     }
 
 
@@ -128,10 +133,7 @@ def run_case(spec: CaseSpec) -> Report:
     amp = ampleness(inp, method=spec.method, verify=spec.verify, cap=spec.max_weyl)
     cls = classify(amp, pd, herm)
     return Report(
-        series=spec.dynkin.series,
-        rank=spec.dynkin.rank,
-        noncompact=tuple(sorted(spec.noncompact)),
-        levi=tuple(sorted(spec.levi)),
+        spec=spec,
         realform_name=herm.kname,
         k_type=herm.k_type,
         center_dim=herm.center_dim,
@@ -193,8 +195,8 @@ def _status_tag(exc: Exception) -> str:
 
 
 def _table_rows(specs: list[CaseSpec]) -> list[dict]:
-    """The table rows of the cases, in order; a pool task is one
-    marking's cases."""
+    """The table rows of the cases, in order, each {spec, status,
+    report}; a pool task is one marking's cases."""
     rows = []
     for spec in specs:
         try:
@@ -203,9 +205,7 @@ def _table_rows(specs: list[CaseSpec]) -> list[dict]:
             # a degenerate cell or a budget overrun flags its row; the
             # rest of the sweep still runs
             report, status = None, _status_tag(exc)
-        dt = spec.dynkin
-        block = input_block(dt.series, dt.rank, spec.noncompact, spec.levi)
-        rows.append({"input": block, "status": status, "report": report})
+        rows.append({"spec": spec, "status": status, "report": report})
     return rows
 
 

@@ -200,37 +200,33 @@ def max_weyl_length_fast(
     from w0(mu) per maximal mu, stopped after the first level that holds
     a fiber weight, gives that distance for every nu nearest to w0(mu),
     which are the pairs at mu's greatest length; the levels it skips
-    hold only pairs of smaller length.  Each tied pair's witness is
-    spelled from nu's own walk to w0(mu), which also counts its maximum
-    a second way (`_max_length_with_witness`).  The least canonical
-    word among the pairs that reach the maximum is the brute-force
-    scan's tie-break, and the first pair in (mu, nu) order that has it
-    is the pair returned.
+    hold only pairs of smaller length.  So the maximum is len(w0) less
+    the least distance any search reached.  Each pair at that distance
+    has its witness spelled from nu's own walk to w0(mu), which also
+    counts its maximum a second way (`_max_length_with_witness`).  The
+    least canonical word among them is the brute-force scan's
+    tie-break, and the first pair in (mu, nu) order that has it is the
+    pair returned, since the maximal and the fiber weights are sorted.
     """
     ctx = inp.hermitian.k_context
     fiber = frozenset(inp.fiber)
 
-    # pairs in (mu, nu) order, each with its coset maximum
-    orbits = {mu: coset_orbit(ctx, mu, fiber) for mu in inp.max_weights}
-    lengths = [
-        (mu, nu, ctx.pos_count - orbit[nu])
-        for mu, orbit in orbits.items()
-        for nu in inp.fiber  # sorted
-        if nu in orbit
-    ]
-    if not lengths:
+    # (distance, mu, nu) for each fiber root a cut search reached
+    reached = []
+    for mu in inp.max_weights:
+        orbit = coset_orbit(ctx, mu, fiber)
+        reached += [(orbit[nu], mu, nu) for nu in inp.fiber if nu in orbit]
+    if not reached:
         raise InternalInconsistencyError(
             "no pair admits any group element: maximal weights escape the fiber"
         )
-    top = max(length for _, _, length in lengths)
-    best = None
-    for mu, nu, length in lengths:
-        if length == top:
-            _, witness = _max_length_with_witness(ctx, mu, nu, orbits[mu])
-            if best is None or witness < best[0]:
-                best = witness, (mu, nu)
-    witness, pair_ = best
-    return top, witness, pair_
+    least = min(reached)[0]
+    witness, pair_ = min(
+        (_max_length_with_witness(ctx, mu, nu, dist), (mu, nu))
+        for dist, mu, nu in reached
+        if dist == least
+    )
+    return ctx.pos_count - least, witness, pair_
 
 
 def ampleness(

@@ -227,13 +227,13 @@ def coset_orbit(
 
 
 def _max_length_with_witness(
-    ctx: SubsystemContext, mu: int, nu: int, orbit: Orbit
-) -> tuple[int, tuple[int, ...]] | None:
-    """The longest element mapping the root of index nu to that of index
-    mu, as its length and canonical word, from `orbit` =
-    coset_orbit(ctx, mu, stop), whole or cut; None when nu is not in it.
-    mu must be K-dominant, as a maximal fiber weight is: any other mu
-    whose orbit holds nu is refused.
+    ctx: SubsystemContext, mu: int, nu: int, dist: int
+) -> tuple[int, ...]:
+    """The canonical word of the longest element mapping the root of
+    index nu to that of index mu, whose length is ctx.pos_count - dist,
+    for nu's distance dist from w0(mu) in coset_orbit(ctx, mu, stop),
+    whole or cut.  mu must be K-dominant, as a maximal fiber weight is:
+    any other mu whose orbit holds nu is refused.
 
     mu is a highest weight of a K-module, so w0(mu) is the antidominant
     weight of its orbit, and nu's walk into the antidominant chamber
@@ -248,9 +248,6 @@ def _max_length_with_witness(
     <nu, gamma_j^vee> are read off the packed keys, key(nu) - key(s_j
     nu) = <nu, gamma_j^vee> key(gamma_j), as `closed_subsystem` reads
     the Cartan matrix."""
-    dist = orbit.get(nu)
-    if dist is None:
-        return None
     keys = ctx.rs.root_keys
     p = [
         (keys[nu] - keys[row[nu]]) // keys[g]
@@ -281,7 +278,7 @@ def _max_length_with_witness(
         raise InternalInconsistencyError("canonical word does not reduce to rho")
     if ctx.apply_word(word, nu) != mu:
         raise InternalInconsistencyError("witness does not map nu to mu")
-    return length, word
+    return word
 
 
 def group_order_from_simples(rs: RootSystem, simples: Iterable[Weight]) -> int:

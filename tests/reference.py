@@ -167,8 +167,10 @@ def max_length_mapping(rs, simples, mu, nu):
         raise NotARootError(f"{tuple(nu)} is not a root of {rs.dynkin}")
     if mu_i is None:
         return None
-    res = _max_length_with_witness(ctx, mu_i, nu_i, coset_orbit(ctx, mu_i))
-    return None if res is None else res[0]
+    dist = coset_orbit(ctx, mu_i).get(nu_i)
+    if dist is None:
+        return None
+    return len(_max_length_with_witness(ctx, mu_i, nu_i, dist))
 
 
 def _closed_subsystem(rs, pos):

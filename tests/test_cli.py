@@ -187,6 +187,37 @@ def test_config_file(tmp_path, capsys):
     assert data["classification"]["kind"] == "ProductOverHSS"
 
 
+@pytest.mark.parametrize("fmt", ["text", "tsv", "json"])
+def test_node_lists_in_any_order_with_repeats(tmp_path, capsys, fmt):
+    """A marking or Levi set given unsorted and with repeats, by flag or
+    by config, prints the bytes of its sorted, repeat-free form."""
+    case = ["compute", "--type", "A3", "--format", fmt]
+    want = run(capsys, *case, "--noncompact", "1,2", "--levi", "3")
+    assert want[0] == 0
+    assert run(capsys, *case, "--noncompact", "2,1,1", "--levi", "3,3") == want
+    cfg = tmp_path / "case.json"
+    cfg.write_text(
+        json.dumps({"series": "A", "rank": 3, "noncompact": [2, 1, 1], "levi": [3, 3]})
+    )
+    assert run(capsys, "compute", "--config", str(cfg), "--format", fmt) == want
+
+
+def test_bad_input_wins_over_an_empty_marking(tmp_path, capsys):
+    """Bad input is refused before the case runs, so an unknown method
+    or an unreadable Levi list with no marking exits 1 on the input, not
+    2 on the compact form."""
+    cfg = tmp_path / "case.json"
+    cfg.write_text(json.dumps({"series": "A", "rank": 2, "method": "bogus"}))
+    code, out, err = run(capsys, "compute", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert "unknown method 'bogus'" in err
+    code, out, err = run(
+        capsys, "compute", "--type", "A2", "--noncompact", "", "--levi", "x"
+    )
+    assert (code, out) == (1, "")
+    assert "cannot parse node list 'x'" in err
+
+
 def test_table_a2(capsys):
     code, out, _ = run(capsys, "table", "--type", "A2", "--format", "tsv")
     assert code == 0

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from flagample import cli
 from flagample.dynkin import parse_type
 from flagample.errors import InvalidTypeError
-from flagample.pipeline import CaseSpec, run_case, run_table, sweep_cases
+from flagample.pipeline import CaseSpec, input_block, run_case, run_table, sweep_cases
 
 
 def _reference(obj) -> str:
@@ -41,7 +41,7 @@ def _payload(dynkin, rows) -> dict:
         "rank": dynkin.rank,
         "rows": [
             {
-                "input": r["input"],
+                "input": input_block(r["spec"]),
                 "status": r["status"],
                 "report": r["report"].to_json_dict() if r["report"] else None,
             }

@@ -186,9 +186,8 @@ def _auto_case(draw, types):
 
 # D4 has triality, the others one involution each
 _AUTO_TYPES = [DynkinType("A", 5), DynkinType("D", 4), DynkinType("D", 5), DynkinType("E", 6)]
-# compared as sets after their coordinates or nodes are moved
+# compared as sets after their coordinates are moved
 _WEIGHT_FIELDS = {"e0_weights", "max_weights", "k_simples"}
-_NODE_FIELDS = {"noncompact", "levi"}
 
 
 def _auto_fields(row, sigma):
@@ -208,16 +207,16 @@ def _auto_fields(row, sigma):
     def nodes(values):
         return frozenset(sigma[i - 1] + 1 for i in values)
 
-    case = tuple(nodes(row["input"][part]) for part in ("noncompact", "levi"))
+    spec = row["spec"]
+    case = (nodes(spec.noncompact), nodes(spec.levi))
     report = row["report"]
     fields = {}
     for field in dataclasses.fields(report) if report else ():
         value = getattr(report, field.name)
         if field.name in _WEIGHT_FIELDS:
             fields[field.name] = frozenset(map(move, value))
-        elif field.name in _NODE_FIELDS:
-            fields[field.name] = nodes(value)
-        elif field.name != "witness_word":
+        elif field.name not in ("spec", "witness_word"):
+            # the report's spec is the row's, moved into `case`
             fields[field.name] = value
     return case, row["status"], fields
 
@@ -234,7 +233,7 @@ def test_invariant_under_diagram_automorphisms():
                 continue
             for row in rows:
                 got = _auto_fields(row, sigma)
-                assert got == stated[got[0]], (dt, sigma, row["input"])
+                assert got == stated[got[0]], (dt, sigma, row["spec"])
 
 
 @given(_auto_case([DynkinType("E", 6), DynkinType("B", 5), DynkinType("C", 5)]))
@@ -247,7 +246,7 @@ def test_verified_case_invariants(case):
     the ampleness range, the degree, and the product verdict against the
     structural test computed here from the grading and the parabolic."""
     dt, marked, levi = case
-    spec = CaseSpec(dt, tuple(sorted(marked)), tuple(sorted(levi)), verify=True)
+    spec = CaseSpec(dt, marked, levi, verify=True)
     try:
         rep = run_case(spec)
     except DegenerateGeometryError:
@@ -263,6 +262,19 @@ def test_verified_case_invariants(case):
     tangent = set(parabolic_data(rs, g, levi).tangent_weights)
     one_half = tangent.issuperset(h.s_plus) or tangent.issuperset(h.s_minus)
     assert (rep.kind == "ProductOverHSS") == (h.center_dim > 0 and one_half)
+
+
+def test_case_input_is_held_sorted_without_repeats():
+    """A spec's node sets are stored sorted and without repeats, so its
+    report states the case that ran."""
+    a3 = DynkinType("A", 3)
+    spec = CaseSpec(a3, (2, 1, 1), [3, 3])
+    assert (
+        run_case(spec).to_json_dict()
+        == run_case(CaseSpec(a3, (1, 2), (3,))).to_json_dict()
+    )
+    assert (spec.noncompact, spec.levi) == ((1, 2), (3,))
+    assert spec == CaseSpec(a3, (1, 2), (3,))
 
 
 # D3 = A3 and C2 = B2: each node of the first type (1-based) and the node
@@ -313,9 +325,9 @@ def test_isomorphic_presentations_agree(source, target, nodes):
         return tuple(out)
 
     def key(row, image=lambda i: i):
-        block = row["input"]
+        spec = row["spec"]
         return tuple(
-            tuple(sorted(map(image, block[part]))) for part in ("noncompact", "levi")
+            tuple(sorted(map(image, part))) for part in (spec.noncompact, spec.levi)
         )
 
     want = {
@@ -326,4 +338,4 @@ def test_isomorphic_presentations_agree(source, target, nodes):
     assert len(rows) == len(want)
     for row in rows:
         got = (row["status"], _iso_fields(row["report"], _SAME_FORM.get, move))
-        assert got == want[key(row, lambda i: nodes[i - 1])], row["input"]
+        assert got == want[key(row, lambda i: nodes[i - 1])], row["spec"]
