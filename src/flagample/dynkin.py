@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InternalInconsistencyError, InvalidTypeError
 
@@ -111,22 +110,23 @@ def cartan_matrix(dynkin: DynkinType) -> tuple[tuple[int, ...], ...]:
 def symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Minimal positive integers d with d_i a_ij = d_j a_ji."""
     n = len(cartan)
-    d: list[Fraction | None] = [None] * n
-    d[0] = Fraction(1)
-    # propagate across bonds; the diagram is connected for simple types
+    d = [1] + [0] * (n - 1)
+    # propagate d_j = d_i a_ij / a_ji across bonds, first scaling those
+    # found to make it exact; the diagram is connected for simple types
     pending = [0]
     while pending:
         i = pending.pop()
         for j in range(n):
-            if i != j and cartan[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
+            if i != j and cartan[i][j] != 0 and not d[j]:
+                num, den = d[i] * cartan[i][j], cartan[j][i]
+                k = abs(den) // math.gcd(num, den)
+                d = [x * k for x in d]
+                d[j] = num * k // den
                 pending.append(j)
-    if any(x is None for x in d):
+    if not all(d):
         raise InternalInconsistencyError("disconnected diagram")
-    denom = math.lcm(*(x.denominator for x in d))
-    ints = [int(x * denom) for x in d]
-    g = math.gcd(*ints)
-    return tuple(x // g for x in ints)
+    g = math.gcd(*d)
+    return tuple(x // g for x in d)
 
 
 def root_count(dynkin: DynkinType) -> int:

@@ -16,10 +16,12 @@ the images under w^{-1} of the tracked positions, one byte string per
 tracked position with one byte per element, each byte a root index.
 Each representative holds u^{-1} as a byte string too.  Since
 (x u)^{-1}(p) = u^{-1}(x^{-1}(p)), a whole block is one
-`bytes.translate` of the previous level's column through u^{-1}, and a
-new representative u s_j is one translate of u^{-1} through s_j, since
-(u s_j)^{-1} = s_j u^{-1}: no per-element Python object and no hashing.
-Lengths are bytes as well, one per element.
+`bytes.translate` of the previous level's column through u^{-1}, a
+level's column is one join of its blocks, and a new representative
+u s_j is one translate of u^{-1} through s_j, since (u s_j)^{-1} =
+s_j u^{-1}: no per-element Python object and no hashing.  Lengths are
+bytes as well, one per element.  Descents are read off u^{-1} of the
+simple roots by index, with no sign (`_coset_representatives`).
 
 A byte holds an index only below 256, so the kernel refuses a root
 system of more than 256 roots with OverflowError, before it builds any
@@ -79,40 +81,31 @@ def enumerate_group(
     gens: Sequence[Sequence[int]],
     simple_positions: Sequence[int],
     tracked: Sequence[int],
-    positive_start: int,
     cap: int,
-) -> tuple[list[bytearray], bytearray, list[Level]]:
+) -> tuple[list[bytes], bytes, list[Level]]:
     """Enumerate the reflection group generated by `gens`.
 
     gens: the simple reflections s_0..s_{k-1} of a root system, as
         permutations of its root indices range(n), n <= 256.
     simple_positions: the index of the simple root of each generator.
     tracked: the positions whose inverse images the caller reads.
-    positive_start: a root of the root system that gens generate is
-        negative iff its index is below positive_start.  For K this is
-        rs.positive_indices.start: K's positive roots are
-        ambient-positive, so K's sign is the ambient sign, and the
-        sorted roots put every negative root before every positive one.
     cap: OverflowError is raised iff the group has more elements, before
         any element is built.  So it is, first of all, when n > 256: a
         root index must fit in a byte (see the module docstring).
 
-    Returns (images, lengths, factors).  images[j][i] is w^{-1} of
-    tracked[j] for element i, lengths[i] is its length, and factors
-    holds each level's coset representatives (see the module
-    docstring), from which `word_of` and `inverse_images` read any one
-    element.
+    Returns (images, lengths, factors), each column and the lengths as
+    bytes.  images[j][i] is w^{-1} of tracked[j] for element i,
+    lengths[i] is its length, and factors holds each level's coset
+    representatives (see the module docstring), from which `word_of`
+    and `inverse_images` read any one element.
     """
     if any(len(g) > POSITIONS for g in gens):
         raise OverflowError(f"group enumeration exceeded {POSITIONS} positions")
     identity = bytes(range(len(gens[0]))) if gens else b""
     gens = [_table(bytes(g)) for g in gens]
     simples = bytes(simple_positions)
-    # the indices below the boundary, as a set: one membership test per
-    # byte costs less than comparing each byte with the boundary
-    negative = frozenset(range(positive_start))
     factors = [
-        _coset_representatives(identity, gens[:m], simples, negative)
+        _coset_representatives(identity, gens[:m], simples)
         for m in range(1, len(gens) + 1)
     ]
     order = math.prod(map(len, factors))
@@ -124,32 +117,33 @@ def enumerate_group(
         raise OverflowError("group enumeration exceeded element length 255")
 
     # W_0 = {e} fixes every position
-    images = [bytearray((p,)) for p in tracked]
-    lengths = bytearray(1)
+    images = [bytes((p,)) for p in tracked]
+    lengths = bytes(1)
     for level in factors:
-        bases = [bytes(col) for col in images]
-        base = bytes(lengths)
-        for word, u_inv in level[1:]:
-            step = _table(u_inv)
-            for col, prev in zip(images, bases):
-                col += prev.translate(step)  # (x u)^{-1}(p) = u^{-1}(x^{-1}(p))
-            # + len(word) on every byte; no byte wraps, by the check above
-            lengths += base.translate(_plus(len(word)))
+        # the identity's table first: its block is the previous level
+        steps = [_table(u_inv) for _, u_inv in level]
+        # (x u)^{-1}(p) = u^{-1}(x^{-1}(p))
+        images = [b"".join(map(col.translate, steps)) for col in images]
+        # + len(word) on every byte; no byte wraps, by the check above
+        lengths = b"".join(lengths.translate(_plus(len(w))) for w, _ in level)
     return images, lengths, factors
 
 
 def _coset_representatives(
-    identity: bytes, gens: list[bytes], simples: bytes, negative: frozenset[int]
+    identity: bytes, gens: list[bytes], simples: bytes
 ) -> Level:
     """Minimal representatives u of the right cosets of W_{m-1} in W_m,
     m = len(gens), in breadth-first order from the identity, each as
     (least word, u^{-1}); gens are the generators' translate tables.
 
-    A child u s_j is kept only when none of (u s_j)^{-1}(gamma_i),
-    i < m - 1, is in `negative`, the negative roots: then it has no left
-    descent in W_{m-1}.  The representatives are closed under dropping
-    the last letter, so each is reached from its parent, and first along
-    its least word."""
+    A child u s_j has the left descent s_i, i < m - 1, iff
+    s_j(u^{-1}(gamma_i)) is negative.  u has none, so each u^{-1}(gamma_i)
+    is positive, and s_j keeps every positive root but gamma_j positive
+    (Humphreys, *Introduction to Lie Algebras and Representation
+    Theory*, 10.2, Lemma B): the child is refused iff u^{-1} sends one of
+    gamma_0..gamma_{m-2} to gamma_j, one byte search with no sign.  The
+    representatives are closed under dropping the last letter, so each
+    is reached from its parent, and first along its least word."""
     m = len(gens)
     reps = [((), identity)]
     # u^{-1} of the simple roots determines u
@@ -158,8 +152,10 @@ def _coset_representatives(
     for idx, (word, u_inv) in enumerate(reps):  # grows while iterating
         at = at_simples[idx]
         for j, g in enumerate(gens):
+            if at.find(simples[j], 0, m - 1) >= 0:
+                continue
             key = at.translate(g)  # (u s_j)^{-1} = s_j u^{-1}
-            if key in seen or not negative.isdisjoint(key[: m - 1]):
+            if key in seen:
                 continue
             seen.add(key)
             at_simples.append(key)

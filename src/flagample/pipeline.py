@@ -7,7 +7,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import ClassVar
+from typing import ClassVar, Iterable
 
 from .classify import classify
 from .cycle import neutral_fiber, parabolic_data
@@ -194,7 +194,7 @@ def _status_tag(exc: Exception) -> str:
     return name[:-5] if name.endswith("Error") else name
 
 
-def _table_rows(specs: list[CaseSpec]) -> list[dict]:
+def _table_rows(specs: Iterable[CaseSpec]) -> list[dict]:
     """The table rows of the cases, in order, each {spec, status,
     report}; a pool task is one marking's cases."""
     rows = []
@@ -228,26 +228,26 @@ def run_table(
 ) -> list[dict]:
     """Evaluate every case of a type; rows come back in case order
     regardless of parallelism.  The pool never exceeds the CPUs this
-    process may use or the number of markings.  A rank above
+    process may use or the markings with a case.  A rank above
     MAX_TABLE_RANK is refused before any case is built."""
     if dynkin.rank > MAX_TABLE_RANK:
         raise InvalidTypeError(
             f"table rank {dynkin.rank} out of bounds (1..{MAX_TABLE_RANK}): "
             f"a rank-n table has (2^n - 1)^2 cases"
         )
-    specs = [
-        CaseSpec(dynkin, m, l, method, verify, max_weyl)
-        for m, l in sweep_cases(dynkin, dedupe=dedupe)
-    ]
-    # a task per marking, not per case: handing one case over costs more
-    # than running it; sweep order keeps each marking's cases together
-    tasks = [
-        list(group)
-        for _, group in itertools.groupby(specs, key=lambda s: s.noncompact)
-    ]
-    jobs = min(jobs, _usable_cpus(), len(tasks))
+    cases = sweep_cases(dynkin, dedupe=dedupe)
+    jobs = min(jobs, _usable_cpus(), len({m for m, _ in cases}))
+    # no list of specs is kept: each is built as it runs, or as the pool
+    # takes its task, and then held by its row alone
+    specs = (CaseSpec(dynkin, m, l, method, verify, max_weyl) for m, l in cases)
     if jobs <= 1:
         return _table_rows(specs)
+    # a task per marking, not per case: handing one case over costs more
+    # than running it; sweep order keeps each marking's cases together
+    tasks = (
+        list(group)
+        for _, group in itertools.groupby(specs, key=lambda s: s.noncompact)
+    )
     # the pool machinery costs start-up time and memory: import on demand
     from concurrent.futures import ProcessPoolExecutor
 

@@ -15,15 +15,17 @@ which trust the proven rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress
 from operator import add, itemgetter, lt, mul, sub
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import dynkin as dk
 from .dynkin import DynkinType
 from .errors import InternalInconsistencyError, NotARootError, NotClosedError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Weight = tuple[int, ...]
 
@@ -109,12 +111,6 @@ class RootSystem:
         return tuple(
             sum(x << 8 * j for j, x in enumerate(v)) for v in self.roots
         )
-
-    @cached_property
-    def positives_by_height(self) -> tuple[int, ...]:
-        """The indices of the positive roots in order of height, the sum
-        of the coordinates, built on first use."""
-        return tuple(sorted(self.positive_indices, key=lambda a: sum(self.roots[a])))
 
 
 def _reflection_row(rs: RootSystem, g: int) -> list[int]:
@@ -237,8 +233,11 @@ def reflect(rs: RootSystem, v: Sequence, gamma: Weight):
         raise NotARootError(f"{gamma} is not a root of {rs.dynkin}")
     num = 2 * pair(rs, v, gamma)
     den = pair(rs, gamma, gamma)
-    q, r = divmod(num, den)
-    c = q if r == 0 else Fraction(num, den)
+    c, r = divmod(num, den)
+    if r:  # off the root lattice only: the package loads no fractions
+        from fractions import Fraction
+
+        c = Fraction(num, den)
     return tuple(v[j] - c * gamma[j] for j in range(rs.rank))
 
 
@@ -252,12 +251,11 @@ def closed_subsystem(rs: RootSystem, positives: Iterable[int]) -> tuple:
     simples and the set of its positive roots.
     NotClosedError unless the positives are the positive half of a
     reflection-closed subsystem.  They must be ambient-positive, so the
-    subsystem's sign is the ambient one: a root of it is negative iff
-    its index is below rs.positive_indices.start.
+    subsystem's positive system is the ambient one cut down to it.
 
-    The simple roots are found in the root system's height order: a
-    root is simple unless the row of a simple root found before it
-    lowers it.  rs.roots is sorted, so s_gamma(beta) = beta -
+    The simple roots are found in index order, the sorted order of
+    rs.roots: a root is simple unless the row of a simple root found
+    before it lowers it.  For positive gamma, s_gamma(beta) = beta -
     <beta, gamma^vee> gamma comes before beta exactly when the pairing
     is positive.  Every row is proven when it is built
     (`RootSystem.reflection_row`), and two checks on index sets prove
@@ -268,16 +266,18 @@ def closed_subsystem(rs: RootSystem, positives: Iterable[int]) -> tuple:
     - descent: each root of pos - S is lowered by a gamma in S found
       before it, to a root of pos by the closure.
 
-    By descent and induction on height, every root of pos is in the
-    orbit W(S)S and a nonnegative integer combination of S.  By closure
-    W(S) keeps pos and -pos, which hold -v = s_v(v) with each v of the
-    orbit.  So pos and -pos are the orbit, which is reflection-closed,
-    as s_{wa} = w s_a w^-1, and pos is one of its positive systems.  Its
-    simple roots D are in S, each being a nonnegative combination of S.
-    A root of S outside D would pair positively with some delta of D
-    below it, found before it, which would have lowered it.  So S = D
-    (Humphreys, *Introduction to Lie Algebras and Representation
-    Theory*, 10.1-10.3).
+    By descent and induction on index, every root of pos is in the
+    orbit W(S)S and a nonnegative integer combination of S: the root it
+    is lowered to comes before it.  By closure W(S) keeps pos and -pos,
+    which hold -v = s_v(v) with each v of the orbit.  So pos and -pos
+    are the orbit, which is reflection-closed, as s_{wa} = w s_a w^-1,
+    and pos is one of its positive systems.  Its simple roots D are in
+    S, each being a nonnegative combination of S.  A root beta of S
+    outside D would pair positively with some delta of D, and s_delta
+    keeps pos - {delta} (10.2, Lemma B), so beta - <beta, delta^vee>
+    delta is in pos: delta <= beta in every coordinate, so delta was
+    found before beta and would have lowered it.  So S = D (Humphreys,
+    *Introduction to Lie Algebras and Representation Theory*, 10.1-10.3).
 
     A root is lowered only by simple roots of its own component, to
     which the others are orthogonal, so each component's positive roots
@@ -291,7 +291,7 @@ def closed_subsystem(rs: RootSystem, positives: Iterable[int]) -> tuple:
     # the keys are built first: that checks the bound on root
     # coefficients which the row proofs rely on
     keys = rs.root_keys
-    order = list(filter(pos.__contains__, rs.positives_by_height))
+    order = sorted(pos)
     if not order:
         return (), (), (), ()
     # the images of pos under a row, a tuple even when pos has one root
@@ -311,7 +311,6 @@ def closed_subsystem(rs: RootSystem, positives: Iterable[int]) -> tuple:
         down = frozenset(compress(order, map(lt, images, order)))
         lowered |= down
         found.append((b, row, down))
-    found.sort()
     simples, rows, downs = zip(*found)
     cartan = tuple(
         tuple((keys[gj] - keys[row[gj]]) // keys[gi] for gj in simples)

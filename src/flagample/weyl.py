@@ -38,9 +38,10 @@ class SubsystemContext:
     of the reflection rows it reads was proven when the root system
     built the row, so per context only closure and descent are checked,
     on index sets.  The positive roots are ambient-positive, so the
-    subsystem's positive system is the ambient one cut down to it: a
-    root of it is negative iff its index is below
-    rs.positive_indices.start, and no sign is stored."""
+    subsystem's positive system is the ambient one cut down to it, and
+    neither search reads a sign: a simple reflection keeps every
+    positive root but its own positive, so descents are read off the
+    simple roots by index."""
 
     def __init__(self, rs: RootSystem, positives: Iterable[int]):
         """NotClosedError unless the positives are the positive half of a
@@ -171,16 +172,14 @@ class SubsystemContext:
 
 def _enumerate(
     ctx: SubsystemContext, tracked: Sequence[int], cap: int
-) -> tuple[list[list[int]], bytearray, list[kernels.Level]]:
+) -> tuple[list[bytes], bytes, list[kernels.Level]]:
     """The subsystem's group, as `kernels.enumerate_group` gives it: one
     column of w^{-1}(p) per tracked root p (by index), the length of each
     element and the coset representatives it is the product of.  The
     elements come in the kernel's block order, not in (length, word)
     order; `kernels.word_of` reads the canonical word of any one."""
     try:
-        return kernels.enumerate_group(
-            ctx.gen_perms, ctx.simples, tracked, ctx.rs.positive_indices.start, cap
-        )
+        return kernels.enumerate_group(ctx.gen_perms, ctx.simples, tracked, cap)
     except OverflowError as exc:
         raise EnumerationCapError(str(exc)) from None
 

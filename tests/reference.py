@@ -274,18 +274,17 @@ def indecomposables(rs, pos):
     gamma with (beta, gamma) > 0 (else (beta, beta) <= 0), and then
     beta - gamma is a positive root (Humphreys, *Introduction to Lie
     Algebras and Representation Theory*, 9.4 and 10.2), so gamma is
-    lower than beta and was found first.  The pass walks
-    `RootSystem.positives_by_height`, built once per root system, and
-    reads the pairing test off the reflection rows: rs.roots is sorted,
-    so s_gamma(beta) = beta - <beta, gamma^vee> gamma comes before beta
-    exactly when the pairing is positive."""
+    lower than beta and was found first.  The pass sorts pos by height
+    itself, and reads the pairing test off the reflection rows: rs.roots
+    is sorted, so s_gamma(beta) = beta - <beta, gamma^vee> gamma comes
+    before beta exactly when the pairing is positive."""
     pos = frozenset(pos)
     first = rs.positive_indices
     if pos and (min(pos) < first.start or max(pos) >= first.stop):
         raise NotClosedError(f"not a set of positive roots of {rs.dynkin}")
     simples = []
     rows = []
-    for b in filter(pos.__contains__, rs.positives_by_height):
+    for b in sorted(pos, key=lambda a: sum(rs.roots[a])):
         if all(row[b] >= b for row in rows):
             simples.append(b)
             rows.append(rs.reflection_row(b))

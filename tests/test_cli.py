@@ -142,6 +142,33 @@ def test_table_rank_above_bound_exits_1(capsys, monkeypatch, label):
     assert "out of bounds" in err
 
 
+def test_table_rank_bound_is_eight(monkeypatch):
+    """The bound itself: a rank-8 table is accepted and a rank-9 one is
+    refused, read off run_table with an empty sweep, so no case runs."""
+    from flagample import pipeline
+    from flagample.errors import InvalidTypeError
+
+    monkeypatch.setattr(pipeline, "sweep_cases", lambda dynkin, dedupe: [])
+    assert pipeline.run_table(parse_type("A8")) == []
+    with pytest.raises(InvalidTypeError, match="out of bounds"):
+        pipeline.run_table(parse_type("A9"))
+
+
+def test_usable_cpus_reads_this_process_affinity(monkeypatch):
+    """The affinity mask read is this process's own, pid 0."""
+    from flagample import pipeline
+
+    pids = []
+
+    def affinity(pid):
+        pids.append(pid)
+        return {0, 2, 5}
+
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", affinity, raising=False)
+    assert pipeline._usable_cpus() == 3
+    assert pids == [0]
+
+
 def test_exit_code_bad_nodes(capsys):
     code, _, err = run(capsys, "compute", "--type", "A2", "--noncompact", "x")
     assert code == 1
@@ -1348,3 +1375,15 @@ def test_invariant_check_survives_python_O():
     assert proc.returncode == 3
     assert proc.stdout == b""
     assert proc.stderr == b"internal inconsistency: root closure miscounted\n"
+
+
+def test_import_loads_no_fractions():
+    """Every per-case path is integral: importing the package or its CLI
+    loads neither `fractions` nor the `decimal` it pulls in."""
+    script = (
+        "import sys\n"
+        "import flagample, flagample.cli\n"
+        "print(sorted({'fractions', 'decimal'}.intersection(sys.modules)))\n"
+    )
+    proc = _child("-c", script, capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"[]\n", b"")

@@ -20,6 +20,7 @@ from flagample.snow import (
 )
 from flagample.weyl import SubsystemContext
 from reference import (
+    all_types_up_to_rank,
     context,
     enumerate_weyl,
     is_dominant,
@@ -339,3 +340,40 @@ def test_isomorphic_presentations_agree(source, target, nodes):
     for row in rows:
         got = (row["status"], _iso_fields(row["report"], _SAME_FORM.get, move))
         assert got == want[key(row, lambda i: nodes[i - 1])], row["spec"]
+
+
+@pytest.mark.parametrize(
+    "dt",
+    [dt for dt in all_types_up_to_rank(5) if dt.rank > 1] + [DynkinType("E", 6)],
+    ids=str,
+)
+def test_degree_never_falls_as_the_levi_set_grows(dt):
+    """The Levi law across the rows of one marking: for Levi sets L and
+    L' = L + {i}, both rows computed, deg(L) <= deg(L') and
+    dim C' <= dim C, so a(E') = dim C' - deg(L') <= dim C - deg(L) =
+    a(E), and a(E) never rises as the Levi set grows.
+
+    The argument, after Sommese (A. J. Sommese, "Submanifolds of Abelian
+    varieties", Math. Ann. 233, 1978), on whose k-ampleness the paper
+    builds: L is in L', so Q is in Q', and pi: Z = G/Q -> Z' = G/Q'
+    maps the flag domain D onto D' and the base cycle C onto C', with
+    connected fibers of dimension f = dim C - dim C' on C.  The normal
+    bundle E of C in D maps onto pi*E'.  A quotient is at least as
+    ample, a(pi*E') <= a(E), and a pullback along f-dimensional fibers
+    adds f, a(pi*E') = a(E') + f.  So a(E) >= a(E') + dim C - dim C',
+    which is deg(L) <= deg(L')."""
+    reports = {
+        (row["spec"].noncompact, row["spec"].levi): row["report"]
+        for row in run_table(dt)
+        if row["status"] == "ok"
+    }
+    pairs = 0
+    for (marked, levi), rep in reports.items():
+        for i in set(range(1, dt.rank + 1)).difference(levi):
+            cover = reports.get((marked, tuple(sorted(levi + (i,)))))
+            if cover is None:
+                continue
+            pairs += 1
+            assert rep.concavity_degree <= cover.concavity_degree, (marked, levi, i)
+            assert cover.dim_c <= rep.dim_c, (marked, levi, i)
+    assert pairs, dt

@@ -435,10 +435,10 @@ def test_rows_are_shared_tuples():
 
 def test_sum_rows_and_odd_masks_are_lazy():
     """The sum rows and the per-root tables (odd roots per node, packed
-    keys, height order) are built on first use: set-up stays as it was."""
+    keys) are built on first use: set-up stays as it was."""
     rs = build_root_system(parse_type("E8"))
     assert rs._sums == {}
-    lazy = ("odd_roots", "root_keys", "positives_by_height")
+    lazy = ("odd_roots", "root_keys")
     assert not any(name in vars(rs) for name in lazy)
     row = rs.sum_row(7)
     assert rs._sums == {7: row}

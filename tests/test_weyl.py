@@ -177,7 +177,7 @@ def test_enumeration_cap_boundary(label):
         enumerate_weyl(rs, simple_roots(rs), cap=order - 1)
     # the same boundary in the kernel itself
     ctx = context(rs, simple_roots(rs))
-    args = (ctx.gen_perms, ctx.simples, ctx.simples, rs.positive_indices.start)
+    args = (ctx.gen_perms, ctx.simples, ctx.simples)
     _, lengths, _ = kernels.enumerate_group(*args, order)
     assert len(lengths) == order
     with pytest.raises(OverflowError):
@@ -189,10 +189,10 @@ def test_kernel_refuses_more_than_256_positions(monkeypatch):
     before any element, coset representative included, is built, and
     one of 256 positions is enumerated."""
     swap = (1, 0) + tuple(range(2, 256))
-    # the simple root is position 1, and position 0 below it is negative
-    args = ([1], [1], 1, DEFAULT_CAP)
+    # the simple root is position 1
+    args = ([1], [1], DEFAULT_CAP)
     _, lengths, _ = kernels.enumerate_group([swap], *args)
-    assert lengths == bytearray((0, 1))
+    assert lengths == bytes((0, 1))
 
     def no_element(*args):
         raise AssertionError("built an element of a refused group")
@@ -293,8 +293,7 @@ def test_kernel_matches_action_enumeration(dt):
 
         positions = ctx.simples + h.lambda_max_s
         images, lengths, factors = kernels.enumerate_group(
-            ctx.gen_perms, ctx.simples, positions, rs.positive_indices.start,
-            len(actions),
+            ctx.gen_perms, ctx.simples, positions, len(actions)
         )
         assert len(lengths) == len(actions), marked
         assert all(len(col) == len(actions) for col in images), marked
@@ -320,7 +319,7 @@ def test_kernel_count_is_the_product_of_the_levels(dt):
         h = hermitian_data(rs, grade_roots(rs, marked))
         ctx = h.k_context
         _, lengths, factors = kernels.enumerate_group(
-            ctx.gen_perms, ctx.simples, (), rs.positive_indices.start, DEFAULT_CAP
+            ctx.gen_perms, ctx.simples, (), DEFAULT_CAP
         )
         assert len(lengths) == math.prod(map(len, factors)) == h.k_order, marked
 
@@ -333,8 +332,7 @@ def test_kernel_words_are_canonical_e6(marked):
     h = hermitian_data(rs, grade_roots(rs, marked))
     ctx = SubsystemContext.from_simples(rs, h.k_context.simples)
     images, lengths, factors = kernels.enumerate_group(
-        ctx.gen_perms, ctx.simples, identity(ctx), rs.positive_indices.start,
-        h.k_order,
+        ctx.gen_perms, ctx.simples, identity(ctx), h.k_order
     )
     assert len(lengths) == h.k_order
     for i, row in enumerate(zip(*images)):
