@@ -14,14 +14,20 @@ W_{m-1} multiplied by u on the right.
 An element w is not stored as a permutation.  The kernel carries only
 the images under w^{-1} of the tracked positions, one byte string per
 tracked position with one byte per element, each byte a root index.
-Each representative holds u^{-1} as a byte string too.  Since
-(x u)^{-1}(p) = u^{-1}(x^{-1}(p)), a whole block is one
-`bytes.translate` of the previous level's column through u^{-1}, a
-level's column is one join of its blocks, and a new representative
-u s_j is one translate of u^{-1} through s_j, since (u s_j)^{-1} =
-s_j u^{-1}: no per-element Python object and no hashing.  Lengths are
-bytes as well, one per element.  Descents are read off u^{-1} of the
-simple roots by index, with no sign (`_coset_representatives`).
+Each representative holds u^{-1} as a 256-byte `bytes.translate` table
+from birth: the identity's is the table of every byte to itself, and a
+new representative u s_j is one translate of u^{-1}'s table through
+s_j's, since (u s_j)^{-1} = s_j u^{-1}.  Its bytes at or above n, the
+number of roots, are never read, as every column byte is a root index
+below n.  Since (x u)^{-1}(p) = u^{-1}(x^{-1}(p)), a whole block is one
+translate of the previous level's column through u^{-1}'s table, and a
+level's column is one join of its blocks: no per-element Python object
+and no hashing.  Lengths are bytes as well, one per element, and a
+block's lengths are one translate through the table adding len(u),
+one of 256 such tables built at import.  Descents are read off u^{-1}
+of the simple roots by index, with no sign: one slice per
+representative and one `in` on it per generator
+(`_coset_representatives`).
 
 A byte holds an index only below 256, so the kernel refuses a root
 system of more than 256 roots with OverflowError, before it builds any
@@ -51,8 +57,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-# one level's coset representatives u, each (least word, u^{-1} as the
-# byte string of root indices), identity first
+# one level's coset representatives u, each (least word, u^{-1} as a
+# 256-byte translate table of root indices), identity first
 Level = tuple[tuple[tuple[int, ...], bytes], ...]
 
 POSITIONS = 256  # root indices that fit in a byte
@@ -69,12 +75,10 @@ def _table(perm: bytes) -> bytes:
     return perm + bytes(POSITIONS - len(perm))
 
 
+# the identity's table, and _PLUS[s] the table adding s to every byte
+# below 256 - s
 _BYTES = bytes(range(POSITIONS))
-
-
-def _plus(shift: int) -> bytes:
-    """The translate table adding shift to every byte below 256 - shift."""
-    return _BYTES[shift:] + bytes(shift)
+_PLUS = tuple(_BYTES[s:] + bytes(s) for s in range(POSITIONS))
 
 
 def enumerate_group(
@@ -101,18 +105,17 @@ def enumerate_group(
     """
     if any(len(g) > POSITIONS for g in gens):
         raise OverflowError(f"group enumeration exceeded {POSITIONS} positions")
-    identity = bytes(range(len(gens[0]))) if gens else b""
     gens = [_table(bytes(g)) for g in gens]
     simples = bytes(simple_positions)
     factors = [
-        _coset_representatives(identity, gens[:m], simples)
-        for m in range(1, len(gens) + 1)
+        _coset_representatives(gens[:m], simples) for m in range(1, len(gens) + 1)
     ]
     order = math.prod(map(len, factors))
     if order > cap:
         raise OverflowError(f"group enumeration exceeded cap of {cap} elements")
-    # lengths are kept one per byte; no reflection group of fewer than
-    # 2^31 elements has an element longer than 255
+    # lengths are kept one per byte: a Weyl group on at most 256 roots
+    # has no element longer than 128, its count of positive roots, but
+    # a group acting on 256 of its reflections can
     if sum(len(level[-1][0]) for level in factors) > 255:
         raise OverflowError("group enumeration exceeded element length 255")
 
@@ -121,20 +124,19 @@ def enumerate_group(
     lengths = bytes(1)
     for level in factors:
         # the identity's table first: its block is the previous level
-        steps = [_table(u_inv) for _, u_inv in level]
+        tables = [u_inv for _, u_inv in level]
         # (x u)^{-1}(p) = u^{-1}(x^{-1}(p))
-        images = [b"".join(map(col.translate, steps)) for col in images]
+        images = [b"".join(map(col.translate, tables)) for col in images]
         # + len(word) on every byte; no byte wraps, by the check above
-        lengths = b"".join(lengths.translate(_plus(len(w))) for w, _ in level)
+        lengths = b"".join([lengths.translate(_PLUS[len(w)]) for w, _ in level])
     return images, lengths, factors
 
 
-def _coset_representatives(
-    identity: bytes, gens: list[bytes], simples: bytes
-) -> Level:
+def _coset_representatives(gens: list[bytes], simples: bytes) -> Level:
     """Minimal representatives u of the right cosets of W_{m-1} in W_m,
     m = len(gens), in breadth-first order from the identity, each as
-    (least word, u^{-1}); gens are the generators' translate tables.
+    (least word, u^{-1}'s table); gens are the generators' translate
+    tables.
 
     A child u s_j has the left descent s_i, i < m - 1, iff
     s_j(u^{-1}(gamma_i)) is negative.  u has none, so each u^{-1}(gamma_i)
@@ -145,14 +147,17 @@ def _coset_representatives(
     representatives are closed under dropping the last letter, so each
     is reached from its parent, and first along its least word."""
     m = len(gens)
-    reps = [((), identity)]
+    steps = tuple(zip(range(m), gens, simples))
+    reps = [((), _BYTES)]
     # u^{-1} of the simple roots determines u
     at_simples = [simples]
     seen = {simples}
     for idx, (word, u_inv) in enumerate(reps):  # grows while iterating
         at = at_simples[idx]
-        for j, g in enumerate(gens):
-            if at.find(simples[j], 0, m - 1) >= 0:
+        # u^{-1} of gamma_0..gamma_{m-2}
+        head = at[: m - 1]
+        for j, g, gamma in steps:
+            if gamma in head:
                 continue
             key = at.translate(g)  # (u s_j)^{-1} = s_j u^{-1}
             if key in seen:
@@ -179,8 +184,8 @@ def inverse_images(
     factors: Sequence[Level], i: int, positions: Sequence[int]
 ) -> tuple[int, ...]:
     """w^{-1}(p) for element i = u_1 ... u_k and each p of positions,
-    by applying u_1^{-1} first."""
-    out = tuple(positions)
+    by applying u_1^{-1} first: one translate per factor."""
+    out = bytes(positions)
     for _, u_inv in _factors_of(factors, i):
-        out = tuple(u_inv[p] for p in out)
-    return out
+        out = out.translate(u_inv)
+    return tuple(out)

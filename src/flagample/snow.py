@@ -19,6 +19,7 @@ Weights are roots, named by their index in the sorted `RootSystem.roots`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .cycle import ParabolicData
 from .errors import EnumerationCapError, InternalInconsistencyError
@@ -130,7 +131,8 @@ def max_weyl_length_bruteforce(
     fixes every maximal weight, must be in the set.  The winner's word
     is checked against the images it carries: w^{-1} of K's simple
     roots, read off its factors, and of the maximal weights, read off
-    the scanned columns, must be those the word spells.  Its pair is
+    the scanned columns, must be those the word spells, its letters
+    applied once each to all those positions together.  Its pair is
     read off the same images: the first mu whose w^{-1}(mu) is a fiber
     weight, with nu that image.  A group larger than cap is refused
     before the enumeration starts, by the order |W(K)| that K's
@@ -176,11 +178,15 @@ def max_weyl_length_bruteforce(
     word, best = min((word_of(factors, i), i) for i in tied)
 
     # the winner's images from its factors and from the scanned columns
-    # must be those its word spells: w^{-1} is the reversed word
+    # must be those its word spells: w^{-1} is the reversed word, so its
+    # first letter acts first, on every position at once.  A letter
+    # means K has a simple root, and lam is not empty (the identity
+    # check), so each getter picks at least two and gives a tuple.
     row = tuple(col[best] for col in images)
-    if tuple(ctx.apply_word(word[::-1], p) for p in ctx.simples + lam) != (
-        inverse_images(factors, best, ctx.simples) + row
-    ):
+    spelled = ctx.simples + lam
+    for i in word:
+        spelled = itemgetter(*spelled)(ctx.gen_perms[i])
+    if spelled != inverse_images(factors, best, ctx.simples) + row:
         raise InternalInconsistencyError(
             "enumerated inverse images disagree with the witness's action"
         )

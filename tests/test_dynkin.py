@@ -71,6 +71,30 @@ def test_weyl_orders():
     assert weyl_order("E", 6) == 51840
 
 
+def test_unknown_series_is_refused():
+    """Past the parser: a type of an unknown series, and the Weyl order
+    of one, are refused by name."""
+    with pytest.raises(InvalidTypeError, match="unknown series 'H'"):
+        DynkinType("H", 3)
+    with pytest.raises(InvalidTypeError, match="unknown series 'H'"):
+        weyl_order("H", 3)
+
+
+@pytest.mark.parametrize("dt", all_types_up_to_rank(8), ids=str)
+def test_weyl_order_is_the_height_product(dt):
+    """|W| by Kostant's height partition: the product over the positive
+    roots of (ht + 1) / ht (Humphreys, *Reflection Groups and Coxeter
+    Groups*, 3.20), heights read off the simple-root coordinates.  Every
+    type of rank <= 8, E8's 696,729,600 included."""
+    num = den = 1
+    for root in build_root_system(dt).positive_roots:
+        ht = sum(root)
+        num *= ht + 1
+        den *= ht
+    assert num % den == 0
+    assert weyl_order(dt.series, dt.rank) == num // den
+
+
 def test_diagram_automorphisms():
     assert len(diagram_automorphisms(parse_type("A1"))) == 1
     assert len(diagram_automorphisms(parse_type("A3"))) == 2

@@ -221,6 +221,38 @@ def test_f4_single_markings_are_the_two_forms():
     assert names == {"f4(4) (split)", "f4(-20)"}
 
 
+_ONE_NODE_NAMES = {
+    "G2": ["g2(2) (split)"] * 2,
+    "F4": ["f4(4) (split)"] * 2 + ["f4(-20)"] * 2,
+    "E6": ["e6(-14)"] + ["e6(2)"] * 4 + ["e6(-14)"],
+    "E7": ["e7(-5)", "e7(7) (split)", "e7(-5)", "e7(-5)", "e7(7) (split)",
+           "e7(-5)", "e7(-25)"],
+    "E8": ["e8(8) (split)"] * 2 + ["e8(-24)"] * 2 + ["e8(8) (split)"] * 2
+          + ["e8(-24)"] * 2,
+}
+
+
+@pytest.mark.parametrize(
+    "label,node,expected",
+    [
+        pytest.param(
+            label, node, name, id=f"{label}-{node}",
+            marks=[pytest.mark.xfail(
+                strict=True,
+                reason="ROADMAP.md item 2: K = E6 x T is labelled C6, so the "
+                "name falls back to e7(C6⊕ℝ)",
+            )] if (label, node) == ("E7", 7) else [],
+        )
+        for label, names in _ONE_NODE_NAMES.items()
+        for node, name in enumerate(names, 1)
+    ],
+)
+def test_exceptional_one_node_names(label, node, expected):
+    """The real form of every one-node marking of an exceptional type."""
+    rs = build_root_system(parse_type(label))
+    assert hermitian_data(rs, grade_roots(rs, (node,))).kname == expected
+
+
 def _all_markings(rank):
     import itertools
 

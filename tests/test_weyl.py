@@ -202,6 +202,39 @@ def test_kernel_refuses_more_than_256_positions(monkeypatch):
         kernels.enumerate_group([swap + (256,)], *args)
 
 
+def _dihedral_on_reflections(m):
+    """I_2(m), m odd, acting on its m reflections by conjugation: the
+    reflection in line b sends line a to line 2b - a, and lines 0 and 1
+    meet at pi/m, so they are the simple ones.  For m odd the action is
+    faithful and only the identity and s_i fix line i, so the kernel's
+    descent test and its key on the simple positions hold as on roots."""
+    gens = [tuple((2 * b - a) % m for a in range(m)) for b in (0, 1)]
+    return gens, [0, 1]
+
+
+def test_kernel_keeps_an_element_of_length_255():
+    """I_2(255) on its 255 reflections: 510 elements, two of each length
+    1..254, and the longest element's length 255 fits a byte."""
+    gens, simples = _dihedral_on_reflections(255)
+    _, lengths, _ = kernels.enumerate_group(gens, simples, (), DEFAULT_CAP)
+    assert sorted(lengths) == [0] + sorted(list(range(1, 255)) * 2) + [255]
+
+
+def test_kernel_refuses_an_element_longer_than_255(monkeypatch):
+    """I_2(253) x A_2 on its 253 + 3 = 256 reflections, 3,036 elements:
+    the longest element has length 256, and the group is refused from
+    its representatives' words, before any length is added."""
+    dihedral, simples = _dihedral_on_reflections(253)
+    # S_3 on its transpositions (12), (23), (13), at positions 253-255
+    a2 = [(0, 2, 1), (2, 1, 0)]
+    gens = [g + (253, 254, 255) for g in dihedral] + [
+        tuple(range(253)) + tuple(253 + p for p in g) for g in a2
+    ]
+    monkeypatch.setattr(kernels, "_PLUS", None)
+    with pytest.raises(OverflowError, match="element length 255"):
+        kernels.enumerate_group(gens, simples + [253, 254], (), 3036)
+
+
 @pytest.mark.parametrize("label", ["A16", "B12", "C12", "D12"])
 def test_no_type_beyond_256_roots_reaches_the_oracle(label):
     """The smallest type of each classical series with more than 256
@@ -271,40 +304,88 @@ def _all_markings(rank):
         yield from itertools.combinations(nodes, k)
 
 
-@pytest.mark.parametrize(
-    "dt", list(all_types_up_to_rank(4)) + [parse_type("E6")], ids=str
-)
-def test_kernel_matches_action_enumeration(dt):
-    """For K of every marking: enumerate_weyl gives the reference's order,
+def _check_kernel_against_actions(rs, marked):
+    """For K of the marking: enumerate_weyl gives the reference's order,
     words and actions; the kernel gives the reference's words, each once,
     and for each element, keyed by that word, its length and its carried
     images: the inverse action at the simple roots of K and at the
     tracked roots, read from the columns and from the factors."""
+    h = hermitian_data(rs, grade_roots(rs, marked))
+    ctx = SubsystemContext.from_simples(rs, h.k_context.simples)
+    words, actions = _enumerate_by_actions(ctx)
+    els = enumerate_weyl(rs, [rs.roots[g] for g in ctx.simples])
+    assert [e.word for e in els] == words, marked
+    assert [e.action for e in els] == actions, marked
+    reference = dict(zip(words, actions))
+    assert len(reference) == len(actions)
+
+    positions = ctx.simples + h.lambda_max_s
+    images, lengths, factors = kernels.enumerate_group(
+        ctx.gen_perms, ctx.simples, positions, len(actions)
+    )
+    assert len(lengths) == len(actions), marked
+    assert all(len(col) == len(actions) for col in images), marked
+    kernel_words = [kernels.word_of(factors, i) for i in range(len(lengths))]
+    assert sorted(kernel_words) == sorted(words), marked
+    for i, (word, row) in enumerate(zip(kernel_words, zip(*images))):
+        action = reference[word]
+        # row holds w^{-1}(p), so w(row) gives the positions back
+        assert tuple(action[v] for v in row) == positions, (marked, word)
+        assert kernels.inverse_images(factors, i, positions) == row
+        assert lengths[i] == len(word)
+
+
+@pytest.mark.parametrize(
+    "dt", list(all_types_up_to_rank(4)) + [parse_type("E6")], ids=str
+)
+def test_kernel_matches_action_enumeration(dt):
+    """The kernel against the reference for K of every marking."""
     rs = build_root_system(dt)
     for marked in _all_markings(dt.rank):
-        h = hermitian_data(rs, grade_roots(rs, marked))
-        ctx = SubsystemContext.from_simples(rs, h.k_context.simples)
-        words, actions = _enumerate_by_actions(ctx)
-        els = enumerate_weyl(rs, [rs.roots[g] for g in ctx.simples])
-        assert [e.word for e in els] == words, marked
-        assert [e.action for e in els] == actions, marked
-        reference = dict(zip(words, actions))
-        assert len(reference) == len(actions)
+        _check_kernel_against_actions(rs, marked)
 
-        positions = ctx.simples + h.lambda_max_s
-        images, lengths, factors = kernels.enumerate_group(
-            ctx.gen_perms, ctx.simples, positions, len(actions)
+
+@pytest.mark.parametrize(
+    "label,marked",
+    [("B6", (6,)), ("C6", (3,)), ("E6", (2,)), ("D6", (1,))],
+    ids=str,
+)
+def test_kernel_matches_action_enumeration_rank_6(label, marked):
+    """The kernel against the reference for one marking of each rank-6
+    type the oracle workload draws from: K of type D6 (23,040 elements,
+    the largest group it enumerates), C3 x C3, A5 x A1 and D5."""
+    _check_kernel_against_actions(build_root_system(parse_type(label)), marked)
+
+
+@pytest.mark.parametrize("dt", all_types_up_to_rank(4), ids=str)
+def test_representatives_are_translate_tables(dt):
+    """Every coset representative carries u^{-1} as a whole 256-byte
+    translate table, whose first n bytes are u^{-1} as its word spells
+    it through the generators: u = s_{w_0} ... s_{w_k}, so its first
+    letter acts first in u^{-1}."""
+    rs = build_root_system(dt)
+    n = len(rs.roots)
+    for marked in _all_markings(dt.rank):
+        ctx = hermitian_data(rs, grade_roots(rs, marked)).k_context
+        _, _, factors = kernels.enumerate_group(
+            ctx.gen_perms, ctx.simples, (), DEFAULT_CAP
         )
-        assert len(lengths) == len(actions), marked
-        assert all(len(col) == len(actions) for col in images), marked
-        kernel_words = [kernels.word_of(factors, i) for i in range(len(lengths))]
-        assert sorted(kernel_words) == sorted(words), marked
-        for i, (word, row) in enumerate(zip(kernel_words, zip(*images))):
-            action = reference[word]
-            # row holds w^{-1}(p), so w(row) gives the positions back
-            assert tuple(action[v] for v in row) == positions, (marked, word)
-            assert kernels.inverse_images(factors, i, positions) == row
-            assert lengths[i] == len(word)
+        for level in factors:
+            for word, u_inv in level:
+                assert len(u_inv) == kernels.POSITIONS, (marked, word)
+                spelled = tuple(range(n))
+                for j in word:
+                    spelled = tuple(ctx.gen_perms[j][v] for v in spelled)
+                assert tuple(u_inv[:n]) == spelled, (marked, word)
+
+
+def test_shift_tables_add_their_shift():
+    """_PLUS[s] adds s to every byte below 256 - s: the table that adds
+    a representative's length to a block's lengths."""
+    assert len(kernels._PLUS) == kernels.POSITIONS
+    for s, table in enumerate(kernels._PLUS):
+        assert len(table) == kernels.POSITIONS
+        assert all(table[b] == b + s for b in range(kernels.POSITIONS - s)), s
 
 
 # E7 is left out: its K of type E6 x T is labelled C6, so its k_order is
