@@ -141,9 +141,9 @@ def run_case(spec: CaseSpec) -> Report:
         dim_z=pd.dim_z,
         dim_c=pd.dim_c,
         rank_e=len(fiber),
-        e0_weights=tuple(rs.roots[i] for i in fiber),
-        max_weights=tuple(rs.roots[i] for i in inp.max_weights),
-        k_simples=tuple(rs.roots[i] for i in herm.k_context.simples),
+        e0_weights=tuple(map(rs.roots.__getitem__, fiber)),
+        max_weights=tuple(map(rs.roots.__getitem__, inp.max_weights)),
+        k_simples=tuple(map(rs.roots.__getitem__, herm.k_context.simples)),
         w0_max_length=amp.max_length,
         witness_word=amp.witness,
         levi_correction=pd.levi_correction,

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import compress
-from operator import add, mul, xor
+from itertools import compress, filterfalse
+from operator import add, itemgetter, mul, xor
 from typing import Iterable
 
 from .errors import (
@@ -105,7 +105,7 @@ def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData
     noncompact = grading.noncompact_roots
     try:
         ctx = SubsystemContext(
-            rs, frozenset(rs.positive_indices).difference(noncompact)
+            rs, filterfalse(noncompact.__contains__, rs.positive_indices)
         )
         labels = ctx.labels
     except NotClosedError as exc:
@@ -132,14 +132,16 @@ def hermitian_data(rs: RootSystem, grading: CompactnessGrading) -> HermitianData
 
     s_plus = s_minus = ()
     if center_dim == 1:
-        # xi on every root, one column of coefficients per node it is
-        # nonzero on, and each half read off its sign
-        values = [0] * len(rs.roots)
+        # xi on the noncompact roots, one column of coefficients per node
+        # it is nonzero on, and each half read off its sign; a marked
+        # simple root and its negative are noncompact, so the getter
+        # picks at least two and gives a tuple
+        order = sorted(noncompact)
+        on_order = itemgetter(*order)
+        at = [0] * len(order)
         for column, x in zip(rs.columns, xi):
             if x:
-                values = list(map(add, values, map(x.__mul__, column)))
-        order = sorted(noncompact)
-        at = list(map(values.__getitem__, order))
+                at = list(map(add, at, map(x.__mul__, on_order(column))))
         s_plus = tuple(compress(order, map((0).__lt__, at)))
         s_minus = tuple(compress(order, map((0).__gt__, at)))
         if len(s_plus) + len(s_minus) != len(order):
@@ -199,8 +201,8 @@ def _central_functional(rs, marked) -> Weight:
     stack = [start]
     while stack:
         i = stack.pop()
-        for j, a in enumerate(rs.cartan_matrix[i]):
-            if a and j not in sign:
+        for j in rs.adjacency[i]:
+            if j not in sign:
                 sign[j] = -sign[i] if j + 1 in marked else sign[i]
                 stack.append(j)
     return tuple(sign[i] if i + 1 in marked else 0 for i in range(rs.rank))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress
 from operator import add, itemgetter, lt, mul, sub
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import dynkin as dk
 from .dynkin import DynkinType
@@ -94,6 +94,15 @@ class RootSystem:
         order, built on first use: a linear functional on the roots is
         a sum of these columns, one per node where it is nonzero."""
         return tuple(zip(*self.roots))
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """For each node, its Dynkin neighbours, in order, built on first
+        use."""
+        return tuple(
+            tuple(j for j, a in enumerate(row) if a and j != i)
+            for i, row in enumerate(self.cartan_matrix)
+        )
 
     @cached_property
     def root_keys(self) -> tuple[int, ...]:
@@ -241,14 +250,16 @@ def reflect(rs: RootSystem, v: Sequence, gamma: Weight):
     return tuple(v[j] - c * gamma[j] for j in range(rs.rank))
 
 
-def closed_subsystem(rs: RootSystem, positives: Iterable[int]) -> tuple:
+def closed_subsystem(rs: RootSystem, positives: Sequence[int]) -> tuple:
     """The closed subsystem whose positive roots have the indices
-    `positives`, read off them as the plain tuple (simples, rows,
-    cartan, parts): its simple roots (by index, sorted), their
-    reflection rows (the root system's own tuples), their Cartan matrix,
-    cartan[i][j] = <gamma_j, gamma_i^vee>, and per irreducible
-    component, in order of its first simple, the positions of its
-    simples and the set of its positive roots.
+    `positives`, distinct and sorted, read off them as the plain tuple
+    (simples, rows, cartan, neighbours, parts): its simple roots (by
+    index, sorted), their reflection rows (the root system's own
+    tuples), their Cartan matrix, cartan[i][j] = <gamma_j, gamma_i^vee>,
+    for each simple i its Dynkin neighbours j, in order, with
+    cartan[j][i], and per irreducible component, in order of its first
+    simple, the positions of its simples and the set of its positive
+    roots.
     NotClosedError unless the positives are the positive half of a
     reflection-closed subsystem.  They must be ambient-positive, so the
     subsystem's positive system is the ambient one cut down to it.
@@ -279,57 +290,75 @@ def closed_subsystem(rs: RootSystem, positives: Iterable[int]) -> tuple:
     found before beta and would have lowered it.  So S = D (Humphreys,
     *Introduction to Lie Algebras and Representation Theory*, 10.1-10.3).
 
-    A root is lowered only by simple roots of its own component, to
-    which the others are orthogonal, so each component's positive roots
-    are the roots its simples lower, themselves included.  The Cartan
-    matrix is read off the rows with packed keys, key(gamma_j) -
-    key(s_i gamma_j) = cartan[i][j] key(gamma_i)."""
-    pos = frozenset(positives)
+    The Cartan matrix is filled in the same pass: each new simple
+    gamma_i is set against those found before it.  An entry is read off
+    the rows with packed keys, key(gamma_j) - key(s_i gamma_j) =
+    cartan[i][j] key(gamma_i), and only where s_i moves gamma_j: it
+    fixes gamma_j exactly when the two are orthogonal, and then both
+    entries are 0.  A root is lowered only by simple roots of its own
+    component, to which the others are orthogonal, so each component's
+    positive roots are the roots its simples lower, themselves
+    included."""
     first = rs.positive_indices
-    if pos and (min(pos) < first.start or max(pos) >= first.stop):
+    if positives and (positives[0] < first.start or positives[-1] >= first.stop):
         raise NotClosedError(f"not a set of positive roots of {rs.dynkin}")
     # the keys are built first: that checks the bound on root
     # coefficients which the row proofs rely on
     keys = rs.root_keys
-    order = sorted(pos)
-    if not order:
-        return (), (), (), ()
+    if not positives:
+        return (), (), (), (), ()
+    pos = frozenset(positives)
     # the images of pos under a row, a tuple even when pos has one root
-    images_of = itemgetter(*order, order[0])
-    found = []  # (simple, its row, the roots of pos it lowers)
+    images_of = itemgetter(*positives, positives[0])
+    simples: list[int] = []
+    rows: list[tuple[int, ...]] = []
+    downs: list[frozenset[int]] = []  # the roots of pos each simple lowers
+    # links[i] holds (j, cartan[j][i]) for each Dynkin neighbour j of i
+    links: list[list[tuple[int, int]]] = []
     lowered: set[int] = set()
-    for b in order:
+    for b in positives:
         if b in lowered:
             continue
         row = rs.reflection_row(b)
         images = images_of(row)
         # row[b] = -b is not in pos, and a row is one-to-one
-        if len(pos.intersection(images)) != len(order) - 1:
+        if len(pos.intersection(images)) != len(positives) - 1:
             raise NotClosedError(
                 "the orbit is not its positive roots and their negatives"
             )
-        down = frozenset(compress(order, map(lt, images, order)))
+        down = frozenset(compress(positives, map(lt, images, positives)))
         lowered |= down
-        found.append((b, row, down))
-    simples, rows, downs = zip(*found)
-    cartan = tuple(
-        tuple((keys[gj] - keys[row[gj]]) // keys[gi] for gj in simples)
-        for gi, row in zip(simples, rows)
-    )
+        i = len(simples)
+        mine = []
+        for j, g in enumerate(simples):
+            if row[g] != g:
+                mine.append((j, (keys[b] - keys[rows[j][b]]) // keys[g]))
+                links[j].append((i, (keys[g] - keys[row[g]]) // keys[b]))
+        simples.append(b)
+        rows.append(row)
+        downs.append(down)
+        links.append(mine)
+    k = len(simples)
+    cartan = [[0] * k for _ in range(k)]
+    for i, mine in enumerate(links):
+        cartan[i][i] = 2
+        for j, a in mine:
+            cartan[j][i] = a
+    neighbours = tuple(map(tuple, links))
     parts = tuple(
         (members, frozenset().union(*map(downs.__getitem__, members)))
-        for members in _linked(cartan)
+        for members in _linked(neighbours)
     )
-    return simples, rows, cartan, parts
+    return tuple(simples), tuple(rows), tuple(map(tuple, cartan)), neighbours, parts
 
 
-def _linked(cartan) -> list[tuple[int, ...]]:
-    """The connected components of the Dynkin graph of a Cartan matrix,
-    as sorted positions, in order of their first position."""
-    k = len(cartan)
-    seen = [False] * k
+def _linked(neighbours) -> list[tuple[int, ...]]:
+    """The connected components of a Dynkin graph, given for each node
+    its neighbours as (node, entry) pairs, as sorted positions, in order
+    of their first position."""
+    seen = [False] * len(neighbours)
     out = []
-    for i in range(k):
+    for i in range(len(neighbours)):
         if seen[i]:
             continue
         seen[i] = True
@@ -337,8 +366,8 @@ def _linked(cartan) -> list[tuple[int, ...]]:
         while stack:
             a = stack.pop()
             members.append(a)
-            for b in range(k):
-                if not seen[b] and (cartan[a][b] or cartan[b][a]):
+            for b, _ in neighbours[a]:
+                if not seen[b]:
                     seen[b] = True
                     stack.append(b)
         out.append(tuple(sorted(members)))
@@ -349,18 +378,19 @@ def _component_label(rs, simples, comp_pos) -> str:
     """comp_pos holds the indices of the component's positive roots."""
     r = len(simples)
     n_roots = 2 * len(comp_pos)
-    norms = sorted(rs.norms[v] for v in comp_pos)
-    n_short = sum(1 for x in norms if x == norms[0])
+    norms = [rs.norms[v] for v in comp_pos]
+    short, long = min(norms), max(norms)
+    n_short = norms.count(short)
     if r == 1:
         return "A1"
-    if n_roots == r * (r + 1) and norms[0] == norms[-1]:
+    if n_roots == r * (r + 1) and short == long:
         return f"A{r}"
     if n_roots == 2 * r * r:
         if r == 2:
             return "B2"
         # B_r has 2r short roots, C_r has 2r(r-1)
         return f"B{r}" if 2 * n_short == 2 * r else f"C{r}"
-    if n_roots == 2 * r * (r - 1) and norms[0] == norms[-1]:
+    if n_roots == 2 * r * (r - 1) and short == long:
         return f"D{r}"
     if (r, n_roots) == (2, 12):
         return "G2"

@@ -37,11 +37,12 @@ class SubsystemContext:
     read off those roots in one pass (`closed_subsystem`): every entry
     of the reflection rows it reads was proven when the root system
     built the row, so per context only closure and descent are checked,
-    on index sets.  The positive roots are ambient-positive, so the
-    subsystem's positive system is the ambient one cut down to it, and
-    neither search reads a sign: a simple reflection keeps every
-    positive root but its own positive, so descents are read off the
-    simple roots by index."""
+    on index sets, and the same pass fills the Cartan matrix, the
+    Dynkin neighbour lists and the components.  The positive roots are
+    ambient-positive, so the subsystem's positive system is the ambient
+    one cut down to it, and neither search reads a sign: a simple
+    reflection keeps every positive root but its own positive, so
+    descents are read off the simple roots by index."""
 
     def __init__(self, rs: RootSystem, positives: Iterable[int]):
         """NotClosedError unless the positives are the positive half of a
@@ -50,21 +51,20 @@ class SubsystemContext:
         self.positives: tuple[int, ...] = tuple(sorted(set(positives)))
         self.pos_count = len(self.positives)
         # the simple roots, each simple reflection as a permutation of
-        # the root indices, the Cartan matrix and each component's
-        # simples and positive roots, from one pass
+        # the root indices, the Cartan matrix, for each simple i its
+        # Dynkin neighbours j with cartan[j][i] = <gamma_i, gamma_j^vee>
+        # (s_i changes no other weight coordinate than these and i), and
+        # each component's simples and positive roots, from one pass
         self.simples: tuple[int, ...]
         self.gen_perms: tuple[tuple[int, ...], ...]
-        self.simples, self.gen_perms, self.cartan, self.parts = closed_subsystem(
-            rs, self.positives
-        )
-        # for each simple i, its Dynkin neighbours j with cartan[j][i] =
-        # <gamma_i, gamma_j^vee>, the nonzero off-diagonal entries of
-        # column i: s_i changes no other weight coordinate than these and i
-        columns = tuple(zip(*self.cartan))
-        self.neighbours: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-            tuple((j, a) for j, a in enumerate(col) if j != i and a)
-            for i, col in enumerate(columns)
-        )
+        self.neighbours: tuple[tuple[tuple[int, int], ...], ...]
+        (
+            self.simples,
+            self.gen_perms,
+            self.cartan,
+            self.neighbours,
+            self.parts,
+        ) = closed_subsystem(rs, self.positives)
 
     @classmethod
     def from_simples(cls, rs: RootSystem, simples: Iterable[int]) -> "SubsystemContext":
@@ -138,17 +138,9 @@ class SubsystemContext:
         raise InternalInconsistencyError("weight walk did not terminate")
 
     @cached_property
-    def w0_word(self) -> tuple[int, ...]:
-        """A reduced word for the longest element of the subsystem group,
-        found by walking 2 rho, the sum of the positive subsystem roots,
-        into the antidominant chamber: each step reflects in the first
-        simple root gamma_i with <v, gamma_i^vee> > 0 (`walk_down`).
-
-        Every weight coordinate of 2 rho is 2 (Humphreys, *Introduction
-        to Lie Algebras and Representation Theory*, 10.2, Lemma B); the
-        start is paired once in ambient coordinates and checked against
-        that, (2 rho, gamma) = (gamma, gamma), which ties the positive
-        roots held to the pairing."""
+    def _longest(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """w0's word and its opposition involution, from one walk; see
+        `w0_word`."""
         rs = self.rs
         two_rho = tuple(map(sum, zip(*map(rs.roots.__getitem__, self.positives))))
         # the simple root first: pair sums over its nonzero coordinates
@@ -157,11 +149,51 @@ class SubsystemContext:
                 "sum of the positive subsystem roots is not 2 on every "
                 "simple coroot"
             )
-        steps = self.walk_down([2] * len(self.simples))
+        k = len(self.simples)
+        end = list(range(2 * k, 3 * k))
+        steps = self.walk_down(end)
         if len(steps) != self.pos_count:
             raise InternalInconsistencyError("longest-element walk has wrong length")
+        iota = tuple(-x - 2 * k for x in end)
+        if not all(0 <= i < k for i in iota) or any(
+            iota[i] != j for j, i in enumerate(iota)
+        ):
+            raise InternalInconsistencyError(
+                "longest-element walk does not end at an opposition involution"
+            )
         # steps[t] is applied first; word order is composition order
-        return tuple(reversed(steps))
+        return tuple(reversed(steps)), iota
+
+    @property
+    def w0_word(self) -> tuple[int, ...]:
+        """A reduced word for the longest element w0 of the subsystem
+        group, found by walking a regular dominant weight into the
+        antidominant chamber: each step reflects in the first simple root
+        gamma_i with <v, gamma_i^vee> > 0 (`walk_down`).
+
+        The walk starts at k 2 rho + delta, for k the rank, 2 rho the sum
+        of the positive subsystem roots and delta the weight with
+        coordinates 0, ..., k - 1: its coordinates are 2k + j.  Every
+        weight coordinate of 2 rho is 2 (Humphreys, *Introduction to Lie
+        Algebras and Representation Theory*, 10.2, Lemma B); the sum is
+        paired once in ambient coordinates and checked against that,
+        (2 rho, gamma) = (gamma, gamma), which ties the positive roots
+        held to the pairing.  The letters are those of the walk from
+        2 rho: after a prefix w, coordinate j is read on the coroot
+        beta^vee = w^{-1} gamma_j^vee, where 2 rho pairs to 2 ht(beta^vee)
+        and delta to at most (k - 1) |ht(beta^vee)| in absolute value,
+        so the start pairs with the sign of 2 rho, never 0."""
+        return self._longest[0]
+
+    @property
+    def opposition(self) -> tuple[int, ...]:
+        """The opposition involution iota of the simple roots, w0(gamma_i)
+        = -gamma_{iota(i)}, read off the end of the walk that finds w0
+        (`w0_word`): <w0 x, gamma_j^vee> = -<x, gamma_{iota(j)}^vee>, so
+        the walk from coordinates 2k + j ends at -2k - iota(j) (Humphreys,
+        *Reflection Groups and Coxeter Groups*, 1.8).  The walk is checked
+        to end at an involution of the positions."""
+        return self._longest[1]
 
     def apply_word(self, word: Sequence[int], v: int) -> int:
         """Apply s_{word[0]} o ... o s_{word[-1]} to the root of index v."""
@@ -239,6 +271,9 @@ def _max_length_with_witness(
     (`walk_down`) ends there: its letters spell a shortest u with
     u(nu) = w0(mu), which by Dyer's unique minimum (`coset_orbit`) is
     the one such element of that length, and w = w0 o u is the witness.
+    w0 is not replayed letter by letter: it acts on weight coordinates as
+    the permutation x -> -x o iota (`opposition`), so w is spelled from
+    u's letters alone.
     The walk takes one step per positive root alpha of K with
     (nu, alpha) > 0, so the coset maximum len(w0) - dist is also the
     number of positive roots with (nu, alpha) <= 0 (Humphreys,
@@ -260,10 +295,11 @@ def _max_length_with_witness(
         )
     length = ctx.pos_count - dist
     # w = w0 o u, held as -w(rho) in weight coordinates: the path letters
-    # spell u, then w0's letters are applied, rightmost first
+    # spell u, then w0 acts as a coordinate permutation,
+    # <w0 x, gamma_j^vee> = -<x, gamma_{iota(j)}^vee>
     q = [-1] * len(ctx.simples)
     ctx.reflect_weight(q, path)
-    ctx.reflect_weight(q, reversed(ctx.w0_word))
+    q = [-q[i] for i in ctx.opposition]
     # i is a left descent of w iff w^{-1}(gamma_i) is negative, iff
     # <w(rho), gamma_i^vee> < 0, iff q_i > 0: stripping the first such i
     # until none is left (`walk_down`) takes the greedy least left

@@ -29,7 +29,7 @@ from flagample.errors import (
     NotARootError,
     NotClosedError,
 )
-from flagample.rootsystem import _component_label, _linked
+from flagample.rootsystem import _component_label
 from flagample.weyl import (
     DEFAULT_CAP,
     SubsystemContext,
@@ -338,7 +338,7 @@ def subsystem_orbit(rs, simples, gens):
     }
     sign = dict.fromkeys(simples, 1)
     parts = []
-    for members in _linked(cartan):
+    for members in components_of(cartan):
         queue = [simples[i] for i in members]
         positives = queue[:]
         while queue:
@@ -373,6 +373,29 @@ def subsystem_orbit(rs, simples, gens):
     return tuple(cartan), coords, sign, tuple(parts)
 
 
+def neighbour_lists(cartan):
+    """For each node i of a Cartan matrix, its Dynkin neighbours j, in
+    order, with cartan[j][i]: the nonzero off-diagonal entries of column
+    i, as the context once read them off the matrix."""
+    columns = tuple(zip(*cartan))
+    return tuple(
+        tuple((j, a) for j, a in enumerate(col) if j != i and a)
+        for i, col in enumerate(columns)
+    )
+
+
+def components_of(cartan):
+    """The connected components of the Dynkin graph of a Cartan matrix,
+    as sorted positions, in order of their first position: each node
+    joins, and merges, the classes of the nodes it has an entry with."""
+    classes = []
+    for i, row in enumerate(cartan):
+        linked = [c for c in classes if any(row[j] or cartan[j][i] for j in c)]
+        classes = [c for c in classes if c not in linked]
+        classes.append({i}.union(*linked))
+    return sorted(tuple(sorted(c)) for c in classes)
+
+
 def require_closed(pos, orbit):
     """NotClosedError unless the orbit of the simple roots of `pos` (root
     indices of positive roots) is pos and -pos exactly.  The orbit holds
@@ -389,14 +412,14 @@ def require_closed(pos, orbit):
 
 
 def orbit_pass(rs, positives):
-    """The library pass's tuple (simples, rows, cartan, parts), and each
-    root's coordinates in the simple basis, by the former construction;
-    NotClosedError as that construction refuses."""
+    """The library pass's tuple (simples, rows, cartan, neighbours,
+    parts), and each root's coordinates in the simple basis, by the
+    former construction; NotClosedError as that construction refuses."""
     simples, pos = indecomposables(rs, positives)
     rows = tuple(map(rs.reflection_row, simples))
     cartan, coords, _, parts = subsystem_orbit(rs, simples, rows)
     require_closed(pos, coords)
-    return (simples, rows, cartan, parts), coords
+    return (simples, rows, cartan, neighbour_lists(cartan), parts), coords
 
 
 def coords(ctx):

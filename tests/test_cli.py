@@ -750,23 +750,44 @@ def _first_simple_cut_off(ctx):
 
 
 @pytest.mark.parametrize(
-    "change,message",
+    "change,label,message",
     [
-        (_affine, "weight walk did not terminate"),
-        (_first_simple_cut_off, "longest-element walk has wrong length"),
+        pytest.param(
+            _affine,
+            "A3",
+            "weight walk did not terminate",
+            id="_affine-weight walk did not terminate",
+        ),
+        pytest.param(
+            _first_simple_cut_off,
+            "B3",
+            "longest-element walk has wrong length",
+            id="_first_simple_cut_off-longest-element walk has wrong length",
+        ),
+        pytest.param(
+            _first_simple_cut_off,
+            "A3",
+            "longest-element walk does not end at an opposition involution",
+            id="_first_simple_cut_off-longest-element walk does not end at an "
+            "opposition involution",
+        ),
     ],
 )
-def test_w0_walk_faults_exit_3(capsys, monkeypatch, change, message):
-    """On A3 {1} (K = A2, 3 positive roots) the walk for w0 runs on K's
-    Dynkin edges: with an infinite group it is stopped after one step
-    more than K has positive roots, and with an edge lost it ends short,
-    after 2 steps."""
+def test_w0_walk_faults_exit_3(capsys, monkeypatch, change, label, message):
+    """The walk for w0 runs on K's Dynkin edges from the coordinates
+    2k + j, for k the rank of K.  On A3 {1} (K = A2, 3 positive roots)
+    it starts at (4, 5): with an infinite group it is stopped after one
+    step more than K has positive roots, and with s_1 cut off from its
+    neighbour it takes 3 steps, as many as K has positive roots, to
+    (-1, -5), which reads iota = (-3, 1), no permutation of the
+    positions.  On B3 {1} (K = B2, 4 positive roots) s_1 cut off ends
+    the walk short, after 3 steps."""
     _change_k_contexts(monkeypatch, change)
     _run_exits_3(
         capsys,
         (
-            ["compute", "--type", "A3", "--noncompact", "1"],
-            ["table", "--type", "A3", "--format", "json"],
+            ["compute", "--type", label, "--noncompact", "1"],
+            ["table", "--type", label, "--format", "json"],
         ),
         message,
     )
@@ -785,7 +806,8 @@ def _distances_one_on(snow, monkeypatch):
 
 def _last_letter_dropped(snow, monkeypatch):
     """Each weight-coordinate reflection skips its last letter: the
-    witness is spelled from an element one letter off w0 o u."""
+    witness is spelled from w0 o u', with u' one letter short of u, an
+    element one longer than w0 o u."""
     weyl = importlib.import_module("flagample.weyl")
     reflect_weight = weyl.SubsystemContext.reflect_weight
 
@@ -872,9 +894,11 @@ def _maximal_weights_negated(snow, monkeypatch):
             "coset maximum disagrees with the count of K's positive roots that "
             "pair nonpositively with nu",
         ),
+        # the Levi node makes the tied pair's walk one letter long; the
+        # table reaches that case second
         (
             _last_letter_dropped,
-            ["--type", "A2", "--noncompact", "1"],
+            ["--type", "A2", "--noncompact", "1", "--levi", "1"],
             "coset maximum length mismatch between routes",
         ),
         (

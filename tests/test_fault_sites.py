@@ -166,6 +166,11 @@ SITES = {
         "test_w0_walk_faults_exit_3",
         "longest-element walk has wrong length",
     ),
+    ("weyl", "longest-element walk does not end at an opposition involution"): (
+        "test_cli.py",
+        "test_w0_walk_faults_exit_3",
+        "longest-element walk does not end at an opposition involution",
+    ),
     (
         "weyl",
         "coset maximum disagrees with the count of K's positive roots that pair "

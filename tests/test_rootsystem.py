@@ -364,6 +364,24 @@ def test_simple_system_refuses_negative_roots():
         simple_system(rs, [(-1, 0)])
 
 
+@pytest.mark.parametrize(
+    "where", ["below", "past the end", "past the end after the highest root"]
+)
+def test_context_refuses_indices_outside_the_positive_roots(where):
+    """An index below the first positive root's, or not below the number
+    of roots, is refused with the pass's own message before any row is
+    read at it."""
+    rs = build_root_system(parse_type("A2"))
+    first = rs.positive_indices
+    positives = {
+        "below": [first.start - 1, first.start],
+        "past the end": [first.stop],
+        "past the end after the highest root": [first.stop - 1, first.stop],
+    }[where]
+    with pytest.raises(NotClosedError, match="^not a set of positive roots of A2$"):
+        SubsystemContext(rs, positives)
+
+
 def test_subsystem_components():
     b2 = build_root_system(parse_type("B2"))
     comps = subsystem_components(b2, [(1, 0), (1, 2)])
@@ -562,11 +580,11 @@ def _markings(label):
 def test_context_matches_the_orbit_pass(monkeypatch, label):
     """For K of each marking, the context read off K's positive roots
     holds what the former orbit search from K's simple roots gives: the
-    simple roots and their rows, the Cartan matrix, the positive roots,
-    those of nonnegative coordinates in the simple basis, and their
-    count, each component's simples and positive roots, and the labels,
-    the group order and the word of w0 of a context built on that
-    search."""
+    simple roots and their rows, the Cartan matrix, the Dynkin neighbour
+    lists, the positive roots, those of nonnegative coordinates in the
+    simple basis, and their count, each component's simples and positive
+    roots, and the labels, the group order, the word of w0 and its
+    opposition involution of a context built on that search."""
     rs = build_root_system(parse_type(label))
     for marked in _markings(label):
         noncompact = grade_roots(rs, marked).noncompact_roots
@@ -576,8 +594,9 @@ def test_context_matches_the_orbit_pass(monkeypatch, label):
         with monkeypatch.context() as m:
             m.setattr(weyl, "closed_subsystem", lambda rs, pos: data)
             ref = SubsystemContext(rs, pos)
-        simples, rows, cartan, parts = data
+        simples, rows, cartan, neighbours, parts = data
         assert (ctx.simples, ctx.gen_perms, ctx.cartan) == (simples, rows, cartan)
+        assert ctx.neighbours == neighbours, marked
         found = tuple(sorted(v for v, c in coords.items() if min(c) >= 0))
         assert ctx.positives == ref.positives == found, marked
         assert ctx.pos_count == ref.pos_count == len(pos)
@@ -585,6 +604,7 @@ def test_context_matches_the_orbit_pass(monkeypatch, label):
         assert ctx.labels == ref.labels, marked
         assert ctx.order() == ref.order(), marked
         assert ctx.w0_word == ref.w0_word, marked
+        assert ctx.opposition == ref.opposition, marked
 
 
 _PAIR_SYSTEMS = [

@@ -636,6 +636,79 @@ def test_w0_word_matches_coordinate_walk(dt):
         _check_w0_word(ctx)
 
 
+def _check_opposition(ctx):
+    """The opposition involution read off the w0 walk is the reference's:
+    w0(gamma_i) = -gamma_{iota(i)} on the action its word spells, iota is
+    an involutive automorphism of the Cartan matrix, and -x o iota is w0
+    replayed letter by letter on each unit weight x."""
+    iota = ctx.opposition
+    k = len(ctx.simples)
+    p = perm_of_word(ctx, ctx.w0_word)
+    last = len(ctx.rs.roots) - 1
+    assert [p[g] for g in ctx.simples] == [last - ctx.simples[i] for i in iota]
+    assert sorted(iota) == list(range(k))
+    assert all(iota[iota[i]] == i for i in range(k))
+    assert all(
+        ctx.cartan[iota[i]][iota[j]] == ctx.cartan[i][j]
+        for i in range(k)
+        for j in range(k)
+    )
+    for j in range(k):
+        x = [int(i == j) for i in range(k)]
+        replayed = x[:]
+        ctx.reflect_weight(replayed, reversed(ctx.w0_word))
+        assert replayed == [-x[i] for i in iota]
+
+
+@pytest.mark.parametrize(
+    "label,markings",
+    [(str(dt), None) for dt in all_types_up_to_rank(4)]
+    + [("E6", None), ("E7", [(7,)]), ("E8", [(1,)])],
+)
+def test_opposition_is_w0_on_the_simple_roots(label, markings):
+    """For K of every marking of every type of rank <= 4 and of E6, for
+    K = E6 x T of E7 {7} and K = E7 x T of E8 {1}, and for the whole
+    Weyl group of each."""
+    rs = build_root_system(parse_type(label))
+    markings = markings or list(_all_markings(rs.rank))
+    contexts = [_k_context(rs, marked) for marked in markings]
+    contexts.append(context(rs, simple_roots(rs)))
+    for ctx in contexts:
+        _check_opposition(ctx)
+
+
+@pytest.mark.parametrize(
+    "iota,refused",
+    [
+        ((2, 1, 0), False),
+        ((3, 1, 0), True),
+        ((0, 1, -1), True),
+        ((1, 2, 0), True),
+    ],
+    ids=["A3's own", "past the rank", "negative", "three-cycle"],
+)
+def test_w0_walk_ending_off_an_involution_is_refused(iota, refused):
+    """K = A3 of A4 {1}, whose walk is replaced by one of the right
+    length that ends at -2k - iota(j): only an involution of the three
+    positions is read as w0's opposition involution."""
+    ctx = _k_context(build_root_system(parse_type("A4")), (1,))
+    k = len(ctx.simples)
+
+    def walk(p):
+        p[:] = [-2 * k - i for i in iota]
+        return [0] * ctx.pos_count
+
+    ctx.walk_down = walk
+    if refused:
+        with pytest.raises(
+            InternalInconsistencyError,
+            match="^longest-element walk does not end at an opposition involution$",
+        ):
+            ctx.opposition
+    else:
+        assert ctx.opposition == iota
+
+
 @functools.cache
 def _cached_root_system(label):
     return build_root_system(parse_type(label))
